@@ -7,7 +7,16 @@ theory, and selected non-Markovian evolution schemes.
 
 Global convention: column-stacking vectorization; the superoperator of
 ``rho -> A rho B`` is ``kron(B.T, A)``.
+
+OQS_NUM_THREADS caps the linear-algebra thread pools.  It is applied here,
+before numpy loads, and has no effect once numpy is imported.
 """
+import os as _os
+
+if _os.environ.get("OQS_NUM_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["OQS_NUM_THREADS"])
 
 from . import errors, gksl, liouville, maps, nonmarkov, operators, spectra, weakcoupling
 from .gksl import (

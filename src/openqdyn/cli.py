@@ -14,21 +14,12 @@ All floating-point output uses 12 significant digits in scientific notation.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 config
 error, 3 numerical error.  The environment variable OQS_NUM_THREADS caps the
-linear-algebra thread pool (applied before the numerics load).
+linear-algebra thread pool; ``import openqdyn`` applies it before numpy loads.
 """
 import argparse
+import functools
 import os
 import sys
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("OQS_NUM_THREADS")
-    if cap:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, cap)
 
 
 def fmt(x):
@@ -119,18 +110,15 @@ def read_matrix_csv(path):
     return np.array(rows, dtype=complex)
 
 
+def _re_im(values):
+    """One CSV row of alternating real and imaginary parts."""
+    return ",".join(f"{fmt(z.real)},{fmt(z.imag)}" for z in values)
+
+
 def write_matrix_csv(path, M):
     import numpy as np
 
-    M = np.asarray(M, dtype=complex)
-    lines = []
-    for row in M:
-        cells = []
-        for z in row:
-            cells.append(fmt(z.real))
-            cells.append(fmt(z.imag))
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, (_re_im(row) for row in np.asarray(M, dtype=complex)))
 
 
 def read_map_family_csv(path):
@@ -159,17 +147,12 @@ def read_map_family_csv(path):
 
 
 def write_map_family_csv(path, family):
-    rows = []
-    for t, E in family:
-        cells = [fmt(t)]
-        for z in E.reshape(-1):
-            cells.append(fmt(z.real))
-            cells.append(fmt(z.imag))
-        rows.append(",".join(cells))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _atomic_write(path, (f"{fmt(t)},{_re_im(E.reshape(-1))}" for t, E in family))
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, lines):
+    """Write the lines, each ending in a newline, through a temporary file."""
+    text = "\n".join(lines) + "\n"
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -322,79 +305,85 @@ def build_output_times(cfg):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_evolve(cfg, out_path, seed, tol, scheme_override=None, with_diagnostics=False):
+class RunContext:
+    """What every verb starts from: the config, the system, the bath and the
+    coupling strength, built in that order so their errors surface first.
+    The Davies generator and its superoperator are built on first use."""
+
+    def __init__(self, cfg, seed, tol):
+        self.cfg, self.seed, self.tol = cfg, seed, tol
+        self.system = build_system(cfg)
+        self.bath = build_bath(cfg)
+        self.alpha = _get(cfg, "model", "coupling_strength", default=1.0, cast=float)
+
+    def get(self, section, key, **kwargs):
+        return _get(self.cfg, section, key, **kwargs)
+
+    @functools.cached_property
+    def generator(self):
+        from .weakcoupling import davies_generator
+
+        return davies_generator(self.system, self.bath, alpha=self.alpha)
+
+    @functools.cached_property
+    def L(self):
+        return self.generator.superoperator()
+
+
+def cmd_evolve(ctx, default_scheme="markov", diagnostics=False):
     import numpy as np
 
     from .errors import ConfigError
     from .liouville import apply_superop, expm
     from .nonmarkov import (MemoryKernel, coarse_grain_evolve, memory_kernel_evolve,
                             post_markovian_evolve, tcl2_evolve)
-    from .weakcoupling import davies_generator
 
-    system = build_system(cfg)
-    bath = build_bath(cfg)
-    alpha = _get(cfg, "model", "coupling_strength", default=1.0, cast=float)
-    scheme = (scheme_override or _get(cfg, "solver", "scheme", default="markov")).lower()
-    times = build_output_times(cfg)
-    rho0 = build_initial_state(cfg, system, bath)
-    observables = build_observables(cfg, system)
+    scheme = ctx.get("solver", "scheme", default=default_scheme).lower()
+    times = build_output_times(ctx.cfg)
+    rho0 = build_initial_state(ctx.cfg, ctx.system, ctx.bath)
+    observables = build_observables(ctx.cfg, ctx.system)
 
-    diag_cols, diag_rows = [], None
+    diag_cols, diag = [], {}
     if scheme == "markov":
-        gen = davies_generator(system, bath, alpha=alpha)
-        L = gen.superoperator()
+        L = ctx.L
         states = [rho0 if t == 0 else apply_superop(expm(t * L), rho0) for t in times]
-    elif scheme in ("memory_kernel", "post_markovian"):
-        gen = davies_generator(system, bath, alpha=alpha)
-        kernel = MemoryKernel(g=_get(cfg, "solver", "kernel_g", default=10.0, cast=float))
-        evolve = memory_kernel_evolve if scheme == "memory_kernel" else post_markovian_evolve
-        grid = times if times[0] == 0.0 else [0.0] + times
-        traj = evolve(gen.superoperator(), kernel, rho0, grid)
-        lookup = dict(zip(grid, traj.states))
-        states = [lookup[t] for t in times]
-        if with_diagnostics:
-            diag_cols = ["trace_error", "min_eigenvalue"]
-            diag_rows = [[traj.max_trace_error, traj.min_eigenvalue] for _ in times]
-    elif scheme == "tcl2":
-        substeps = _get(cfg, "solver", "substeps", default=8, cast=int)
-        grid = times if times[0] == 0.0 else [0.0] + times
-        traj = tcl2_evolve(system, bath, rho0, grid, alpha=alpha, substeps=substeps)
-        lookup = dict(zip(grid, traj.states))
-        states = [lookup[t] for t in times]
-        if with_diagnostics:
-            diag_cols = ["min_choi_eigenvalue"]
-            wit = dict(zip(grid, traj.min_choi_eigenvalues))
-            diag_rows = [[wit[t]] for t in times]
-    elif scheme == "coarse_grain":
-        grid = times if times[0] == 0.0 else [0.0] + times
-        traj = coarse_grain_evolve(system, bath, alpha, rho0, grid)
-        lookup = dict(zip(grid, traj.states))
-        states = [lookup[t] for t in times]
     else:
-        raise ConfigError(f"unknown solver scheme {scheme!r}")
+        if scheme in ("memory_kernel", "post_markovian"):
+            evolve = memory_kernel_evolve if scheme == "memory_kernel" else post_markovian_evolve
+            run = functools.partial(evolve, ctx.L, MemoryKernel(
+                g=ctx.get("solver", "kernel_g", default=10.0, cast=float)))
+        elif scheme == "tcl2":
+            run = functools.partial(tcl2_evolve, ctx.system, ctx.bath, alpha=ctx.alpha,
+                                    substeps=ctx.get("solver", "substeps", default=8, cast=int))
+        elif scheme == "coarse_grain":
+            run = functools.partial(coarse_grain_evolve, ctx.system, ctx.bath, ctx.alpha)
+        else:
+            raise ConfigError(f"unknown solver scheme {scheme!r}")
+        # the solvers start at t = 0; an output grid starting later gets it prepended
+        grid = times if times[0] == 0.0 else [0.0] + times
+        traj = run(rho0, grid)
+        lookup = dict(zip(grid, traj.states))
+        states = [lookup[t] for t in times]
+        if diagnostics and scheme == "tcl2":
+            diag_cols = ["min_choi_eigenvalue"]
+            diag = {t: [w] for t, w in zip(grid, traj.min_choi_eigenvalues)}
+        elif diagnostics and scheme in ("memory_kernel", "post_markovian"):
+            diag_cols = ["trace_error", "min_eigenvalue"]
+            diag = dict.fromkeys(grid, [traj.max_trace_error, traj.min_eigenvalue])
 
-    header = ["t"] + [name for name, _ in observables] + diag_cols
-    lines = [",".join(header)]
-    for i, (t, rho) in enumerate(zip(times, states)):
-        row = [fmt(t)]
-        for _, O in observables:
-            row.append(fmt(np.trace(O @ rho).real))
-        if diag_rows is not None:
-            row.extend(fmt(v) for v in diag_rows[i])
-        lines.append(",".join(row))
-    _atomic_write(out_path, "\n".join(lines) + "\n")
-    return 0
+    lines = [",".join(["t"] + [name for name, _ in observables] + diag_cols)]
+    for t, rho in zip(times, states):
+        row = [fmt(t)] + [fmt(np.trace(O @ rho).real) for _, O in observables]
+        lines.append(",".join(row + [fmt(v) for v in diag.get(t, ())]))
+    return lines, 0
 
 
-def cmd_derive(cfg, out_path, seed, tol):
+def cmd_derive(ctx):
     import numpy as np
 
-    from .weakcoupling import davies_generator, kms_check, stationarity_check
+    from .weakcoupling import kms_check, stationarity_check
 
-    system = build_system(cfg)
-    bath = build_bath(cfg)
-    alpha = _get(cfg, "model", "coupling_strength", default=1.0, cast=float)
-    gen = davies_generator(system, bath, alpha=alpha)
+    gen = ctx.generator
     lines = ["# weak-coupling generator report"]
     lines.append("bohr_frequencies," + ",".join(fmt(w) for w in sorted(gen.per_frequency)))
     for w in sorted(gen.per_frequency):
@@ -403,170 +392,132 @@ def cmd_derive(cfg, out_path, seed, tol):
                      + ";".join(str(k) for k in block.coupling_indices))
         for label, M in (("gamma", block.gamma), ("shift", block.shift)):
             for i, row in enumerate(np.atleast_2d(M)):
-                cells = []
-                for z in row:
-                    cells.append(fmt(np.real(z)))
-                    cells.append(fmt(np.imag(z)))
-                lines.append(f"{label},{i}," + ",".join(cells))
+                lines.append(f"{label},{i},{_re_im(row)}")
     lines.append("lamb_shift_matrix")
-    for row in gen.lamb_shift:
-        cells = []
-        for z in row:
-            cells.append(fmt(z.real))
-            cells.append(fmt(z.imag))
-        lines.append(",".join(cells))
+    lines.extend(_re_im(row) for row in gen.lamb_shift)
     lines.append("canonical_jumps")
     for k, (g, V) in enumerate(gen.base.jumps):
         lines.append(f"jump,{k},rate," + fmt(g))
-        for row in V:
-            cells = []
-            for z in row:
-                cells.append(fmt(z.real))
-                cells.append(fmt(z.imag))
-            lines.append("jump," + str(k) + "," + ",".join(cells))
-    kms = kms_check(gen, tol=tol if tol else 1e-8)
+        lines.extend(f"jump,{k},{_re_im(row)}" for row in V)
+    kms = kms_check(gen, tol=ctx.tol or 1e-8)
     lines.append("kms_max_relative_violation," + fmt(kms.max_relative_violation))
     lines.append("kms_vacuum_flags," + ",".join(
         f"{c.omega:.6g}:{int(c.vacuum)}" for c in kms.checks))
     lines.append("stationarity_residual," + fmt(stationarity_check(gen)))
-    _atomic_write(out_path, "\n".join(lines) + "\n")
-    return 0
+    return lines, 0
 
 
-def cmd_check(cfg, out_path, seed, tol):
+def _verdict(ok):
+    return "inconclusive" if ok is None else ("pass" if ok else "fail")
+
+
+def cmd_check(ctx):
     import numpy as np
 
+    from .errors import ConfigError
     from .gksl import check_kossakowski_conditions, random_partitions
     from .liouville import expm
     from .maps import divisibility_witness, is_cp, is_trace_preserving
     from .spectra import is_relaxing, spohn_check
-    from .weakcoupling import davies_generator
 
-    system = build_system(cfg)
-    bath = build_bath(cfg)
-    alpha = _get(cfg, "model", "coupling_strength", default=1.0, cast=float)
     requested = [tok.strip() for tok in
-                 _get(cfg, "checks", "requested", default="cp").split(",") if tok.strip()]
-    tol = tol if tol else 1e-10
-    rng = np.random.default_rng(seed)
-    gen = davies_generator(system, bath, alpha=alpha)
-    L = gen.superoperator()
+                 ctx.get("checks", "requested", default="cp").split(",") if tok.strip()]
+    tol = ctx.tol or 1e-10
+    rng = np.random.default_rng(ctx.seed)
+    L = ctx.L
 
     lines = ["check,verdict,witness"]
     all_pass = True
     for name in requested:
         if name == "cp":
-            worst = np.inf
+            witness = np.inf
             ok = True
             for tau in (0.01, 0.1, 1.0, 10.0):
                 E = expm(tau * L)
                 rep = is_cp(E, tol)
-                worst = min(worst, rep.min_choi_eigenvalue)
+                witness = min(witness, rep.min_choi_eigenvalue)
                 ok = ok and rep.verdict and is_trace_preserving(E)
-            lines.append(f"cp,{'pass' if ok else 'fail'},{fmt(worst)}")
-            all_pass &= ok
         elif name == "markov":
-            family_file = _get(cfg, "checks", "family_file")
+            family_file = ctx.get("checks", "family_file")
             if family_file:
                 family = read_map_family_csv(family_file)
             else:
-                times = [t for t in build_output_times(cfg) if t > 0]
-                family = [(0.0, np.eye(system.dim**2, dtype=complex))]
+                times = [t for t in build_output_times(ctx.cfg) if t > 0]
+                family = [(0.0, np.eye(ctx.system.dim**2, dtype=complex))]
                 family += [(t, expm(t * L)) for t in times]
             report = divisibility_witness(family, tol=tol)
-            worst = min((iv.min_choi_eigenvalue for iv in report.intervals
-                         if iv.cp is not None), default=float("nan"))
-            verdict = report.markovian
-            label = "pass" if verdict else ("inconclusive" if verdict is None else "fail")
-            lines.append(f"markov,{label},{fmt(worst)}")
-            all_pass &= bool(verdict)
-            report_file = _get(cfg, "checks", "report_file")
+            witness = min((iv.min_choi_eigenvalue for iv in report.intervals
+                           if iv.cp is not None), default=float("nan"))
+            ok = report.markovian
+            report_file = ctx.get("checks", "report_file")
             if report_file:
                 rows = ["t_start,t_end,min_choi_eigenvalue,cp,singular"]
                 for iv in report.intervals:
                     rows.append(",".join([fmt(iv.t_start), fmt(iv.t_end),
                                           fmt(iv.min_choi_eigenvalue),
                                           str(int(bool(iv.cp))), str(int(iv.singular))]))
-                _atomic_write(report_file, "\n".join(rows) + "\n")
+                _atomic_write(report_file, rows)
         elif name == "kossakowski":
-            parts = random_partitions(system.dim, 20, rng)
+            parts = random_partitions(ctx.system.dim, 20, rng)
             rep = check_kossakowski_conditions(L, parts, tol=max(tol, 1e-9))
-            lines.append(f"kossakowski,{'pass' if rep.passed else 'fail'},"
-                         + (fmt(0.0) if rep.passed else fmt(rep.first_violation.value)))
-            all_pass &= rep.passed
+            ok = rep.passed
+            witness = 0.0 if ok else rep.first_violation.value
         elif name == "spohn":
-            jumps = [V for _, V in gen.base.jumps]
-            rep = spohn_check(jumps)
-            lines.append(f"spohn,{'pass' if rep.relaxing_guaranteed else 'fail'},"
-                         + fmt(rep.commutant_dim))
-            all_pass &= rep.relaxing_guaranteed
+            rep = spohn_check([V for _, V in ctx.generator.base.jumps])
+            ok, witness = rep.relaxing_guaranteed, rep.commutant_dim
         elif name == "relaxing":
             rep = is_relaxing(L)
-            lines.append(f"relaxing,{'pass' if rep.verdict else 'fail'},"
-                         + fmt(rep.report.spectral_gap))
-            all_pass &= rep.verdict
+            ok, witness = rep.verdict, rep.report.spectral_gap
         else:
-            from .errors import ConfigError
-
             raise ConfigError(f"unknown check {name!r}")
-    _atomic_write(out_path, "\n".join(lines) + "\n")
-    return 0 if all_pass else 1
+        lines.append(f"{name},{_verdict(ok)},{fmt(witness)}")
+        all_pass &= bool(ok)
+    return lines, 0 if all_pass else 1
 
 
-def cmd_steady(cfg, out_path, seed, tol):
+def cmd_steady(ctx):
     from .spectra import steady_states
-    from .weakcoupling import davies_generator
 
-    system = build_system(cfg)
-    bath = build_bath(cfg)
-    alpha = _get(cfg, "model", "coupling_strength", default=1.0, cast=float)
-    gen = davies_generator(system, bath, alpha=alpha)
-    result = steady_states(gen.superoperator(), tol=tol if tol else 1e-9)
+    result = steady_states(ctx.L, tol=ctx.tol or 1e-9)
     lines = [f"# kernel_dimension,{result.kernel_dimension}",
              f"# n_states,{len(result.states)}"]
     for idx, rho in enumerate(result.states):
         lines.append(f"# state,{idx}")
-        for row in rho:
-            cells = []
-            for z in row:
-                cells.append(fmt(z.real))
-                cells.append(fmt(z.imag))
-            lines.append(",".join(cells))
-    _atomic_write(out_path, "\n".join(lines) + "\n")
-    return 0
+        lines.extend(_re_im(row) for row in rho)
+    return lines, 0
 
 
-def cmd_spectrum(cfg, out_path, seed, tol):
+def cmd_spectrum(ctx):
     from .spectra import liouvillian_spectrum
-    from .weakcoupling import davies_generator
 
-    system = build_system(cfg)
-    bath = build_bath(cfg)
-    alpha = _get(cfg, "model", "coupling_strength", default=1.0, cast=float)
-    gen = davies_generator(system, bath, alpha=alpha)
-    rep = liouvillian_spectrum(gen.superoperator(), tol=tol if tol else 1e-9)
+    rep = liouvillian_spectrum(ctx.L, tol=ctx.tol or 1e-9)
     lines = [f"# zero_multiplicity,{rep.zero_multiplicity}",
              f"# spectral_gap,{fmt(rep.spectral_gap)}",
              f"# diagonalizable,{int(rep.diagonalizable)}",
              "re,im"]
-    for lam in rep.eigenvalues:
-        lines.append(f"{fmt(lam.real)},{fmt(lam.imag)}")
-    _atomic_write(out_path, "\n".join(lines) + "\n")
-    return 0
+    lines.extend(_re_im([lam]) for lam in rep.eigenvalues)
+    return lines, 0
+
+
+# verb -> (help text, command); each command maps a RunContext to (lines, exit code)
+VERBS = {
+    "evolve": ("propagate and tabulate observables", cmd_evolve),
+    "derive": ("weak-coupling generator report", cmd_derive),
+    "check": ("verification report (cp|markov|kossakowski|spohn|relaxing)", cmd_check),
+    "steady": ("steady states of the derived generator", cmd_steady),
+    "spectrum": ("Liouvillian spectrum table", cmd_spectrum),
+    "nonmarkov": ("non-Markovian trajectory with diagnostics",
+                  functools.partial(cmd_evolve, default_scheme="memory_kernel",
+                                    diagnostics=True)),
+}
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="openqdyn",
         description="Batch analysis of open-quantum-system dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, hlp in (("evolve", "propagate and tabulate observables"),
-                      ("derive", "weak-coupling generator report"),
-                      ("check", "verification report (cp|markov|kossakowski|spohn|relaxing)"),
-                      ("steady", "steady states of the derived generator"),
-                      ("spectrum", "Liouvillian spectrum table"),
-                      ("nonmarkov", "non-Markovian trajectory with diagnostics")):
+    for name, (hlp, _) in VERBS.items():
         p = sub.add_parser(name, help=hlp)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output path (default from config)")
@@ -581,28 +532,12 @@ def main(argv=None):
         out_path = args.out or _get(cfg, "output", "path", default=None)
         if out_path is None:
             raise ConfigError("no output path: set [output] path or pass --out")
-        if args.command == "evolve":
-            code = cmd_evolve(cfg, out_path, args.seed, args.tol)
-        elif args.command == "derive":
-            code = cmd_derive(cfg, out_path, args.seed, args.tol)
-        elif args.command == "check":
-            code = cmd_check(cfg, out_path, args.seed, args.tol)
-        elif args.command == "steady":
-            code = cmd_steady(cfg, out_path, args.seed, args.tol)
-        elif args.command == "spectrum":
-            code = cmd_spectrum(cfg, out_path, args.seed, args.tol)
-        else:
-            code = cmd_evolve(cfg, out_path, args.seed, args.tol,
-                              scheme_override=_get(cfg, "solver", "scheme",
-                                                   default="memory_kernel"),
-                              with_diagnostics=True)
+        lines, code = VERBS[args.command][1](RunContext(cfg, args.seed, args.tol))
+        _atomic_write(out_path, lines)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OpenQDynError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ArithmeticError) as exc:
+    except (OpenQDynError, ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     return code

@@ -20,8 +20,7 @@ from .liouville import (
     apply_superop,
     conjugation_superop,
     hs_basis,
-    sample_hermitian_directions,
-    trace_norm,
+    induced_trace_norm,
 )
 
 DEFAULT_CP_TOL = 1e-10
@@ -99,14 +98,8 @@ def contraction_check(S, samples=200, rng=None, tol=1e-10):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    S, n = _map_dim(S)
-    rng = np.random.default_rng(0) if rng is None else rng
-    best = 0.0
-    for sigma in sample_hermitian_directions(n, samples, rng):
-        denom = trace_norm(sigma)
-        if denom < 1e-14:
-            continue
-        best = max(best, trace_norm(apply_superop(S, sigma)) / denom)
+    S, _ = _map_dim(S)
+    best = induced_trace_norm(S, samples, rng)
     return ContractionReport(best, best <= 1.0 + tol)
 
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -242,6 +243,37 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "evolve" in proc.stdout
+
+
+NUMPY_SPY = """
+import os, runpy, sys
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            print("OPENBLAS_NUM_THREADS=" + os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+                  file=sys.stderr)
+
+sys.meta_path.insert(0, Spy())
+sys.argv = ["openqdyn", "--help"]
+runpy.run_module("openqdyn.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_thread_cap_applied_before_numpy_loads_under_dash_m():
+    # runs the module the way ``python -m openqdyn.cli`` does, and reports the
+    # BLAS thread variable at the moment numpy is first imported
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS")}
+    env["OQS_NUM_THREADS"] = "1"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_SPY], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "OPENBLAS_NUM_THREADS=1" in proc.stderr.splitlines()
 
 
 def test_custom_model_matches_preset(tmp_path):

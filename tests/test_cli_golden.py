@@ -1,0 +1,214 @@
+"""Byte-exact golden outputs of the batch CLI.
+
+Every case runs ``cli.main`` in-process and compares the exit code, the
+stderr text, the output file and any report file with the committed files
+under ``tests/golden/``, byte for byte once the temporary and input
+directories are replaced by ``<tmp>`` and ``<inputs>``.
+
+The goldens record the CLI's behaviour; they are not regenerated to follow a
+code change.  ``python tests/test_cli_golden.py --write`` (re)creates them
+from the checkout under ``src/`` and exists only for adding new cases.
+"""
+import contextlib
+import io
+import json
+import os
+import sys
+import warnings
+
+import pytest
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+INPUTS = os.path.join(GOLDEN, "inputs")
+
+MODELS = {
+    "qubit": "preset = damped_qubit\nomega0 = 1.0",
+    "osc6": "preset = damped_oscillator\nn_levels = 6\nomega0 = 1.0",
+    "dephasing": "preset = pure_dephasing\nomega0 = 1.0",
+    "custom4": ("preset = custom\nh_file = {inputs}/h4.csv\n"
+                "coupling_files = {inputs}/a4.csv\ncoupling_pattern = single"),
+}
+BATHS = {
+    "T1": "type = ohmic\nalpha = 0.1\nomega_c = 3.0\ntemperature = 1.0",
+    "T0": "type = ohmic\nalpha = 0.1\nomega_c = 3.0\nT = 0.0",
+    "flat": "type = flat\nalpha = 0.05\nomega_max = 8.0\ntemperature = 0.5",
+}
+VERBS = ("evolve", "derive", "check", "steady", "spectrum", "nonmarkov")
+ALL_CHECKS = "cp,markov,kossakowski,spohn,relaxing"
+
+
+def _config(model="qubit", bath="T1", solver="t_final = 2.0\nsteps = 4",
+            initial="", observables="", checks=f"requested = {ALL_CHECKS}",
+            output="path = {tmp}/out.csv"):
+    sections = [("model", MODELS.get(model, model)), ("bath", BATHS.get(bath, bath)),
+                ("solver", solver), ("initial", initial), ("observables", observables),
+                ("checks", checks), ("output", output)]
+    return "".join(f"[{name}]\n{body}\n\n" for name, body in sections if body)
+
+
+def _cases():
+    cases = {}
+    for model in MODELS:
+        for bath in BATHS:
+            for verb in VERBS:
+                cases[f"{verb}_{model}_{bath}"] = ([verb], _config(model, bath))
+    for model in ("qubit", "osc6"):
+        for scheme in ("markov", "memory_kernel", "post_markovian", "tcl2", "coarse_grain"):
+            solver = f"scheme = {scheme}\nt_final = 1.5\nsteps = 3\nkernel_g = 8.0\nsubsteps = 4"
+            cases[f"nonmarkov_{scheme}_{model}"] = (["nonmarkov"], _config(model, solver=solver))
+            if model == "qubit":
+                cases[f"evolve_{scheme}_{model}"] = (["evolve"], _config(model, solver=solver))
+                shifted = f"scheme = {scheme}\noutput_times = 0.4,0.9,1.5\nkernel_g = 8.0"
+                for verb in ("evolve", "nonmarkov"):
+                    cases[f"{verb}_{scheme}_late_start"] = ([verb], _config(model, solver=shifted))
+    for state in ("excited", "ground", "maximally_mixed", "thermal"):
+        for model in ("qubit", "osc6"):
+            cases[f"initial_{state}_{model}"] = (["evolve"], _config(
+                model, initial=f"state = {state}", observables=(
+                    "names = sigma_x,sigma_y,sigma_z,energy,population_1" if model == "qubit"
+                    else "names = number,energy,population_0,population_5")))
+    cases["initial_file_observable_file"] = (["evolve"], _config(
+        initial="state = file\nrho_file = {inputs}/rho2.csv",
+        observables="names = file:{inputs}/obs2.csv,number,sigma_z"))
+    cases["bath_table"] = (["derive"], _config(bath="type = table\nj_file = {inputs}/jtable.csv\n"
+                                                    "temperature = 0.7"))
+    cases["bath_ohmic_subohmic"] = (["evolve"], _config(
+        bath="type = ohmic\nalpha = 0.05\ns = 0.5\nomega_c = 2.0\nomega_max = 60.0\nT = 0.3"))
+    cases["coupling_strength"] = (["derive"], _config(
+        "preset = damped_qubit\nomega0 = 1.3\ncoupling_strength = 0.7"))
+    cases["check_markov_family"] = (["check"], _config(checks=(
+        "requested = markov\nfamily_file = {inputs}/family2.csv\n"
+        "report_file = {tmp}/report.csv")))
+    cases["check_markov_report_own_family"] = (["check"], _config(
+        "osc6", checks="requested = markov,cp\nreport_file = {tmp}/report.csv"))
+    cases["check_markov_inconclusive"] = (["check"], _config(
+        "osc6", solver="t_final = 60.0\nsteps = 2",
+        checks="requested = markov\nreport_file = {tmp}/report.csv"))
+    cases["check_seed_tol"] = (["check", "--seed", "7", "--tol", "1e-8"], _config(
+        "custom4", checks="requested = kossakowski,relaxing,spohn"))
+    cases["default_check_cp"] = (["check"], _config(checks=""))
+    for verb in ("derive", "steady", "spectrum"):
+        cases[f"{verb}_tol"] = ([verb, "--tol", "1e-6"], _config("osc6"))
+    cases["out_flag_overrides_config"] = (["spectrum", "--out", "{tmp}/out.csv"], _config(
+        output="path = {tmp}/ignored.csv"))
+    # config and numerical errors: exit 2 / 3 and their messages
+    errors = {
+        "err_missing_config": (["evolve", "--config", "{tmp}/nope.cfg"], None),
+        "err_no_output": (["derive"], _config(output="")),
+        "err_unknown_preset": (["derive"], _config("preset = bogus")),
+        "err_unknown_bath": (["derive"], _config(bath="type = bogus")),
+        "err_preset_before_bath": (["steady"], _config("preset = bogus", bath="type = bogus")),
+        "err_bath_before_strength": (["evolve"], _config(
+            "preset = damped_qubit\ncoupling_strength = x", bath="type = bogus")),
+        "err_strength_before_scheme": (["evolve"], _config(
+            "preset = damped_qubit\ncoupling_strength = x", solver="scheme = bogus")),
+        "err_unknown_scheme": (["evolve"], _config(solver="scheme = bogus")),
+        "err_unknown_scheme_nonmarkov": (["nonmarkov"], _config(solver="scheme = bogus")),
+        "err_scheme_after_observables": (["evolve"], _config(
+            solver="scheme = bogus", observables="names = bogus")),
+        "err_unknown_check": (["check"], _config(checks="requested = cp,bogus")),
+        "err_check_after_report": (["check"], _config(checks=(
+            "requested = markov,bogus\nfamily_file = {inputs}/family2.csv\n"
+            "report_file = {tmp}/report.csv"))),
+        "err_unknown_observable": (["evolve"], _config(observables="names = bogus")),
+        "err_sigma_on_oscillator": (["evolve"], _config("osc6", observables="names = sigma_x")),
+        "err_unknown_initial": (["evolve"], _config(initial="state = bogus")),
+        "err_bad_output_times": (["evolve"], _config(solver="output_times = 0,2,1")),
+        "err_missing_h_file": (["derive"], _config("preset = custom")),
+        "err_bad_cast": (["evolve"], _config(solver="steps = four")),
+        "err_missing_flat_omega_max": (["derive"], _config(bath="type = flat")),
+        "err_bad_config_line": (["derive"], "[model]\nnot a pair\n"),
+        "err_bad_kernel_g": (["nonmarkov"], _config(solver="scheme = memory_kernel\nkernel_g = -1")),
+        "err_bad_rho_file": (["evolve"], _config(
+            initial="state = file\nrho_file = {inputs}/obs2.csv")),
+        "err_usage": (["evolve"], None),
+        "err_generator_before_t0_row": (["evolve"], _config(
+            "dephasing", "flat", solver="output_times = 0")),
+    }
+    cases.update(errors)
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(name, tmp):
+    """Run one case in ``tmp``; returns (status, {golden file name: bytes})."""
+    argv, text = CASES[name]
+    subst = {"tmp": tmp, "inputs": INPUTS}
+    argv = [a.format(**subst) for a in argv]
+    if text is not None:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text.format(**subst))
+        argv[1:1] = ["--config", cfg]
+    from openqdyn import cli
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:      # argparse usage errors
+            code = exc.code
+    stderr = err.getvalue().replace(tmp, "<tmp>").replace(INPUTS, "<inputs>")
+    files = {}
+    for suffix in ("out", "report"):
+        path = os.path.join(tmp, f"{suffix}.csv")
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                files[f"{name}.{suffix}"] = fh.read().replace(INPUTS.encode(), b"<inputs>")
+    return {"exit": code, "stderr": stderr, "files": sorted(files)}, files
+
+
+@pytest.fixture(scope="module")
+def status():
+    with open(os.path.join(GOLDEN, "status.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_golden(name, status, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got, files = run_case(name, str(tmp_path))
+    assert got == status[name]
+    for fname, data in files.items():
+        with open(os.path.join(GOLDEN, fname), "rb") as fh:
+            assert data == fh.read(), fname
+
+
+def test_cli_golden_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    from openqdyn import cli
+
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    with open(os.path.join(GOLDEN, "help.txt"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def _write_goldens():
+    import tempfile
+
+    os.environ["COLUMNS"] = "80"
+    status = {}
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            status[name], files = run_case(name, tmp)
+        for fname, data in files.items():
+            with open(os.path.join(GOLDEN, fname), "wb") as fh:
+                fh.write(data)
+    with open(os.path.join(GOLDEN, "status.json"), "w", encoding="utf-8") as fh:
+        json.dump(status, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    from openqdyn import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+        cli.main(["--help"])
+    with open(os.path.join(GOLDEN, "help.txt"), "w", encoding="utf-8") as fh:
+        fh.write(out.getvalue())
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    _write_goldens()

@@ -33,6 +33,12 @@ def test_memory_kernel_normalization():
         nm.MemoryKernel(g=-1.0)
     with pytest.raises(ValueError):
         nm.MemoryKernel(g=1.0, kind="gaussian")
+    # every finite positive rate is a normalized kernel; inf and nan are not rates
+    for g in (1e-6, 1e6):
+        assert nm.MemoryKernel(g=g).g == g
+    for g in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            nm.MemoryKernel(g=g)
 
 
 def test_memory_kernel_t0_and_trace():
@@ -333,6 +339,41 @@ def test_tabulated_kernel_matches_exponential_route():
     assert worst < 2e-3
     with pytest.raises(ValueError):
         nm.TabulatedKernel(np.array([0.5, 1.0]), np.array([1.0, 0.5]))
+
+
+class _HistoryExponentialKernel:
+    """g e^{-g t} routed through the history quadrature instead of the exact
+    local embedding."""
+
+    kind = "history"
+
+    def __init__(self, g):
+        self.g = g
+
+    def __call__(self, t):
+        return self.g * np.exp(-self.g * np.asarray(t, dtype=float))
+
+
+@pytest.mark.parametrize("scheme", ["memory_kernel", "post_markovian"])
+def test_history_quadrature_is_second_order(scheme):
+    # halving the history step cuts the error against the exact exponential
+    # route by about four
+    g = 4.0
+    L = damped_qubit_L(0.5, 0.2)
+    rho0 = np.array([[0.8, 0.2], [0.2, 0.2]], dtype=complex)
+    t = np.array([0.0, 1.0, 2.0])
+    if scheme == "memory_kernel":
+        exact = nm.memory_kernel_evolve(L, nm.MemoryKernel(g=g), rho0, t, dt_max=1e-3)
+        run = lambda steps: nm.memory_kernel_evolve(L, _HistoryExponentialKernel(g), rho0, t,
+                                                    steps=steps)
+    else:
+        exact = nm.post_markovian_evolve(L, nm.MemoryKernel(g=g), rho0, t)
+        run = lambda steps: nm.post_markovian_evolve(L, nm.MemoryKernel(g=g), rho0, t,
+                                                     cond_threshold=0.0, steps=steps)
+    errors = [max(np.abs(a - b).max() for a, b in zip(exact.states, run(steps).states))
+              for steps in (100, 200, 400)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 < coarse / fine < 4.5
 
 
 def test_memory_kernel_unstable_step_raises():

@@ -21,6 +21,10 @@ import functools
 import os
 import sys
 
+import numpy as np
+
+from .errors import ConfigError, OpenQDynError
+
 
 def fmt(x):
     """12 significant digits, scientific notation, '.' decimal separator."""
@@ -39,15 +43,9 @@ def parse_config(path):
 
     Raises ConfigError with file/line/key diagnostics.
     """
-    from .errors import ConfigError
-
     sections = {}
     current = None
-    try:
-        lines = open(path, "r", encoding="utf-8").read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(_read_lines(path, "config"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -69,8 +67,6 @@ def parse_config(path):
 
 
 def _get(cfg, section, key, default=None, cast=str, required=False):
-    from .errors import ConfigError
-
     sec = cfg.get(section, {})
     if key not in sec:
         if required:
@@ -86,22 +82,33 @@ def _floats(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def read_matrix_csv(path):
-    """Read a complex matrix from the row-major re,im CSV format."""
-    import numpy as np
-
-    from .errors import ConfigError
-
-    rows = []
+def _read_lines(path, what):
+    """All lines of a text file; an unreadable file is a config error."""
     try:
-        content = open(path, "r", encoding="utf-8").read().splitlines()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read matrix file {path}: {exc}")
-    for lineno, raw in enumerate(content, 1):
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+
+
+def _csv_rows(path, what):
+    """(line number, numbers) for every non-blank, non-comment CSV line; a
+    cell that is not a number is a config error naming the file and line."""
+    for lineno, raw in enumerate(_read_lines(path, what), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        vals = [float(tok) for tok in line.split(",") if tok.strip()]
+        try:
+            vals = _floats(line)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}")
+        yield lineno, vals
+
+
+def read_matrix_csv(path):
+    """Read a complex matrix from the row-major re,im CSV format."""
+    rows = []
+    for lineno, vals in _csv_rows(path, "matrix file"):
         if len(vals) % 2 != 0:
             raise ConfigError(f"{path}:{lineno}: odd number of entries (need re,im pairs)")
         rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
@@ -116,31 +123,21 @@ def _re_im(values):
 
 
 def write_matrix_csv(path, M):
-    import numpy as np
-
     _atomic_write(path, (_re_im(row) for row in np.asarray(M, dtype=complex)))
 
 
 def read_map_family_csv(path):
     """Map-family CSV: one row per sample, t then row-major re/im superop."""
-    import numpy as np
-
-    from .errors import ConfigError
-
     family = []
-    for lineno, raw in enumerate(open(path, "r", encoding="utf-8"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        vals = [float(tok) for tok in line.split(",") if tok.strip()]
-        t, rest = vals[0], vals[1:]
+    for lineno, vals in _csv_rows(path, "map family file"):
+        rest = vals[1:]
         if len(rest) % 2 != 0:
             raise ConfigError(f"{path}:{lineno}: odd entry count")
         side = int(round((len(rest) // 2) ** 0.5))
-        if 2 * side * side != len(rest):
+        if not rest or 2 * side * side != len(rest):
             raise ConfigError(f"{path}:{lineno}: row does not hold a square matrix")
         flat = [complex(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
-        family.append((t, np.array(flat, dtype=complex).reshape(side, side)))
+        family.append((vals[0], np.array(flat, dtype=complex).reshape(side, side)))
     if len(family) < 2:
         raise ConfigError(f"{path}: family needs at least two samples")
     return family
@@ -164,7 +161,6 @@ def _atomic_write(path, lines):
 # ---------------------------------------------------------------------------
 
 def build_bath(cfg):
-    from .errors import ConfigError
     from .weakcoupling import BathModel
 
     kind = _get(cfg, "bath", "type", default="ohmic").lower()
@@ -188,8 +184,6 @@ def build_bath(cfg):
             temperature=T,
         )
     if kind == "table":
-        import numpy as np
-
         path = _get(cfg, "bath", "j_file", required=True)
         try:
             data = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -203,7 +197,6 @@ def build_bath(cfg):
 
 
 def build_system(cfg):
-    from .errors import ConfigError
     from .weakcoupling import SystemModel, damped_oscillator, damped_qubit, pure_dephasing
 
     preset = _get(cfg, "model", "preset", default="damped_qubit").lower()
@@ -226,9 +219,6 @@ def build_system(cfg):
 
 
 def build_observables(cfg, system):
-    import numpy as np
-
-    from .errors import ConfigError
     from .operators import number, sigma_x, sigma_y, sigma_z
 
     names = _get(cfg, "observables", "names", default="sigma_z" if system.dim == 2
@@ -247,9 +237,11 @@ def build_observables(cfg, system):
         elif name == "energy":
             obs.append((name, system.H))
         elif name.startswith("population_"):
-            k = int(name.split("_", 1)[1])
+            k = name.split("_", 1)[1]
+            if not (k.isdigit() and int(k) < system.dim):
+                raise ConfigError(f"observable {name}: no level {k} in dimension {system.dim}")
             P = np.zeros((system.dim, system.dim), dtype=complex)
-            P[k, k] = 1.0
+            P[int(k), int(k)] = 1.0
             obs.append((name, P))
         elif name.startswith("file:"):
             obs.append((name, read_matrix_csv(name[5:])))
@@ -259,9 +251,6 @@ def build_observables(cfg, system):
 
 
 def build_initial_state(cfg, system, bath):
-    import numpy as np
-
-    from .errors import ConfigError
     from .weakcoupling import thermal_state
 
     kind = _get(cfg, "initial", "state", default="excited").lower()
@@ -290,11 +279,8 @@ def build_output_times(cfg):
         times = _floats(explicit)
         if not times or times[0] < 0 or any(
                 t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            from .errors import ConfigError
-
             raise ConfigError("output_times must be nonnegative and strictly ascending")
         return times
-    import numpy as np
 
     t_final = _get(cfg, "solver", "t_final", default=10.0, cast=float)
     steps = _get(cfg, "solver", "steps", default=50, cast=int)
@@ -331,9 +317,6 @@ class RunContext:
 
 
 def cmd_evolve(ctx, default_scheme="markov", diagnostics=False):
-    import numpy as np
-
-    from .errors import ConfigError
     from .liouville import apply_superop, expm
     from .nonmarkov import (MemoryKernel, coarse_grain_evolve, memory_kernel_evolve,
                             post_markovian_evolve, tcl2_evolve)
@@ -379,8 +362,6 @@ def cmd_evolve(ctx, default_scheme="markov", diagnostics=False):
 
 
 def cmd_derive(ctx):
-    import numpy as np
-
     from .weakcoupling import kms_check, stationarity_check
 
     gen = ctx.generator
@@ -412,9 +393,6 @@ def _verdict(ok):
 
 
 def cmd_check(ctx):
-    import numpy as np
-
-    from .errors import ConfigError
     from .gksl import check_kossakowski_conditions, random_partitions
     from .liouville import expm
     from .maps import divisibility_witness, is_cp, is_trace_preserving
@@ -524,8 +502,6 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
     args = parser.parse_args(argv)
-
-    from .errors import ConfigError, OpenQDynError
 
     try:
         cfg = parse_config(args.config)

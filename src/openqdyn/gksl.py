@@ -12,13 +12,16 @@ from .liouville import (
     TOL_HERM,
     TOL_PSD,
     _as_square,
-    apply_superop,
+    _vec_columns,
     conjugation_superop,
+    devectorize,
     hs_basis,
     is_hermitian,
     left_multiply_superop,
     right_multiply_superop,
+    vectorize,
 )
+from .maps import _map_dim, choi_of
 
 
 def hamiltonian_superop(H):
@@ -72,9 +75,10 @@ class GKSLGenerator:
                 raise ValueError(f"negative rate {g}")
         L = superop_of_generator(self)
         scale = max(np.abs(L).max(), 1.0)
-        for F in hs_basis(self.dim):
-            if abs(np.trace(apply_superop(L, F))) > tol_trace * scale:
-                raise ValueError("generator does not annihilate the trace")
+        # Tr L(F_j) for every basis element F_j, as one row
+        drift = vectorize(np.eye(self.dim)) @ L @ _vec_columns(hs_basis(self.dim))
+        if np.abs(drift).max() > tol_trace * scale:
+            raise ValueError("generator does not annihilate the trace")
         return self
 
 
@@ -135,13 +139,13 @@ def kossakowski_matrix(gen, basis=None):
     basis = hs_basis(n) if basis is None else basis
     if len(basis) != n * n:
         raise DimensionError("basis size does not match generator dimension")
-    traceless = basis[:-1]
+    traceless = _vec_columns(basis[:-1])
     a = np.zeros((n * n - 1, n * n - 1), dtype=complex)
     H_eff = gen.H.astype(complex).copy()
     for g, V in gen.jumps:
         d = np.trace(V) / n                      # identity component
         W = V - d * np.eye(n)
-        v = np.array([np.trace(F.conj().T @ W) for F in traceless])
+        v = traceless.conj().T @ vectorize(W)    # v_j = Tr(F_j^dag W)
         a += g * np.outer(v, v.conj())
         # D[W + d] = D[W] - i[(i/2)(d* W - d W^dag), rho]
         H_eff += g * 0.5j * (np.conj(d) * W - d * W.conj().T)
@@ -152,26 +156,21 @@ def kossakowski_of_superop(L, basis=None):
     """Kossakowski form extracted from a raw trace-annihilating,
     Hermiticity-preserving superoperator.
 
-    Expands L over the sandwich basis F_j . F_k^dag; with the identity/sqrt(N)
-    element last, the traceless block of the expansion is exactly the
-    Kossakowski matrix, and the identity column/row carry the Hamiltonian and
-    normalization parts.
+    Expands L over the sandwich basis F_j . F_k^dag.  The Choi matrix of
+    rho -> F_j rho F_k^dag is vec(F_j) vec(F_k)^dag, so with F the matrix of
+    column-stacked basis elements, choi(L) = F chi F^dag and, F being
+    unitary, chi = F^dag choi(L) F.  With the identity/sqrt(N) element last,
+    the traceless block of chi is exactly the Kossakowski matrix, and the
+    identity column/row carry the Hamiltonian and normalization parts.
     """
-    L = _as_square(L, "superoperator")
-    n = int(round(np.sqrt(L.shape[0])))
+    L, n = _map_dim(L)
     basis = hs_basis(n) if basis is None else basis
-    m = n * n
-    chi = np.zeros((m, m), dtype=complex)
-    for j, Fj in enumerate(basis):
-        for k, Fk in enumerate(basis):
-            B = np.kron(Fk.conj(), Fj)
-            chi[j, k] = np.trace(B.conj().T @ L)
-    a = chi[:-1, :-1]
+    F = _vec_columns(basis)
+    chi = F.conj().T @ choi_of(L) @ F
     # Hamiltonian part from the identity column (see the canonical-form
-    # construction): F = (1/sqrt(N)) sum_j chi[j, m-1] F_j, H = (i/2)(F - F^dag)
-    F = sum(chi[j, m - 1] * basis[j] for j in range(m - 1)) / np.sqrt(n)
-    H = 0.5j * (F - F.conj().T)
-    return KossakowskiForm(H=H, a=a, basis=basis)
+    # construction): G = (1/sqrt(N)) sum_j chi[j, -1] F_j, H = (i/2)(G - G^dag)
+    G = devectorize(F[:, :-1] @ chi[:-1, -1]) / np.sqrt(n)
+    return KossakowskiForm(H=0.5j * (G - G.conj().T), a=chi[:-1, :-1], basis=basis)
 
 
 def canonical_form(kf, tol_psd=TOL_PSD):
@@ -190,13 +189,13 @@ def canonical_form(kf, tol_psd=TOL_PSD):
     scale = max(abs(w).max(), 1e-300)
     if w.min() < -tol_psd * scale:
         return NonGKSLDiagnosis(min_eigenvalue=float(w.min()), a=a, H=kf.H)
-    traceless = kf.basis[:-1]
+    traceless = _vec_columns(kf.basis[:-1])
     jumps = []
     for m in range(len(w)):
         if w[m] <= 1e-14 * scale:
             continue
-        W = sum(U[j, m] * traceless[j] for j in range(len(traceless)))
-        norm = np.sqrt(np.trace(W.conj().T @ W).real)
+        W = devectorize(traceless @ U[:, m])
+        norm = np.linalg.norm(W)
         if norm < 1e-14:
             continue
         jumps.append((float(w[m]) * norm**2, W / norm))
@@ -242,34 +241,31 @@ def check_kossakowski_conditions(L, partitions, tol=1e-10):
     violation = None
     for p_idx, P_list in enumerate(partitions):
         _check_partition(P_list, dim, 1e-8)
-        m = len(P_list)
-        A = np.zeros((m, m))
-        for j, Pj in enumerate(P_list):
-            LPj = apply_superop(L, Pj)
-            for i, Pi in enumerate(P_list):
-                A[i, j] = np.trace(Pi @ LPj).real
+        P = _vec_columns(P_list)
+        A = (P.conj().T @ L @ P).real            # A_ij = Tr[P_i L(P_j)]
         matrices.append(A)
-        if violation is not None:
-            continue
-        for i in range(m):
-            if A[i, i] > tol * scale:
-                violation = PartitionViolation(p_idx, "diagonal", (i, i), A[i, i])
-                break
         if violation is None:
-            for i in range(m):
-                for j in range(m):
-                    if i != j and A[i, j] < -tol * scale:
-                        violation = PartitionViolation(p_idx, "off-diagonal", (i, j), A[i, j])
-                        break
-                if violation is not None:
-                    break
-        if violation is None:
-            sums = A.sum(axis=0)
-            for j in range(m):
-                if abs(sums[j]) > tol * scale:
-                    violation = PartitionViolation(p_idx, "column-sum", (j, j), sums[j])
-                    break
+            violation = _first_violation(p_idx, A, tol * scale)
     return KossakowskiConditionsReport(violation is None, violation, matrices)
+
+
+def _first_violation(p_idx, A, bound):
+    """First broken condition of A: kinds in order diagonal, off-diagonal,
+    column-sum, and row-major order within a kind."""
+    diag = np.flatnonzero(np.diag(A) > bound)
+    if diag.size:
+        i = int(diag[0])
+        return PartitionViolation(p_idx, "diagonal", (i, i), A[i, i])
+    off = np.argwhere((A < -bound) & ~np.eye(len(A), dtype=bool))
+    if off.size:
+        i, j = (int(x) for x in off[0])
+        return PartitionViolation(p_idx, "off-diagonal", (i, j), A[i, j])
+    sums = A.sum(axis=0)
+    cols = np.flatnonzero(np.abs(sums) > bound)
+    if cols.size:
+        j = int(cols[0])
+        return PartitionViolation(p_idx, "column-sum", (j, j), sums[j])
+    return None
 
 
 def random_partitions(dim, count, rng, include_computational=True):

@@ -52,6 +52,11 @@ def vectorize(A):
     return A.reshape(-1, order="F")
 
 
+def _vec_columns(ops):
+    """Matrix whose columns are the column-stacked operators, in order."""
+    return np.column_stack([vectorize(A) for A in ops])
+
+
 def devectorize(v):
     """Inverse of :func:`vectorize`; length must be a perfect square."""
     v = np.asarray(v, dtype=complex).ravel()

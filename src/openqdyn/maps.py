@@ -15,13 +15,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionError, NotCompletelyPositiveError, SingularMapError
-from .liouville import (
-    _as_square,
-    apply_superop,
-    conjugation_superop,
-    hs_basis,
-    induced_trace_norm,
-)
+from .liouville import _as_square, _vec_columns, hs_basis, induced_trace_norm, vectorize
 
 DEFAULT_CP_TOL = 1e-10
 DEFAULT_COND_THRESHOLD = 1e10
@@ -75,13 +69,13 @@ def is_cp(S, tol=DEFAULT_CP_TOL):
 
 
 def is_trace_preserving(S, tol=1e-10):
-    """True iff Tr E(F_j) = Tr F_j for every Hilbert-Schmidt basis element."""
+    """True iff |Tr E(F_j) - Tr F_j| <= tol * max(max|S_ij|, 1) for every
+    Hilbert-Schmidt basis element F_j."""
     S, n = _map_dim(S)
     scale = max(np.abs(S).max(), 1.0)
-    for F in hs_basis(n):
-        if abs(np.trace(apply_superop(S, F)) - np.trace(F)) > tol * scale:
-            return False
-    return True
+    tr = vectorize(np.eye(n))                    # Tr X = tr . vec(X)
+    drift = (tr @ S - tr) @ _vec_columns(hs_basis(n))
+    return bool(np.abs(drift).max() <= tol * scale)
 
 
 class ContractionReport(NamedTuple):
@@ -126,17 +120,18 @@ def kraus_from_choi(C, tol=DEFAULT_CP_TOL):
 
 
 def map_from_kraus(kraus):
-    """Superoperator sum_a conj(K_a) (x) K_a of a Kraus set."""
+    """Superoperator of rho -> sum_a K_a rho K_a^dag.
+
+    Its Choi matrix is sum_a vec(K_a) vec(K_a)^dag = K K^dag, with K the
+    matrix of column-stacked Kraus operators.
+    """
     if not kraus:
         raise ValueError("empty Kraus set")
-    n = _as_square(kraus[0], "Kraus operator").shape[0]
-    S = np.zeros((n * n, n * n), dtype=complex)
-    for K in kraus:
-        K = _as_square(K, "Kraus operator")
-        if K.shape[0] != n:
-            raise DimensionError("Kraus operators have mixed dimensions")
-        S += conjugation_superop(K, K.conj().T)
-    return S
+    kraus = [_as_square(K, "Kraus operator") for K in kraus]
+    if any(K.shape != kraus[0].shape for K in kraus):
+        raise DimensionError("Kraus operators have mixed dimensions")
+    K = _vec_columns(kraus)
+    return superop_from_choi(K @ K.conj().T)
 
 
 def kraus_of(S, tol=DEFAULT_CP_TOL):

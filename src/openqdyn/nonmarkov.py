@@ -30,7 +30,14 @@ from .liouville import (
     vectorize,
 )
 from .maps import is_cp
-from .weakcoupling import _PAIR_MINUS, _PAIR_PLUS, finite_time_gamma
+from .weakcoupling import (
+    _bohr_blocks,
+    _halfline_kernel,
+    _panel_nodes,
+    _pattern_weights,
+    _smooth_time,
+    finite_time_gamma,
+)
 
 
 @dataclass
@@ -254,11 +261,8 @@ def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     coefficients carry the time dependence.  At t = 0 the dissipative part
     vanishes.
     """
-    from .weakcoupling import bohr_decompose
-
     alpha2 = float(alpha) ** 2
-    decs = [bohr_decompose(system.H, A, bin_tol) for A in system.couplings]
-    freqs = sorted({w for d in decs for w in d.frequencies})
+    decs, freqs = _bohr_blocks(system, bin_tol)
     L = hamiltonian_superop(system.H).astype(complex)
     K = len(system.couplings)
     gam = {w: finite_time_gamma(bath, w, t, system.coupling_pattern, n_couplings=K)
@@ -386,8 +390,6 @@ def _cg_pair_integrals(table, tau, freqs, n, smooth):
     the correlation is actually supported:
     TRI = int_0^tau du e^{-i w u} f(u) E_{tau-u}(-(w + w')).
     """
-    from .weakcoupling import _halfline_kernel, _panel_nodes
-
     breaks = sorted({smooth, 10.0 * smooth} & set(
         b for b in (smooth, 10.0 * smooth) if b < tau))
     u, wu = _panel_nodes(0.0, tau, breaks, n)
@@ -412,22 +414,12 @@ def _cg_pair_integrals(table, tau, freqs, n, smooth):
     return vals
 
 
-def _pattern_weights(pattern, K):
-    if pattern == "position_xy":
-        return 0.25 * _PAIR_PLUS, 0.25 * _PAIR_MINUS
-    eye = np.eye(K, dtype=complex)
-    return eye, eye
-
-
-def _coarse_grain_parts(system, bath, tau, alpha, table, n, bin_tol=None):
+def _coarse_grain_parts(system, bath, tau, alpha, table, n, decs, freqs):
     """Lamb-shift operator and dissipator superoperator of the horizon-tau
-    coarse-grained generator (interaction picture, alpha^2 included)."""
-    from .weakcoupling import _smooth_time, bohr_decompose
-
+    coarse-grained generator (interaction picture, alpha^2 included), from
+    the Bohr blocks ``decs`` and their frequencies ``freqs``."""
     n_dim = system.dim
     alpha2 = float(alpha) ** 2
-    decs = [bohr_decompose(system.H, A, bin_tol) for A in system.couplings]
-    freqs = sorted({w for d in decs for w in d.frequencies})
     Wp, Wm = _pattern_weights(system.coupling_pattern, len(system.couplings))
     tri = _cg_pair_integrals(table, tau, freqs, n, _smooth_time(bath))
 
@@ -486,13 +478,12 @@ def coarse_grain_generator(system, bath, tau, alpha=1.0, picture="schrodinger",
         raise ValueError("picture must be 'schrodinger' or 'interaction'")
     if table is None:
         table = bath.correlation_table(tau)
-    from .weakcoupling import bohr_decompose as _bd   # frequency scale for node count
-    wmax_sys = max((abs(w) for A in system.couplings
-                    for w in _bd(system.H, A, bin_tol).frequencies), default=0.0)
+    decs, freqs = _bohr_blocks(system, bin_tol)
+    wmax_sys = max((abs(w) for w in freqs), default=0.0)   # sets the node count
     n = int(max(256, 1.5 * 2.0 * wmax_sys * tau))
     H_prev = D_prev = None
     while True:
-        H_cg, D = _coarse_grain_parts(system, bath, tau, alpha, table, n, bin_tol)
+        H_cg, D = _coarse_grain_parts(system, bath, tau, alpha, table, n, decs, freqs)
         if H_prev is not None:
             scale = max(np.abs(D).max(), np.abs(H_cg).max(), 1e-300)
             err = max(np.abs(D - D_prev).max(), np.abs(H_cg - H_prev).max())

@@ -44,6 +44,17 @@ _PAIR_PLUS = np.array([[1.0, 1.0j], [-1.0j, 1.0]])   # quadrature pattern at +om
 _PAIR_MINUS = _PAIR_PLUS.conj()                      # conjugate pattern at -omega
 
 
+def _pattern_weights(pattern, n_couplings=None):
+    """Coupling-space weights (W_plus, W_minus) of the emission (J (nbar+1))
+    and absorption (J nbar) parts of every rate and shift matrix."""
+    if pattern == "position_xy":
+        return 0.25 * _PAIR_PLUS, 0.25 * _PAIR_MINUS
+    if pattern == "single":
+        eye = np.eye(1 if n_couplings is None else n_couplings, dtype=complex)
+        return eye, eye
+    raise ValueError(f"unknown coupling pattern {pattern!r}")
+
+
 def bose_occupation(omega, temperature):
     """Bose-Einstein occupation nbar = 1/(e^{omega/T} - 1); zero at T = 0."""
     if omega <= 0:
@@ -389,28 +400,20 @@ def bath_rates(bath, omega, coupling_pattern="position_xy", n_couplings=None):
     off-diagonal entries have no two-sided limit); the scalar value is the
     ohmic-limit rate 2 pi lim J(|w|) nbar(|w|).
     """
-    if coupling_pattern not in ("position_xy", "single"):
-        raise ValueError(f"unknown coupling pattern {coupling_pattern!r}")
-    if coupling_pattern == "position_xy":
-        k = 2
-    else:
-        k = 1 if n_couplings is None else n_couplings
+    w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
     omega = float(omega)
     if abs(omega) > bath.omega_max:
-        return np.zeros((k, k), dtype=complex)
+        return np.zeros_like(w_plus)
     if omega == 0.0:
         if coupling_pattern == "position_xy":
             raise ZeroFrequencyRateError(
                 "zero-frequency block is ill-defined for the quadrature-pair pattern")
-        return _zero_frequency_rate(bath) * np.eye(k, dtype=complex)
+        return _zero_frequency_rate(bath) * w_plus
     j = float(bath.J(np.array([abs(omega)]))[0])
     nb = bose_occupation(abs(omega), bath.temperature) if bath.temperature > 0 else 0.0
-    if coupling_pattern == "position_xy":
-        if omega > 0:
-            return (np.pi / 2.0) * j * (nb + 1.0) * _PAIR_PLUS.astype(complex)
-        return (np.pi / 2.0) * j * nb * _PAIR_MINUS.astype(complex)
-    scal = 2.0 * np.pi * j * ((nb + 1.0) if omega > 0 else nb)
-    return scal * np.eye(k, dtype=complex)
+    if omega > 0:
+        return 2.0 * np.pi * j * (nb + 1.0) * w_plus
+    return 2.0 * np.pi * j * nb * w_minus
 
 
 def _shift_scalars(bath, omega, n_nodes):
@@ -440,8 +443,7 @@ def lamb_shift(bath, omega, coupling_pattern="position_xy", n_nodes=2048, n_coup
     (1/4) PV int_0^wmax J(w') [ (nbar+1)/(w0-w') + nbar/(w0+w') ] dw'.
     ``n_nodes`` controls the per-panel Gauss-Legendre resolution.
     """
-    if coupling_pattern not in ("position_xy", "single"):
-        raise ValueError(f"unknown coupling pattern {coupling_pattern!r}")
+    w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
     omega = float(omega)
     if abs(omega) >= bath.omega_max and abs(abs(omega) - bath.omega_max) < 1e-12 * bath.omega_max:
         raise QuadratureError("shift pole at the cutoff frequency")
@@ -453,13 +455,9 @@ def lamb_shift(bath, omega, coupling_pattern="position_xy", n_nodes=2048, n_coup
         pts = bath._breakpoints()
         x, w = _panel_nodes(0.0, bath.omega_max, pts, n_nodes)
         val = float(np.sum(w * (-bath.J(x) / x)))
-        k = 1 if n_couplings is None else n_couplings
-        return val * np.eye(k, dtype=complex)
+        return val * w_plus
     i_plus, i_minus = _shift_scalars(bath, omega, n_nodes)
-    if coupling_pattern == "position_xy":
-        return 0.25 * (i_plus * _PAIR_PLUS + i_minus * _PAIR_MINUS).astype(complex)
-    k = 1 if n_couplings is None else n_couplings
-    return (i_plus + i_minus) * np.eye(k, dtype=complex)
+    return i_plus * w_plus + i_minus * w_minus
 
 
 def _halfline_kernel(x, t):
@@ -483,15 +481,13 @@ def finite_time_gamma(bath, omega, t, coupling_pattern="position_xy", n_coupling
     t = float(t)
     if t < 0:
         raise ValueError("horizon t must be >= 0")
+    w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
     n = int(min(max(4096, 1.3 * (bath.omega_max + abs(omega)) * t), 2 ** 17))
     x, w = _panel_nodes(0.0, bath.omega_max, bath._breakpoints(), n)
     T = bath.temperature
     i_plus = np.sum(w * bath.J(x) * (_nbar(x, T) + 1.0) * _halfline_kernel(omega - x, t))
     i_minus = np.sum(w * bath.J(x) * _nbar(x, T) * _halfline_kernel(omega + x, t))
-    if coupling_pattern == "position_xy":
-        return 0.25 * (i_plus * _PAIR_PLUS + i_minus * _PAIR_MINUS).astype(complex)
-    k = 1 if n_couplings is None else n_couplings
-    return (i_plus + i_minus) * np.eye(k, dtype=complex)
+    return i_plus * w_plus + i_minus * w_minus
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +512,7 @@ class SystemModel:
                 raise DimensionError("coupling dimension differs from Hamiltonian")
             if not is_hermitian(A, 1e-10):
                 raise ValueError("coupling operators must be Hermitian")
+        _pattern_weights(self.coupling_pattern)      # rejects unknown patterns
         if self.coupling_pattern == "position_xy" and len(self.couplings) != 2:
             raise ValueError("position_xy pattern needs exactly two couplings")
 
@@ -581,6 +578,13 @@ def bohr_decompose(H, A, bin_tol=None):
     dec = BohrDecomposition(frequencies, blocks, bin_tol)
     _validate_bohr(H, A, dec)
     return dec
+
+
+def _bohr_blocks(system, bin_tol=None):
+    """Bohr decomposition of every coupling and the sorted union of their
+    frequencies."""
+    decs = [bohr_decompose(system.H, A, bin_tol) for A in system.couplings]
+    return decs, sorted({w for d in decs for w in d.frequencies})
 
 
 def _validate_bohr(H, A, dec):
@@ -668,8 +672,7 @@ def davies_generator(system, bath, alpha=1.0, bin_tol=None, n_nodes=2048,
     """
     n = system.dim
     pattern = system.coupling_pattern
-    decs = [bohr_decompose(system.H, A, bin_tol) for A in system.couplings]
-    freqs = sorted({w for d in decs for w in d.frequencies})
+    decs, freqs = _bohr_blocks(system, bin_tol)
     _warn_near_degenerate(freqs, decs[0].bin_tol if decs else 0.0)
     alpha2 = float(alpha) ** 2
     H_LS = np.zeros((n, n), dtype=complex)

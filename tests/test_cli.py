@@ -362,3 +362,107 @@ def test_initial_state_from_file(tmp_path):
     first = open(out).read().splitlines()[1]
     # <sigma_z> at t=0 equals the file state's population difference
     assert abs(float(first.split(",")[1]) - (-0.5)) < 1e-12
+
+
+def _run_capture(args, capsys):
+    code = run_cli(args)
+    return code, capsys.readouterr().err
+
+
+def _custom_cfg(tmp_path, pattern="single", solver="t_final = 1.0\nsteps = 2",
+                checks="requested = cp"):
+    from openqdyn.operators import sigma_x, sigma_z
+
+    cli.write_matrix_csv(str(tmp_path / "H.csv"), 0.5 * sigma_z)
+    cli.write_matrix_csv(str(tmp_path / "A.csv"), sigma_x)
+    text = f"""
+[model]
+preset = custom
+h_file = {tmp_path}/H.csv
+coupling_files = {tmp_path}/A.csv
+coupling_pattern = {pattern}
+
+[bath]
+type = ohmic
+alpha = 0.1
+omega_c = 3.0
+temperature = 1.0
+
+[solver]
+{solver}
+
+[checks]
+{checks}
+
+[output]
+path = {tmp_path}/out.csv
+"""
+    return write_cfg(tmp_path, text)
+
+
+@pytest.mark.parametrize("verb,scheme", [
+    ("derive", "markov"), ("nonmarkov", "tcl2"), ("nonmarkov", "coarse_grain"),
+    ("evolve", "markov"), ("spectrum", "markov")])
+def test_unknown_coupling_pattern_rejected_by_every_verb(tmp_path, capsys, verb, scheme):
+    cfg = _custom_cfg(tmp_path, pattern="bogus",
+                      solver=f"scheme = {scheme}\nt_final = 0.5\nsteps = 1")
+    code, err = _run_capture([verb, "--config", cfg], capsys)
+    assert code == 3
+    assert "unknown coupling pattern 'bogus'" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_missing_family_file_is_config_error(tmp_path, capsys):
+    cfg = _custom_cfg(tmp_path, checks=f"requested = markov\nfamily_file = {tmp_path}/none.csv")
+    code, err = _run_capture(["check", "--config", cfg], capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and f"{tmp_path}/none.csv" in err
+
+
+@pytest.mark.parametrize("row", [",", "0.5", "0.5,1,x,0,0,0,0,0,0"])
+def test_malformed_family_row_is_config_error(tmp_path, capsys, row):
+    fam = tmp_path / "fam.csv"
+    good = "0," + ",".join(["1", "0"] + ["0", "0"] * 2 + ["1", "0"])
+    fam.write_text(f"# family\n{good}\n{row}\n")
+    cfg = _custom_cfg(tmp_path, checks=f"requested = markov\nfamily_file = {fam}")
+    code, err = _run_capture(["check", "--config", cfg], capsys)
+    assert code == 2
+    assert err.startswith(f"config error: {fam}:3: ")
+
+
+def test_non_numeric_matrix_cell_is_config_error(tmp_path, capsys):
+    cfg = _custom_cfg(tmp_path)
+    (tmp_path / "A.csv").write_text("0,0,1,0\n1,0,zero,0\n")
+    code, err = _run_capture(["derive", "--config", cfg], capsys)
+    assert code == 2
+    assert err.startswith(f"config error: {tmp_path}/A.csv:2: ")
+    assert "zero" in err
+
+
+@pytest.mark.parametrize("name", ["population_5", "population_x", "population_-1"])
+def test_bad_population_observable_is_config_error(tmp_path, capsys, name):
+    out = str(tmp_path / "o.csv")
+    text = QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=1.0, steps=1, out=out)
+    cfg = write_cfg(tmp_path, text.replace("names = sigma_z", f"names = {name}"))
+    code, err = _run_capture(["evolve", "--config", cfg], capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and name in err
+
+
+def test_input_readers_close_their_files(tmp_path):
+    import gc
+    import warnings
+
+    from openqdyn.liouville import expm
+
+    cfg = write_cfg(tmp_path, "[a]\nx = 1\n")
+    cli.write_matrix_csv(str(tmp_path / "m.csv"), np.eye(2))
+    cli.write_map_family_csv(str(tmp_path / "f.csv"),
+                             [(0.0, np.eye(4)), (1.0, expm(-np.eye(4)))])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        cli.parse_config(cfg)
+        cli.read_matrix_csv(str(tmp_path / "m.csv"))
+        cli.read_map_family_csv(str(tmp_path / "f.csv"))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -6,8 +6,9 @@ under ``tests/golden/``, byte for byte once the temporary and input
 directories are replaced by ``<tmp>`` and ``<inputs>``.
 
 The goldens record the CLI's behaviour; they are not regenerated to follow a
-code change.  ``python tests/test_cli_golden.py --write`` (re)creates them
-from the checkout under ``src/`` and exists only for adding new cases.
+code change.  ``python tests/test_cli_golden.py --write`` adds goldens for
+the cases that have no entry in ``status.json`` yet, running them on the
+checkout under ``src/``; committed goldens are never rewritten.
 """
 import contextlib
 import io
@@ -187,28 +188,37 @@ def test_cli_golden_help(capsys, monkeypatch):
         assert capsys.readouterr().out == fh.read()
 
 
-def _write_goldens():
+def _write_new_goldens():
+    """Record the cases missing from ``status.json`` (and ``help.txt`` if it
+    is missing); existing entries and files are left as they are."""
     import tempfile
 
     os.environ["COLUMNS"] = "80"
+    status_path = os.path.join(GOLDEN, "status.json")
     status = {}
-    for name in sorted(CASES):
+    if os.path.exists(status_path):
+        with open(status_path, encoding="utf-8") as fh:
+            status = json.load(fh)
+    for name in sorted(set(CASES) - set(status)):
         with tempfile.TemporaryDirectory() as tmp:
             status[name], files = run_case(name, tmp)
         for fname, data in files.items():
-            with open(os.path.join(GOLDEN, fname), "wb") as fh:
+            with open(os.path.join(GOLDEN, fname), "xb") as fh:
                 fh.write(data)
-    with open(os.path.join(GOLDEN, "status.json"), "w", encoding="utf-8") as fh:
+        print(f"added {name}")
+    with open(status_path, "w", encoding="utf-8") as fh:
         json.dump(status, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    from openqdyn import cli
+    help_path = os.path.join(GOLDEN, "help.txt")
+    if not os.path.exists(help_path):
+        from openqdyn import cli
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
-        cli.main(["--help"])
-    with open(os.path.join(GOLDEN, "help.txt"), "w", encoding="utf-8") as fh:
-        fh.write(out.getvalue())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+            cli.main(["--help"])
+        with open(help_path, "w", encoding="utf-8") as fh:
+            fh.write(out.getvalue())
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    _write_goldens()
+    _write_new_goldens()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from openqdyn import gksl
-from openqdyn.liouville import apply_superop, expm, hs_basis
+from openqdyn.liouville import apply_superop, conjugation_superop, expm, hs_basis
 from openqdyn.maps import is_cp, is_trace_preserving
 from openqdyn.operators import (
     rand_hermitian,
@@ -183,6 +183,65 @@ def test_kossakowski_conditions_sampled_random_generators():
             assert np.abs(A.sum(axis=0)).max() < 1e-10 * max(np.abs(L).max(), 1.0)
 
 
+def _population_generator(Q):
+    """Superoperator with L[vec|i><i|, vec|j><j|] = Q_ij and zeros elsewhere,
+    so the computational-basis partition gives A = Q."""
+    n = Q.shape[0]
+    L = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            L[i * n + i, j * n + j] = Q[i, j]
+    return L
+
+
+def _computational_partition(n):
+    return [np.diag(row).astype(complex) for row in np.eye(n)]
+
+
+def test_kossakowski_conditions_off_diagonal_violation():
+    # two negative off-diagonal entries; the row-major first one is reported,
+    # and no diagonal entry is positive
+    Q = np.array([[-1.0, 0.5, 0.5],
+                  [0.5, -1.0, -0.3],
+                  [-0.2, 0.5, -1.0]])
+    rep = gksl.check_kossakowski_conditions(_population_generator(Q),
+                                            [_computational_partition(3)])
+    assert not rep.passed
+    v = rep.first_violation
+    assert (v.partition_index, v.kind, v.indices) == (0, "off-diagonal", (1, 2))
+    assert v.value == pytest.approx(-0.3, abs=1e-14)
+    assert np.abs(rep.matrices[0] - Q).max() < 1e-14
+
+
+def test_kossakowski_conditions_column_sum_violation():
+    # signs are right but columns 1 and 2 do not sum to zero
+    Q = np.array([[-1.0, 0.2, 0.5],
+                  [0.4, -1.0, 0.5],
+                  [0.6, 0.3, -0.5]])
+    rep = gksl.check_kossakowski_conditions(_population_generator(Q),
+                                            [_computational_partition(3)])
+    v = rep.first_violation
+    assert (v.partition_index, v.kind, v.indices) == (0, "column-sum", (1, 1))
+    assert v.value == pytest.approx(-0.5, abs=1e-14)
+
+
+def test_kossakowski_conditions_kind_precedence_and_partition_index():
+    # Q breaks all three conditions on the computational partition; its
+    # entries sum to zero, so the Hadamard partition (A = sum(Q)/4) passes.
+    # The diagonal violation wins and carries the second partition's index.
+    Q = np.array([[-1.0, -0.2],
+                  [0.5, 0.7]])
+    hadamard = [np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
+                np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)]
+    rep = gksl.check_kossakowski_conditions(_population_generator(Q),
+                                            [hadamard, _computational_partition(2)])
+    assert np.abs(rep.matrices[0]).max() < 1e-14
+    assert np.abs(rep.matrices[1] - Q).max() < 1e-14
+    v = rep.first_violation
+    assert (v.partition_index, v.kind, v.indices) == (1, "diagonal", (1, 1))
+    assert v.value == pytest.approx(0.7, abs=1e-14)
+
+
 def test_kossakowski_conditions_rejects_bad_partition():
     L = gksl.hamiltonian_superop(sigma_z.astype(complex))
     with pytest.raises(ValueError):
@@ -258,3 +317,43 @@ def test_time_dependent_superop_closure():
     exact = expm(1.2 * L_H + integral * D)
     P = propagate_time_dependent(gen, 0.0, 1.2, 800)
     assert np.abs(P - exact).max() < 5e-3
+
+
+def _hermiticity_preserving_superop(dim, rng):
+    """Random Hermiticity-preserving superoperator: a real combination of
+    conjugations A . A^dag plus a Hamiltonian part; not trace-annihilating."""
+    L = gksl.hamiltonian_superop(rand_hermitian(dim, rng))
+    for c in rng.standard_normal(3):
+        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        L = L + c * conjugation_superop(A, A.conj().T)
+    return L
+
+
+def _rotated_basis(dim, rng):
+    """Traceless Hermitian orthonormal basis rotated by a random orthogonal
+    matrix, with the normalized identity kept last."""
+    basis = hs_basis(dim)
+    O, _ = np.linalg.qr(rng.standard_normal((dim * dim - 1, dim * dim - 1)))
+    rotated = [sum(O[i, j] * basis[j] for j in range(dim * dim - 1))
+               for i in range(dim * dim - 1)]
+    return rotated + [basis[-1]]
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["hs_basis", "rotated"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kossakowski_of_superop_matches_definition(dim, rotate):
+    # oracle: chi_jk = Tr[kron(F_k*, F_j)^dag L], the expansion of L over the
+    # sandwich superoperators rho -> F_j rho F_k^dag
+    rng = np.random.default_rng(100 + dim)
+    basis = _rotated_basis(dim, rng) if rotate else hs_basis(dim)
+    for _ in range(3):
+        L = _hermiticity_preserving_superop(dim, rng)
+        m = dim * dim
+        chi = np.array([[np.trace(np.kron(basis[k].conj(), basis[j]).conj().T @ L)
+                         for k in range(m)] for j in range(m)])
+        F = sum(chi[j, m - 1] * basis[j] for j in range(m - 1)) / np.sqrt(dim)
+        kf = gksl.kossakowski_of_superop(L, basis=basis if rotate else None)
+        scale = np.abs(chi).max()
+        assert np.abs(kf.a - chi[:-1, :-1]).max() < 1e-13 * scale
+        assert np.abs(kf.H - 0.5j * (F - F.conj().T)).max() < 1e-13 * scale
+        assert len(kf.basis) == m

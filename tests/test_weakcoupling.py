@@ -92,6 +92,17 @@ def test_zero_frequency_xy_pattern_ill_defined():
         wc.bath_rates(ohmic(), 0.0, "position_xy")
 
 
+def test_unknown_coupling_pattern_rejected_everywhere():
+    bath = ohmic()
+    with pytest.raises(ValueError, match="unknown coupling pattern 'bogus'"):
+        wc.SystemModel(H=0.5 * sigma_z, couplings=[sigma_x], coupling_pattern="bogus")
+    for call in (lambda: wc.bath_rates(bath, OMEGA0, "bogus"),
+                 lambda: wc.lamb_shift(bath, OMEGA0, "bogus"),
+                 lambda: wc.finite_time_gamma(bath, OMEGA0, 1.0, "bogus")):
+        with pytest.raises(ValueError, match="unknown coupling pattern 'bogus'"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # principal value and shifts
 # ---------------------------------------------------------------------------

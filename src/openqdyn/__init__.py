@@ -40,6 +40,7 @@ from .liouville import (
     expm,
     hs_basis,
     partial_trace,
+    propagate_semigroup,
     propagate_time_dependent,
     trace_norm,
     trotter_product,

@@ -274,17 +274,21 @@ def build_initial_state(cfg, system, bath):
 
 
 def build_output_times(cfg):
-    explicit = _get(cfg, "solver", "output_times")
-    if explicit is not None:
-        times = _floats(explicit)
-        if not times or times[0] < 0 or any(
-                t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ConfigError("output_times must be nonnegative and strictly ascending")
-        return times
-
-    t_final = _get(cfg, "solver", "t_final", default=10.0, cast=float)
-    steps = _get(cfg, "solver", "steps", default=50, cast=int)
-    return list(np.linspace(0.0, t_final, steps + 1))
+    """The output grid: ``[solver] output_times``, or else ``steps + 1`` evenly
+    spaced times from 0 to ``t_final``.  Either way the times must be finite,
+    nonnegative and strictly ascending, or it is a config error."""
+    times = _get(cfg, "solver", "output_times", cast=_floats)
+    problem = "output_times must be nonnegative and strictly ascending"
+    if times is None:
+        t_final = _get(cfg, "solver", "t_final", default=10.0, cast=float)
+        steps = _get(cfg, "solver", "steps", default=50, cast=int)
+        times = list(np.linspace(0.0, t_final, max(steps + 1, 0)))
+        problem = (f"t_final = {t_final:g} and steps = {steps} do not give "
+                   "nonnegative, strictly ascending output times")
+    if not times or not np.all(np.isfinite(times)) or times[0] < 0 or any(
+            t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise ConfigError(problem)
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +320,13 @@ class RunContext:
         return self.generator.superoperator()
 
 
+def _from_zero(times):
+    """The output grid with t = 0 prepended when it starts later."""
+    return times if times[0] == 0.0 else [0.0] + times
+
+
 def cmd_evolve(ctx, default_scheme="markov", diagnostics=False):
-    from .liouville import apply_superop, expm
+    from .liouville import devectorize, propagate_semigroup, vectorize
     from .nonmarkov import (MemoryKernel, coarse_grain_evolve, memory_kernel_evolve,
                             post_markovian_evolve, tcl2_evolve)
 
@@ -328,8 +337,7 @@ def cmd_evolve(ctx, default_scheme="markov", diagnostics=False):
 
     diag_cols, diag = [], {}
     if scheme == "markov":
-        L = ctx.L
-        states = [rho0 if t == 0 else apply_superop(expm(t * L), rho0) for t in times]
+        states = [devectorize(v) for v in propagate_semigroup(ctx.L, times, vectorize(rho0))]
     else:
         if scheme in ("memory_kernel", "post_markovian"):
             evolve = memory_kernel_evolve if scheme == "memory_kernel" else post_markovian_evolve
@@ -342,8 +350,7 @@ def cmd_evolve(ctx, default_scheme="markov", diagnostics=False):
             run = functools.partial(coarse_grain_evolve, ctx.system, ctx.bath, ctx.alpha)
         else:
             raise ConfigError(f"unknown solver scheme {scheme!r}")
-        # the solvers start at t = 0; an output grid starting later gets it prepended
-        grid = times if times[0] == 0.0 else [0.0] + times
+        grid = _from_zero(times)     # the solvers start at t = 0
         traj = run(rho0, grid)
         lookup = dict(zip(grid, traj.states))
         states = [lookup[t] for t in times]
@@ -394,7 +401,7 @@ def _verdict(ok):
 
 def cmd_check(ctx):
     from .gksl import check_kossakowski_conditions, random_partitions
-    from .liouville import expm
+    from .liouville import expm, propagate_semigroup
     from .maps import divisibility_witness, is_cp, is_trace_preserving
     from .spectra import is_relaxing, spohn_check
 
@@ -420,9 +427,9 @@ def cmd_check(ctx):
             if family_file:
                 family = read_map_family_csv(family_file)
             else:
-                times = [t for t in build_output_times(ctx.cfg) if t > 0]
-                family = [(0.0, np.eye(ctx.system.dim**2, dtype=complex))]
-                family += [(t, expm(t * L)) for t in times]
+                grid = _from_zero(build_output_times(ctx.cfg))
+                identity = np.eye(ctx.system.dim**2, dtype=complex)
+                family = list(zip(grid, propagate_semigroup(L, grid, identity)))
             report = divisibility_witness(family, tol=tol)
             witness = min((iv.min_choi_eigenvalue for iv in report.intervals
                            if iv.cp is not None), default=float("nan"))

@@ -117,6 +117,32 @@ def expm(M):
     return E
 
 
+def propagate_semigroup(L, times, X):
+    """``[expm(t*L) @ X for t in times]`` by stepping the semigroup.
+
+    A time-independent generator gives a semigroup, e^{(t+s)L} = e^{tL} e^{sL},
+    so each output is the step propagator e^{dt L} times the previous output.
+    The exponential is computed once per distinct spacing; a spacing within a
+    few ulps of the current step's (the rounding of a uniform grid) reuses it.
+    ``X`` is a vector or a matrix; ``t = 0`` returns ``X`` itself.  Times must
+    be nonnegative and strictly ascending (ValueError otherwise).
+    """
+    L = _as_square(L, "generator")
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times) or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise ValueError("times must be nonnegative and strictly ascending")
+    out, t_prev, dt, step = [], 0.0, None, None
+    for t in times:
+        d = t - t_prev
+        if d > 0:
+            if dt is None or abs(d - dt) > 4 * np.spacing(max(t, 1.0)):
+                dt, step = d, expm(d * L)
+            X = step @ X
+        out.append(X)
+        t_prev = t
+    return out
+
+
 def trotter_product(L1, L2, n):
     """First-order Lie-Trotter approximation (e^{L1/n} e^{L2/n})^n.
 

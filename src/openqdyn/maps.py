@@ -184,10 +184,11 @@ class DivisibilityReport:
     def markovian(self):
         """True iff every sampled intermediate map passed the CP check.
 
-        Only a statement about the sampled grid; singular intervals make the
-        verdict None (inconclusive).
+        Only a statement about the sampled grid; singular intervals, or no
+        intervals at all (a single sample), make the verdict None
+        (inconclusive).
         """
-        if any(iv.singular for iv in self.intervals):
+        if not self.intervals or any(iv.singular for iv in self.intervals):
             return None
         return all(iv.cp for iv in self.intervals)
 

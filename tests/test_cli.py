@@ -197,6 +197,29 @@ def test_check_markov_fails_on_nondivisible_family(tmp_path):
     assert 0 in flags and 1 in flags
 
 
+@pytest.mark.parametrize("preset", ["damped_qubit", "damped_oscillator"])
+@pytest.mark.parametrize("T", [0.0, 1.0])
+def test_check_markov_witness_matches_directly_exponentiated_family(tmp_path, preset, T):
+    from openqdyn.liouville import expm
+    from openqdyn.maps import divisibility_witness
+
+    # the CLI steps the semigroup; the oracle exponentiates at every sample time
+    # (on the grid of the check goldens: later samples are ill-conditioned, and
+    # then the oracle's own rounding dominates the difference)
+    out = str(tmp_path / "check.csv")
+    text = QUBIT_CFG.format(alpha=0.1, T=T, t_final=2.0, steps=4, out=out)
+    text = text.replace("preset = damped_qubit", f"preset = {preset}\nn_levels = 6")
+    cfg = write_cfg(tmp_path, text + "\n[checks]\nrequested = markov\n")
+    run_cli(["check", "--config", cfg])
+    witness = float(open(out).read().splitlines()[1].split(",")[2])
+
+    ctx = cli.RunContext(cli.parse_config(cfg), 0, None)
+    family = [(t, expm(t * ctx.L)) for t in cli.build_output_times(ctx.cfg)]
+    report = divisibility_witness(family, tol=1e-10)
+    direct = min(iv.min_choi_eigenvalue for iv in report.intervals)
+    assert abs(witness - direct) <= max(1e-9 * abs(direct), 1e-14)
+
+
 def test_spectrum_and_steady_commands(tmp_path):
     out = str(tmp_path / "spectrum.csv")
     cfg = write_cfg(tmp_path, QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=1.0,

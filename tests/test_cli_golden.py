@@ -85,6 +85,9 @@ def _cases():
     cases["check_markov_inconclusive"] = (["check"], _config(
         "osc6", solver="t_final = 60.0\nsteps = 2",
         checks="requested = markov\nreport_file = {tmp}/report.csv"))
+    cases["check_markov_single_time"] = (["check"], _config(
+        "osc6", solver="t_final = 1.0\nsteps = 0",
+        checks="requested = markov\nreport_file = {tmp}/report.csv"))
     cases["check_seed_tol"] = (["check", "--seed", "7", "--tol", "1e-8"], _config(
         "custom4", checks="requested = kossakowski,relaxing,spohn"))
     cases["default_check_cp"] = (["check"], _config(checks=""))
@@ -115,6 +118,11 @@ def _cases():
         "err_sigma_on_oscillator": (["evolve"], _config("osc6", observables="names = sigma_x")),
         "err_unknown_initial": (["evolve"], _config(initial="state = bogus")),
         "err_bad_output_times": (["evolve"], _config(solver="output_times = 0,2,1")),
+        "err_output_times_not_numbers": (["evolve"], _config(solver="output_times = 0,a")),
+        "err_output_times_nan": (["check"], _config(solver="output_times = 0,nan")),
+        "err_negative_t_final": (["evolve"], _config(solver="t_final = -1\nsteps = 4")),
+        "err_zero_t_final": (["check"], _config(solver="t_final = 0\nsteps = 2")),
+        "err_negative_steps": (["evolve"], _config(solver="t_final = 1\nsteps = -2")),
         "err_missing_h_file": (["derive"], _config("preset = custom")),
         "err_bad_cast": (["evolve"], _config(solver="steps = four")),
         "err_missing_flat_omega_max": (["derive"], _config(bath="type = flat")),

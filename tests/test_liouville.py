@@ -187,6 +187,57 @@ def test_propagate_constant_generator():
         assert np.abs(P - lv.expm(2.0 * L)).max() < 1e-10
 
 
+def _random_liouvillian(dim, rng):
+    from openqdyn.gksl import GKSLGenerator, superop_of_generator
+
+    jumps = [(0.5, rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+             for _ in range(2)]
+    return superop_of_generator(GKSLGenerator(H=rand_hermitian(dim, rng), jumps=jumps))
+
+
+SEMIGROUP_GRIDS = {
+    "linspace": list(np.linspace(0.0, 3.0, 31)),
+    "non_uniform": [0.0, 0.1, 0.35, 0.4, 1.7, 4.0],
+    "late_start": [0.5, 1.0, 1.5, 2.25],
+    "zero_only": [0.0],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SEMIGROUP_GRIDS))
+@pytest.mark.parametrize("shape", [(9,), (9, 9)], ids=["vector", "matrix"])
+def test_propagate_semigroup_matches_direct_exponential(grid, shape):
+    rng = np.random.default_rng(13)
+    L = _random_liouvillian(3, rng)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    times = SEMIGROUP_GRIDS[grid]
+    got = lv.propagate_semigroup(L, times, X)
+    assert len(got) == len(times)
+    for t, Y in zip(times, got):
+        ref = lv.expm(t * L) @ X
+        assert np.abs(Y - ref).max() <= 1e-12 * np.abs(ref).max()
+    if times[0] == 0.0:
+        assert got[0] is X
+
+
+def test_propagate_semigroup_one_exponential_per_spacing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lv, "expm", lambda M: calls.append(M) or np.eye(M.shape[0]))
+    L = np.eye(4)
+    for times, expected in ((np.linspace(0.0, 10.0, 51), 1),
+                            ([0.5, 1.0, 1.5, 2.25, 3.0], 2),
+                            ([0.0, 0.1, 0.3, 0.4], 3)):
+        calls.clear()
+        lv.propagate_semigroup(L, times, np.ones(4))
+        assert len(calls) == expected
+
+
+@pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [-0.5, 1.0]],
+                         ids=["descending", "repeated", "negative"])
+def test_propagate_semigroup_rejects_bad_grid(times):
+    with pytest.raises(ValueError):
+        lv.propagate_semigroup(np.zeros((4, 4)), times, np.ones(4))
+
+
 def test_propagate_commuting_family():
     rng = np.random.default_rng(12)
     L0 = rand_hermitian(2, rng) * 1j

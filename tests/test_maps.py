@@ -282,6 +282,13 @@ def test_divisibility_singular_interval_inconclusive():
     assert report.intervals[1].singular
 
 
+def test_divisibility_single_sample_inconclusive():
+    # no intervals were examined, so the family is neither shown divisible nor not
+    report = maps.divisibility_witness([(0.0, np.eye(4, dtype=complex))])
+    assert report.intervals == []
+    assert report.markovian is None
+
+
 def test_divisibility_rejects_unordered_times():
     with pytest.raises(ValueError):
         maps.divisibility_witness([(0.0, np.eye(4)), (0.0, np.eye(4))])

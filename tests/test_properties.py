@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openqdyn import gksl, maps
-from openqdyn.liouville import expm
+from openqdyn.liouville import expm, propagate_semigroup
 from openqdyn.operators import rand_hermitian
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
@@ -67,3 +67,14 @@ def test_map_from_kraus_inverts_kraus_of(dim, seed, t):
     gen = _random_generator(dim, np.random.default_rng(seed))
     S = expm(t * gksl.superop_of_generator(gen))
     assert np.abs(maps.map_from_kraus(maps.kraus_of(S)) - S).max() < 1e-10
+
+
+@PROPERTY
+@given(DIMS, SEEDS, st.floats(min_value=0.01, max_value=1.0), st.integers(1, 8))
+def test_stepped_semigroup_maps_are_cptp(dim, seed, dt, steps):
+    gen = _random_generator(dim, np.random.default_rng(seed))
+    L = gksl.superop_of_generator(gen)
+    times = list(np.linspace(0.0, dt * steps, steps + 1))
+    for E in propagate_semigroup(L, times, np.eye(dim * dim, dtype=complex)):
+        assert maps.is_cp(E, tol=1e-10).verdict
+        assert maps.is_trace_preserving(E)

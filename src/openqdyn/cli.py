@@ -82,6 +82,16 @@ def _floats(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _positive(cast):
+    """``cast`` that also rejects a value that is not finite and positive."""
+    def parse(text):
+        value = cast(text)
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"must be finite and positive, got {text}")
+        return value
+    return parse
+
+
 def _read_lines(path, what):
     """All lines of a text file; an unreadable file is a config error."""
     try:
@@ -342,10 +352,11 @@ def cmd_evolve(ctx, default_scheme="markov", diagnostics=False):
         if scheme in ("memory_kernel", "post_markovian"):
             evolve = memory_kernel_evolve if scheme == "memory_kernel" else post_markovian_evolve
             run = functools.partial(evolve, ctx.L, MemoryKernel(
-                g=ctx.get("solver", "kernel_g", default=10.0, cast=float)))
+                g=ctx.get("solver", "kernel_g", default=10.0, cast=_positive(float))))
         elif scheme == "tcl2":
             run = functools.partial(tcl2_evolve, ctx.system, ctx.bath, alpha=ctx.alpha,
-                                    substeps=ctx.get("solver", "substeps", default=8, cast=int))
+                                    substeps=ctx.get("solver", "substeps", default=8,
+                                                     cast=_positive(int)))
         elif scheme == "coarse_grain":
             run = functools.partial(coarse_grain_evolve, ctx.system, ctx.bath, ctx.alpha)
         else:

@@ -53,8 +53,10 @@ def vectorize(A):
 
 
 def _vec_columns(ops):
-    """Matrix whose columns are the column-stacked operators, in order."""
-    return np.column_stack([vectorize(A) for A in ops])
+    """Matrix whose columns are the column-stacked operators, in order; ``ops``
+    is a sequence or an ``(m, N, N)`` array of N x N operators, m >= 0."""
+    ops = np.asarray(ops, dtype=complex)
+    return ops.transpose(2, 1, 0).reshape(ops.shape[1] * ops.shape[2], len(ops))
 
 
 def devectorize(v):

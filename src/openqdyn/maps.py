@@ -47,6 +47,15 @@ def superop_from_choi(C):
     return np.transpose(C4, (3, 1, 2, 0)).reshape(n * n, n * n)
 
 
+def _operator_sum_superop(left, coeffs, right):
+    """Superoperator of rho -> sum_jk coeffs[j, k] left_j rho right_k^dag.
+
+    The Choi matrix of rho -> A rho B^dag is vec(A) vec(B)^dag, so the sum's
+    Choi matrix is F_left coeffs F_right^dag over the column-stacked operators.
+    """
+    return superop_from_choi(_vec_columns(left) @ coeffs @ _vec_columns(right).conj().T)
+
+
 class CPReport(NamedTuple):
     verdict: bool
     min_choi_eigenvalue: float
@@ -120,18 +129,13 @@ def kraus_from_choi(C, tol=DEFAULT_CP_TOL):
 
 
 def map_from_kraus(kraus):
-    """Superoperator of rho -> sum_a K_a rho K_a^dag.
-
-    Its Choi matrix is sum_a vec(K_a) vec(K_a)^dag = K K^dag, with K the
-    matrix of column-stacked Kraus operators.
-    """
+    """Superoperator of rho -> sum_a K_a rho K_a^dag."""
     if not kraus:
         raise ValueError("empty Kraus set")
     kraus = [_as_square(K, "Kraus operator") for K in kraus]
     if any(K.shape != kraus[0].shape for K in kraus):
         raise DimensionError("Kraus operators have mixed dimensions")
-    K = _vec_columns(kraus)
-    return superop_from_choi(K @ K.conj().T)
+    return _operator_sum_superop(kraus, np.eye(len(kraus)), kraus)
 
 
 def kraus_of(S, tol=DEFAULT_CP_TOL):
@@ -151,6 +155,17 @@ def is_unitary_conjugation(S, tol=1e-10):
     return np.abs(S @ S.conj().T - np.eye(n * n)).max() <= tol * n
 
 
+def _guarded_inverse(S, cond_threshold):
+    """``(inverse, condition number)`` of a map; raises
+    :class:`SingularMapError` when the condition number is not finite or
+    exceeds ``cond_threshold``."""
+    S, _ = _map_dim(S)
+    cond = float(np.linalg.cond(S))
+    if not np.isfinite(cond) or cond > cond_threshold:
+        raise SingularMapError(cond, cond_threshold)
+    return np.linalg.inv(S), cond
+
+
 def invert_map(S, cond_threshold=DEFAULT_COND_THRESHOLD):
     """Matrix inverse of a dynamical map.
 
@@ -159,11 +174,8 @@ def invert_map(S, cond_threshold=DEFAULT_COND_THRESHOLD):
     Raises :class:`SingularMapError` above the condition-number threshold,
     where any divisibility verdict would be numerically meaningless.
     """
-    S, n = _map_dim(S)
-    cond = float(np.linalg.cond(S))
-    if not np.isfinite(cond) or cond > cond_threshold:
-        raise SingularMapError(cond, cond_threshold)
-    return MapInverse(np.linalg.inv(S), cond, is_unitary_conjugation(S))
+    inv, cond = _guarded_inverse(S, cond_threshold)
+    return MapInverse(inv, cond, is_unitary_conjugation(S))
 
 
 @dataclass
@@ -210,13 +222,13 @@ def divisibility_witness(family, tol=1e-10, cond_threshold=DEFAULT_COND_THRESHOL
     for (t1, E1), (t2, E2) in zip(family, family[1:]):
         iv = IntervalWitness(t_start=float(t1), t_end=float(t2))
         try:
-            inv = invert_map(np.asarray(E1, dtype=complex), cond_threshold)
+            inv, _ = _guarded_inverse(E1, cond_threshold)
         except SingularMapError:
             iv.singular = True
             iv.label = "inconclusive (singular)"
             report.intervals.append(iv)
             continue
-        intermediate = np.asarray(E2, dtype=complex) @ inv.sop
+        intermediate = np.asarray(E2, dtype=complex) @ inv
         cp = is_cp(intermediate, tol)
         iv.min_choi_eigenvalue = cp.min_choi_eigenvalue
         iv.cp = bool(cp.verdict)

@@ -16,12 +16,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import StepSizeError
+from .errors import SingularMapError, StepSizeError
 from .gksl import hamiltonian_superop
 from .liouville import (
     _as_square,
     apply_superop,
-    conjugation_superop,
     devectorize,
     expm,
     left_multiply_superop,
@@ -29,7 +28,7 @@ from .liouville import (
     right_multiply_superop,
     vectorize,
 )
-from .maps import is_cp
+from .maps import _guarded_inverse, _operator_sum_superop, is_cp
 from .weakcoupling import (
     _bohr_blocks,
     _halfline_kernel,
@@ -251,6 +250,18 @@ def _pm_mode(lam, g, t):
 # TCL2
 # ---------------------------------------------------------------------------
 
+def _bohr_stack(system, bin_tol=None):
+    """The sorted Bohr frequencies, then the frequency index, the coupling
+    index and the operator A_k(w) of every block that exists, as arrays over
+    the blocks (frequency-major)."""
+    decs, freqs = _bohr_blocks(system, bin_tol)
+    pairs = [(i, k) for i, w in enumerate(freqs) for k, d in enumerate(decs) if w in d.blocks]
+    fi = np.array([i for i, _ in pairs], dtype=int)
+    ki = np.array([k for _, k in pairs], dtype=int)
+    B = np.array([decs[k].blocks[freqs[i]] for i, k in pairs], dtype=complex)
+    return freqs, fi, ki, B.reshape(len(pairs), system.dim, system.dim)
+
+
 def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     """Second-order time-convolutionless generator at memory horizon t.
 
@@ -260,41 +271,20 @@ def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     picture, where the oscillating prefactors cancel exactly and only the
     coefficients carry the time dependence.  At t = 0 the dissipative part
     vanishes.
+
+    Over the blocks B_(w,l) = A_l(w), with c[(w,l),(w',k)] = Gamma^t_kl(w),
+    the dissipator is sum (c + c^dag)_ab B_a rho B_b^dag - Q rho - rho Q^dag
+    with Q = sum c_ab B_b^dag B_a.
     """
-    alpha2 = float(alpha) ** 2
-    decs, freqs = _bohr_blocks(system, bin_tol)
-    L = hamiltonian_superop(system.H).astype(complex)
     K = len(system.couplings)
-    gam = {w: finite_time_gamma(bath, w, t, system.coupling_pattern, n_couplings=K)
-           for w in freqs}
-    for w in freqs:
-        G = gam[w]
-        for wp in freqs:
-            # Gamma_kl(w) [A_l(w) rho, A_k(w')^dag]
-            for k, dk in enumerate(decs):
-                if wp not in dk.blocks:
-                    continue
-                Akd = dk.blocks[wp].conj().T
-                for l, dl in enumerate(decs):
-                    if w not in dl.blocks or G[k, l] == 0.0:
-                        continue
-                    Al = dl.blocks[w]
-                    L += alpha2 * G[k, l] * (
-                        conjugation_superop(Al, Akd)
-                        - left_multiply_superop(Akd @ Al))
-            # Gamma_lk(w)^* [A_l(w'), rho A_k(w)^dag]
-            for k, dk in enumerate(decs):
-                if w not in dk.blocks:
-                    continue
-                Akd = dk.blocks[w].conj().T
-                for l, dl in enumerate(decs):
-                    if wp not in dl.blocks or G[l, k] == 0.0:
-                        continue
-                    Al = dl.blocks[wp]
-                    L += alpha2 * np.conj(G[l, k]) * (
-                        conjugation_superop(Al, Akd)
-                        - right_multiply_superop(Akd @ Al))
-    return L
+    freqs, fi, ki, B = _bohr_stack(system, bin_tol)
+    gam = np.array([finite_time_gamma(bath, w, t, system.coupling_pattern, n_couplings=K)
+                    for w in freqs], dtype=complex).reshape(len(freqs), K, K)
+    c = gam[fi[:, None], ki[None, :], ki[:, None]]
+    Q = np.einsum("ab,bji,ajk->ik", c, B.conj(), B)
+    D = (_operator_sum_superop(B, c + c.conj().T, B)
+         - left_multiply_superop(Q) - right_multiply_superop(Q.conj().T))
+    return hamiltonian_superop(system.H) + float(alpha) ** 2 * D
 
 
 def tcl2_evolve(system, bath, rho0, t_grid, alpha=1.0, substeps=8, bin_tol=None):
@@ -358,12 +348,14 @@ def tcl_from_family(samples, smoothing="central-difference", cond_threshold=1e10
         if j0 == j1:
             j0 = i - 1
         dE = (maps[j1] - maps[j0]) / (times[j1] - times[j0])
-        cond = float(np.linalg.cond(maps[i]))
-        conds.append(cond)
-        if not np.isfinite(cond) or cond > cond_threshold:
+        try:
+            inv, cond = _guarded_inverse(maps[i], cond_threshold)
+        except SingularMapError as exc:
+            conds.append(exc.condition)
             gens.append(None)
             continue
-        gens.append(dE @ np.linalg.inv(maps[i]))
+        conds.append(cond)
+        gens.append(dE @ inv)
     return ExtractedGenerator(times, gens, np.array(conds))
 
 
@@ -371,83 +363,54 @@ def tcl_from_family(samples, smoothing="central-difference", cond_threshold=1e10
 # dynamical coarse graining
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _CGIntegrals:
-    """The four triangle primitives per ordered frequency pair."""
-
-    tri_p: complex      # f = c_plus(u)
-    tri_m: complex      # f = c_minus(u)
-    tri_pn: complex     # f = c_plus(-u)
-    tri_mn: complex     # f = c_minus(-u)
-
-
 def _cg_pair_integrals(table, tau, freqs, n, smooth):
     """Triangle integrals of e^{-i w t1 - i w' t2} f(t1 - t2) over
-    {0 <= t2 <= t1 <= tau} for the four correlation building blocks.
+    {0 <= t2 <= t1 <= tau}, as an array [f, w, w'] over the four correlation
+    building blocks f = c_plus(u), c_minus(u), c_plus(-u), c_minus(-u).
 
     In difference coordinates (u = t1 - t2) the inner t2 integral is the
     analytic half-line kernel, leaving one-dimensional quadratures in u where
     the correlation is actually supported:
     TRI = int_0^tau du e^{-i w u} f(u) E_{tau-u}(-(w + w')).
     """
-    breaks = sorted({smooth, 10.0 * smooth} & set(
-        b for b in (smooth, 10.0 * smooth) if b < tau))
+    breaks = [b for b in (smooth, 10.0 * smooth) if b < tau]
     u, wu = _panel_nodes(0.0, tau, breaks, n)
-    F = {
-        "p": wu * table.c_plus(u),
-        "m": wu * table.c_minus(u),
-        "pn": wu * np.conj(table.c_plus(u)),
-        "mn": wu * np.conj(table.c_minus(u)),
-    }
-    vals = {}
-    for w in freqs:
+    c_plus, c_minus = table.c_plus(u), table.c_minus(u)
+    F = (wu * c_plus, wu * c_minus, wu * np.conj(c_plus), wu * np.conj(c_minus))
+    tri = np.empty((4, len(freqs), len(freqs)), dtype=complex)
+    for i, w in enumerate(freqs):
         ph = np.exp(-1j * w * u)
-        for wp in freqs:
-            inner = _halfline_kernel(-(w + wp), tau - u)
-            weight = ph * inner
-            vals[(w, wp)] = _CGIntegrals(
-                complex(np.sum(weight * F["p"])),
-                complex(np.sum(weight * F["m"])),
-                complex(np.sum(weight * F["pn"])),
-                complex(np.sum(weight * F["mn"])),
-            )
-    return vals
+        for j, wp in enumerate(freqs):
+            weight = ph * _halfline_kernel(-(w + wp), tau - u)
+            tri[:, i, j] = [np.sum(weight * f) for f in F]
+    return tri
 
 
-def _coarse_grain_parts(system, bath, tau, alpha, table, n, decs, freqs):
+def _coarse_grain_parts(system, bath, tau, alpha, table, n, freqs, stack):
     """Lamb-shift operator and dissipator superoperator of the horizon-tau
     coarse-grained generator (interaction picture, alpha^2 included), from
-    the Bohr blocks ``decs`` and their frequencies ``freqs``."""
-    n_dim = system.dim
-    alpha2 = float(alpha) ** 2
-    Wp, Wm = _pattern_weights(system.coupling_pattern, len(system.couplings))
-    tri = _cg_pair_integrals(table, tau, freqs, n, _smooth_time(bath))
+    the Bohr frequencies and the block stack of :func:`_bohr_stack`.
 
-    H_raw = np.zeros((n_dim, n_dim), dtype=complex)
-    Q = np.zeros((n_dim, n_dim), dtype=complex)
-    sandwich = np.zeros((n_dim * n_dim, n_dim * n_dim), dtype=complex)
-    for w in freqs:
-        for wp in freqs:
-            I = tri[(w, wp)]
-            sq_p = I.tri_p + tri[(wp, w)].tri_pn        # square-domain, f = c_plus
-            sq_m = I.tri_m + tri[(wp, w)].tri_mn
-            sq_pn = I.tri_pn + tri[(wp, w)].tri_p       # square-domain, f = c_plus(-u)
-            sq_mn = I.tri_mn + tri[(wp, w)].tri_m
-            for k, dk in enumerate(decs):
-                if w not in dk.blocks:
-                    continue
-                Ak = dk.blocks[w]
-                for l, dl in enumerate(decs):
-                    if wp not in dl.blocks:
-                        continue
-                    Al = dl.blocks[wp]
-                    c_kl_tri = Wp[k, l] * I.tri_p + Wm[k, l] * I.tri_m
-                    c_lk_trin = Wp[l, k] * I.tri_pn + Wm[l, k] * I.tri_mn
-                    H_raw += Ak @ Al * c_kl_tri - Al @ Ak * c_lk_trin
-                    c_kl_sq = Wp[k, l] * sq_p + Wm[k, l] * sq_m
-                    c_lk_sqn = Wp[l, k] * sq_pn + Wm[l, k] * sq_mn
-                    Q += Ak @ Al * c_kl_sq
-                    sandwich += c_lk_sqn * conjugation_superop(Ak, Al)
+    Over the blocks B_a = A_k(w), B_b = A_l(w'), each part is a pair sum
+    sum_ab c_ab X_a Y_b whose coefficients weight the triangle integrals of
+    the pair (w, w') with the coupling weights of (k, l).
+    """
+    fi, ki, B = stack
+    Wp, Wm = (W[np.ix_(ki, ki)] for W in
+              _pattern_weights(system.coupling_pattern, len(system.couplings)))
+    tri = _cg_pair_integrals(table, tau, freqs, n, _smooth_time(bath))
+    square = tri + tri[[2, 3, 0, 1]].transpose(0, 2, 1)     # both time orderings
+    pair = np.ix_(fi, fi)
+    c_tri = Wp * tri[0][pair] + Wm * tri[1][pair]
+    c_trin = Wp.T * tri[2][pair] + Wm.T * tri[3][pair]
+    c_sq = Wp * square[0][pair] + Wm * square[1][pair]
+    c_sqn = Wp.T * square[2][pair] + Wm.T * square[3][pair]
+
+    H_raw = (np.einsum("ab,aij,bjk->ik", c_tri, B, B)
+             - np.einsum("ab,bij,ajk->ik", c_trin, B, B))
+    Q = np.einsum("ab,aij,bjk->ik", c_sq, B, B)
+    sandwich = _operator_sum_superop(B, c_sqn, B.conj().transpose(0, 2, 1))
+    alpha2 = float(alpha) ** 2
     H_cg = (alpha2 / 2.0j) * H_raw
     H_cg = (H_cg + H_cg.conj().T) / 2.0
     Q = (Q + Q.conj().T) / 2.0
@@ -478,12 +441,12 @@ def coarse_grain_generator(system, bath, tau, alpha=1.0, picture="schrodinger",
         raise ValueError("picture must be 'schrodinger' or 'interaction'")
     if table is None:
         table = bath.correlation_table(tau)
-    decs, freqs = _bohr_blocks(system, bin_tol)
+    freqs, *stack = _bohr_stack(system, bin_tol)
     wmax_sys = max((abs(w) for w in freqs), default=0.0)   # sets the node count
     n = int(max(256, 1.5 * 2.0 * wmax_sys * tau))
     H_prev = D_prev = None
     while True:
-        H_cg, D = _coarse_grain_parts(system, bath, tau, alpha, table, n, decs, freqs)
+        H_cg, D = _coarse_grain_parts(system, bath, tau, alpha, table, n, freqs, stack)
         if H_prev is not None:
             scale = max(np.abs(D).max(), np.abs(H_cg).max(), 1e-300)
             err = max(np.abs(D - D_prev).max(), np.abs(H_cg - H_prev).max())

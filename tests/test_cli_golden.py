@@ -12,6 +12,7 @@ checkout under ``src/``; committed goldens are never rewritten.
 """
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -128,6 +129,9 @@ def _cases():
         "err_missing_flat_omega_max": (["derive"], _config(bath="type = flat")),
         "err_bad_config_line": (["derive"], "[model]\nnot a pair\n"),
         "err_bad_kernel_g": (["nonmarkov"], _config(solver="scheme = memory_kernel\nkernel_g = -1")),
+        "err_kernel_g_nan": (["nonmarkov"], _config(solver="scheme = post_markovian\nkernel_g = nan")),
+        "err_substeps_zero": (["nonmarkov"], _config(solver="scheme = tcl2\nsubsteps = 0")),
+        "err_substeps_negative": (["evolve"], _config(solver="scheme = tcl2\nsubsteps = -3")),
         "err_bad_rho_file": (["evolve"], _config(
             initial="state = file\nrho_file = {inputs}/obs2.csv")),
         "err_usage": (["evolve"], None),
@@ -176,6 +180,15 @@ def status():
         return json.load(fh)
 
 
+def _first_difference(expected, actual):
+    """Where two byte strings first differ: the 1-based line number and the
+    expected and actual lines (None past the end of either)."""
+    exp, act = expected.split(b"\n"), actual.split(b"\n")
+    for lineno, (e, a) in enumerate(itertools.zip_longest(exp, act), 1):
+        if e != a:
+            return f"line {lineno}: expected {e!r}, got {a!r}"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_golden(name, status, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
@@ -183,7 +196,16 @@ def test_cli_golden(name, status, tmp_path, monkeypatch):
     assert got == status[name]
     for fname, data in files.items():
         with open(os.path.join(GOLDEN, fname), "rb") as fh:
-            assert data == fh.read(), fname
+            expected = fh.read()
+        assert data == expected, f"{fname}: {_first_difference(expected, data)}"
+
+
+def test_first_difference_names_line_and_both_texts():
+    assert _first_difference(b"t,x\n0,1\n", b"t,x\n0,2\n") == \
+        "line 2: expected b'0,1', got b'0,2'"
+    assert _first_difference(b"t,x\n", b"t,x\n0,2\n") == "line 2: expected b'', got b'0,2'"
+    assert _first_difference(b"t,x\n0,1", b"t,x\n0,1\n") == \
+        "line 3: expected None, got b''"
 
 
 def test_cli_golden_help(capsys, monkeypatch):

@@ -469,3 +469,146 @@ def test_coarse_grain_brute_force_double_integral_oracle():
                                        picture="interaction")
     scale = np.abs(L_fast).max()
     assert np.abs(L_fast - L_brute).max() < 5e-3 * scale
+
+
+# ---------------------------------------------------------------------------
+# oracles: the term-by-term loop assemblies the operator sums replaced
+# ---------------------------------------------------------------------------
+
+def _loop_tcl2_generator(system, bath, t, alpha):
+    """TCL2 generator summed term by term over (w, w', k, l)."""
+    from openqdyn.liouville import (
+        conjugation_superop, left_multiply_superop, right_multiply_superop)
+
+    alpha2 = float(alpha) ** 2
+    decs, freqs = wc._bohr_blocks(system)
+    L = hamiltonian_superop(system.H).astype(complex)
+    K = len(system.couplings)
+    gam = {w: wc.finite_time_gamma(bath, w, t, system.coupling_pattern, n_couplings=K)
+           for w in freqs}
+    for w in freqs:
+        G = gam[w]
+        for wp in freqs:
+            for k, dk in enumerate(decs):
+                if wp not in dk.blocks:
+                    continue
+                Akd = dk.blocks[wp].conj().T
+                for l, dl in enumerate(decs):
+                    if w not in dl.blocks or G[k, l] == 0.0:
+                        continue
+                    Al = dl.blocks[w]
+                    L += alpha2 * G[k, l] * (conjugation_superop(Al, Akd)
+                                             - left_multiply_superop(Akd @ Al))
+            for k, dk in enumerate(decs):
+                if w not in dk.blocks:
+                    continue
+                Akd = dk.blocks[w].conj().T
+                for l, dl in enumerate(decs):
+                    if wp not in dl.blocks or G[l, k] == 0.0:
+                        continue
+                    Al = dl.blocks[wp]
+                    L += alpha2 * np.conj(G[l, k]) * (conjugation_superop(Al, Akd)
+                                                      - right_multiply_superop(Akd @ Al))
+    return L
+
+
+def _loop_coarse_grain_parts(system, bath, tau, alpha, table, n):
+    """Coarse-grained (H_cg, D) summed term by term over (w, w', k, l)."""
+    from openqdyn.liouville import (
+        conjugation_superop, left_multiply_superop, right_multiply_superop)
+
+    decs, freqs = wc._bohr_blocks(system)
+    smooth = wc._smooth_time(bath)
+    breaks = sorted({smooth, 10.0 * smooth} & set(
+        b for b in (smooth, 10.0 * smooth) if b < tau))
+    u, wu = wc._panel_nodes(0.0, tau, breaks, n)
+    F = [wu * table.c_plus(u), wu * table.c_minus(u),
+         wu * np.conj(table.c_plus(u)), wu * np.conj(table.c_minus(u))]
+    tri = {}
+    for w in freqs:
+        for wp in freqs:
+            weight = np.exp(-1j * w * u) * wc._halfline_kernel(-(w + wp), tau - u)
+            tri[(w, wp)] = [complex(np.sum(weight * f)) for f in F]
+    Wp, Wm = wc._pattern_weights(system.coupling_pattern, len(system.couplings))
+    dim = system.dim
+    H_raw = np.zeros((dim, dim), dtype=complex)
+    Q = np.zeros((dim, dim), dtype=complex)
+    sandwich = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for w in freqs:
+        for wp in freqs:
+            p, m, pn, mn = tri[(w, wp)]
+            rp, rm, rpn, rmn = tri[(wp, w)]
+            for k, dk in enumerate(decs):
+                if w not in dk.blocks:
+                    continue
+                Ak = dk.blocks[w]
+                for l, dl in enumerate(decs):
+                    if wp not in dl.blocks:
+                        continue
+                    Al = dl.blocks[wp]
+                    H_raw += (Ak @ Al * (Wp[k, l] * p + Wm[k, l] * m)
+                              - Al @ Ak * (Wp[l, k] * pn + Wm[l, k] * mn))
+                    Q += Ak @ Al * (Wp[k, l] * (p + rpn) + Wm[k, l] * (m + rmn))
+                    sandwich += ((Wp[l, k] * (pn + rp) + Wm[l, k] * (mn + rm))
+                                 * conjugation_superop(Ak, Al))
+    alpha2 = float(alpha) ** 2
+    H_cg = (alpha2 / 2.0j) * H_raw
+    H_cg = (H_cg + H_cg.conj().T) / 2.0
+    Q = (Q + Q.conj().T) / 2.0
+    D = alpha2 * (sandwich - 0.5 * left_multiply_superop(Q)
+                  - 0.5 * right_multiply_superop(Q))
+    return H_cg, D
+
+
+def _oracle_model(name):
+    if name == "qubit":
+        return wc.damped_qubit(OMEGA0)
+    if name == "osc6":
+        return wc.damped_oscillator(6, OMEGA0)
+    if name == "dephasing":
+        return wc.pure_dephasing(OMEGA0)
+    rng = np.random.default_rng(11)
+    return wc.SystemModel(oq.operators.rand_hermitian(4, rng),
+                          [oq.operators.rand_hermitian(4, rng) for _ in range(2)], "single")
+
+
+def _assert_rel_close(got, ref, rtol=1e-13):
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+ORACLE_MODELS = ("qubit", "osc6", "dephasing", "random4")
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_tcl2_generator_matches_term_loop(model, temperature, t):
+    system = _oracle_model(model)
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
+    _assert_rel_close(nm.tcl2_generator(system, bath, t, alpha=0.7),
+                      _loop_tcl2_generator(system, bath, t, alpha=0.7))
+
+
+@pytest.mark.parametrize("tau", [0.3, 2.0])
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_coarse_grain_parts_match_term_loop(model, temperature, tau):
+    """tau = 0 has no coarse-grained generator (it is rejected), so the
+    horizons are 0.3 and 2."""
+    system = _oracle_model(model)
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
+    table = bath.correlation_table(tau)
+    freqs, *stack = nm._bohr_stack(system)
+    H_cg, D = nm._coarse_grain_parts(system, bath, tau, 0.7, table, 256, freqs, stack)
+    H_ref, D_ref = _loop_coarse_grain_parts(system, bath, tau, 0.7, table, 256)
+    _assert_rel_close(H_cg, H_ref)
+    _assert_rel_close(D, D_ref)
+
+
+@pytest.mark.parametrize("couplings", [[], [np.zeros((2, 2))]], ids=["none", "zero"])
+def test_generators_without_bohr_blocks_are_free(couplings):
+    system = wc.SystemModel(0.5 * OMEGA0 * sigma_z, couplings, "single")
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
+    free = hamiltonian_superop(system.H)
+    assert np.array_equal(nm.tcl2_generator(system, bath, 0.5), free)
+    assert np.array_equal(nm.coarse_grain_generator(system, bath, 0.5), free)

@@ -3,12 +3,15 @@
 Each example draws a dimension N <= 4 and a seed; the seed feeds a numpy
 generator that builds the random operators, so failures replay exactly.
 """
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openqdyn import gksl, maps
-from openqdyn.liouville import expm, propagate_semigroup
+from openqdyn import weakcoupling as wc
+from openqdyn.liouville import conjugation_superop, expm, propagate_semigroup
 from openqdyn.operators import rand_hermitian
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
@@ -78,3 +81,35 @@ def test_stepped_semigroup_maps_are_cptp(dim, seed, dt, steps):
     for E in propagate_semigroup(L, times, np.eye(dim * dim, dtype=complex)):
         assert maps.is_cp(E, tol=1e-10).verdict
         assert maps.is_trace_preserving(E)
+
+
+@PROPERTY
+@given(DIMS, SEEDS, st.integers(1, 3), st.integers(1, 3))
+def test_operator_sum_superop_matches_kron_sum(dim, seed, n_left, n_right):
+    rng = np.random.default_rng(seed)
+
+    def ops(m):
+        return rng.standard_normal((m, dim, dim)) + 1j * rng.standard_normal((m, dim, dim))
+
+    left, right = ops(n_left), ops(n_right)
+    c = rng.standard_normal((n_left, n_right)) + 1j * rng.standard_normal((n_left, n_right))
+    ref = sum(c[j, k] * conjugation_superop(left[j], right[k].conj().T)
+              for j in range(n_left) for k in range(n_right))
+    got = maps._operator_sum_superop(left, c, right)
+    assert np.abs(got - ref).max() < 1e-13 * _scale(ref)
+
+
+@PROPERTY
+@given(DIMS, SEEDS, st.integers(1, 2), st.sampled_from([0.0, 0.3, 1.0, 2.5]))
+def test_davies_generator_is_kms_and_gibbs_stationary(dim, seed, n_couplings, temperature):
+    """Random spectra and ``single``-pattern couplings, at T = 0 and T > 0."""
+    rng = np.random.default_rng(seed)
+    system = wc.SystemModel(rand_hermitian(dim, rng),
+                            [rand_hermitian(dim, rng) for _ in range(n_couplings)], "single")
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # near-colliding Bohr bins only warn
+        gen = wc.davies_generator(system, bath)
+    assert wc.kms_check(gen).passed
+    rate = max(np.abs(block.gamma).max() for block in gen.per_frequency.values())
+    assert wc.stationarity_check(gen) < 1e-12 * rate

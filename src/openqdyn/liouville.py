@@ -5,6 +5,14 @@ matrix unit |i><j| on an N-dimensional space maps to the basis vector with
 index ``j*N + i``, and the superoperator of ``rho -> A rho B`` is
 ``kron(B.T, A)``.  All superoperator matrices produced anywhere in the
 package are interchangeable under this convention.
+
+Exact-zero blocking: a matrix whose nonzero pattern splits, under a
+permutation, into disconnected diagonal blocks (a Davies generator of a
+diagonal H_S splits into its Bohr-frequency sectors, and so do its
+exponentials and their Choi matrices) is exponentiated, inverted and
+diagonalized block by block.  The blocks are the connected components of
+the exact nonzero pattern: no tolerance and no basis change, so a matrix that
+is one block takes the same dense LAPACK call as without blocking.
 """
 import numpy as np
 import scipy.linalg
@@ -23,6 +31,61 @@ def _as_square(M, name="matrix"):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {M.shape}")
     return M
+
+
+def _blocks(M):
+    """Index arrays of the diagonal blocks of a square matrix: the connected
+    components of the symmetrised exact-nonzero pattern, each ascending, in
+    order of their smallest index.  The 1 x 1 components are gathered into
+    one block, which is diagonal, so that a diagonal matrix is one block.  A
+    matrix whose first row and column together have no zero entry (a matrix
+    without zeros, for one) is one block without building the graph."""
+    n = M.shape[0]
+    nz = M != 0
+    touched = nz[0] | nz[:, 0]
+    touched[0] = True
+    if np.count_nonzero(touched) == n:       # index 0 reaches every other index
+        return [np.arange(n)]
+    rows, cols = np.nonzero(nz | nz.T)
+    labels = np.arange(n)
+    while True:          # each index takes the least label around it
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    single = np.bincount(labels, minlength=n)[labels] == 1
+    if np.count_nonzero(single):
+        labels[single] = np.flatnonzero(single)[0]
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def _diagonal_blocks(M, blocks):
+    """The blocks ``M[b, b]``; ``M`` itself when it is one block."""
+    return [M] if len(blocks) == 1 else [M[np.ix_(b, b)] for b in blocks]
+
+
+def _block_diag(mats, blocks):
+    """Dense matrix with ``mats`` on the diagonal ``blocks`` and zeros elsewhere."""
+    if len(blocks) == 1:
+        return mats[0]
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=np.result_type(*mats))
+    for b, B in zip(blocks, mats):
+        out[np.ix_(b, b)] = B
+    return out
+
+
+def _block_rows(M, X, blocks):
+    """``M @ X`` for a matrix ``M`` that is zero off the diagonal ``blocks``."""
+    if len(blocks) == 1:
+        return M @ X
+    out = np.empty(X.shape, dtype=np.result_type(M, X))
+    for b in blocks:
+        out[b] = M[np.ix_(b, b)] @ X[b]
+    return out
 
 
 def is_hermitian(M, tol=TOL_HERM):
@@ -106,14 +169,16 @@ def trace_norm(M):
 def expm(M):
     """Matrix exponential e^M (scaling-and-squaring with Pade approximants).
 
-    Accepts operators and superoperators alike.  Raises
+    Accepts operators and superoperators alike.  Exponentiates each exact-zero
+    block of M on its own (see the module docstring).  Raises
     :class:`MagnitudeError` when the input is non-finite or the result
     overflows.
     """
     M = _as_square(M)
     if not np.all(np.isfinite(M)):
         raise MagnitudeError("matrix exponential of non-finite input")
-    E = scipy.linalg.expm(M)
+    blocks = _blocks(M)
+    E = _block_diag([scipy.linalg.expm(B) for B in _diagonal_blocks(M, blocks)], blocks)
     if not np.all(np.isfinite(E)):
         raise MagnitudeError("matrix exponential overflowed; norm too extreme")
     return E
@@ -127,19 +192,22 @@ def propagate_semigroup(L, times, X):
     The exponential is computed once per distinct spacing; a spacing within a
     few ulps of the current step's (the rounding of a uniform grid) reuses it.
     ``X`` is a vector or a matrix; ``t = 0`` returns ``X`` itself.  Times must
-    be nonnegative and strictly ascending (ValueError otherwise).
+    be nonnegative and strictly ascending (ValueError otherwise).  The step
+    is block-diagonal over the exact-zero blocks of L, and is applied one
+    block row at a time.
     """
     L = _as_square(L, "generator")
     times = [float(t) for t in times]
     if any(t < 0 for t in times) or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be nonnegative and strictly ascending")
+    blocks = _blocks(L)
     out, t_prev, dt, step = [], 0.0, None, None
     for t in times:
         d = t - t_prev
         if d > 0:
             if dt is None or abs(d - dt) > 4 * np.spacing(max(t, 1.0)):
                 dt, step = d, expm(d * L)
-            X = step @ X
+            X = _block_rows(step, X, blocks)
         out.append(X)
         t_prev = t
     return out

@@ -15,7 +15,16 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionError, NotCompletelyPositiveError, SingularMapError
-from .liouville import _as_square, _vec_columns, hs_basis, induced_trace_norm, vectorize
+from .liouville import (
+    _as_square,
+    _block_diag,
+    _blocks,
+    _diagonal_blocks,
+    _vec_columns,
+    hs_basis,
+    induced_trace_norm,
+    vectorize,
+)
 
 DEFAULT_CP_TOL = 1e-10
 DEFAULT_COND_THRESHOLD = 1e10
@@ -65,15 +74,19 @@ class CPReport(NamedTuple):
 def is_cp(S, tol=DEFAULT_CP_TOL):
     """Complete-positivity check via the minimum Choi eigenvalue.
 
-    verdict is True iff min eig(C) >= -tol * ||C||_op.  A map that is not
+    verdict is True iff min eig(C) >= -tol * ||C||_op, with ||C||_op taken
+    from the eigenvalues of the Hermitian part of C.  A map that is not
     Hermiticity-preserving (non-Hermitian Choi) is reported as such and fails.
+    The eigenvalues come from the exact-zero blocks of C, one block at a time.
     """
     C = choi_of(S)
-    scale = max(np.linalg.norm(C, 2), 1e-300)
+    Ch = (C + C.conj().T) / 2.0
+    w = np.concatenate([np.linalg.eigvalsh(B) for B in _diagonal_blocks(Ch, _blocks(C))])
+    scale = max(np.abs(w).max(), 1e-300)
     herm = np.abs(C - C.conj().T).max() <= 1e-10 * max(scale, 1.0)
     if not herm:
         return CPReport(False, float("nan"), False)
-    wmin = float(np.linalg.eigvalsh((C + C.conj().T) / 2.0).min())
+    wmin = float(w.min())
     return CPReport(wmin >= -tol * scale, wmin, True)
 
 
@@ -158,12 +171,22 @@ def is_unitary_conjugation(S, tol=1e-10):
 def _guarded_inverse(S, cond_threshold):
     """``(inverse, condition number)`` of a map; raises
     :class:`SingularMapError` when the condition number is not finite or
-    exceeds ``cond_threshold``."""
+    exceeds ``cond_threshold``.
+
+    Works on the exact-zero blocks of S: the condition number is the largest
+    singular value over all blocks divided by the smallest, and each block
+    is inverted on its own.
+    """
     S, _ = _map_dim(S)
-    cond = float(np.linalg.cond(S))
+    blocks = _blocks(S)
+    subs = _diagonal_blocks(S, blocks)
+    sv = np.concatenate([np.linalg.svd(B, compute_uv=False) for B in subs])
+    with np.errstate(all="ignore"):
+        cond = float(sv.max() / sv.min())
+    cond = np.inf if np.isnan(cond) else cond        # 0/0, as in np.linalg.cond
     if not np.isfinite(cond) or cond > cond_threshold:
         raise SingularMapError(cond, cond_threshold)
-    return np.linalg.inv(S), cond
+    return _block_diag([np.linalg.inv(B) for B in subs], blocks), cond
 
 
 def invert_map(S, cond_threshold=DEFAULT_COND_THRESHOLD):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (
     DimensionError,
@@ -162,6 +161,8 @@ class BathModel:
             w = np.atleast_1d(w)
             return self.J(w)[0]
 
+        import scipy.integrate          # only here: it is slow to import
+
         kw = dict(limit=400, epsabs=abs_tol / 4.0, epsrel=1e-10)
         if t == 0.0:
             re, _ = scipy.integrate.quad(sym, 0.0, self.omega_max, points=pts, **kw)
@@ -215,11 +216,14 @@ class _CorrelationTable:
         u_nodes = 0.5 * self.u_split * (np.cos(theta) + 1.0)
         cp = np.empty(deg + 1, dtype=complex)
         cm = np.empty(deg + 1, dtype=complex)
+        buf = np.empty((min(256, deg + 1), x.size), dtype=complex)
         for i0 in range(0, deg + 1, 256):      # chunked: the full outer product is large
             i1 = min(i0 + 256, deg + 1)
-            phase = np.exp(-1j * np.outer(u_nodes[i0:i1], x))
+            phase = buf[:i1 - i0]
+            np.multiply(-1j, np.outer(u_nodes[i0:i1], x), out=phase)
+            np.exp(phase, out=phase)
             cp[i0:i1] = phase @ jp
-            cm[i0:i1] = np.conj(phase) @ jm
+            cm[i0:i1] = np.conj(phase @ jm)         # jm is real
         k = np.arange(deg + 1)
         cosmat = np.cos(np.outer(k, theta))
         self._fit_p = (2.0 / (deg + 1)) * (cosmat @ cp)

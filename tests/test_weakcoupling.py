@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from openqdyn import weakcoupling as wc
 from openqdyn.errors import (
@@ -324,6 +331,44 @@ def test_davies_near_degenerate_warning():
     bath = ohmic()
     with pytest.warns(UserWarning, match="collide|secular"):
         wc.davies_generator(system, bath, bin_tol=1e-13)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(st.floats(min_value=0.3, max_value=3.0), st.floats(min_value=2.0, max_value=1e4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_davies_warns_exactly_when_bohr_bins_nearly_collide(level, gap_in_bins, seed):
+    """Levels 0, E and E + g give the Bohr frequencies g, E and E + g; with
+    bins of width b (< g) the frequencies E and E + g nearly collide, and the
+    generator warns, iff g < 1e3 b."""
+    assume(abs(gap_in_bins - 1e3) > 1e-6)   # clear of the threshold's rounding
+    bin_tol = 1e-6
+    gap = gap_in_bins * bin_tol
+    rng = np.random.default_rng(seed)
+    A = np.zeros((3, 3), dtype=complex)
+    A[0, 1], A[0, 2] = rng.uniform(0.5, 1.5, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+    A = A + A.conj().T
+    system = wc.SystemModel(H=np.diag([0.0, level, level + gap]), couplings=[A],
+                            coupling_pattern="single")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        wc.davies_generator(system, ohmic(), bin_tol=bin_tol)
+    collide = [w for w in caught if "nearly collide" in str(w.message)]
+    assert bool(collide) == (gap < 1e3 * bin_tol)
+
+
+def test_import_leaves_quadrature_and_sparse_modules_unloaded():
+    """``scipy.integrate`` is imported only by the adaptive ``quad`` path of
+    ``BathModel.correlation``, and nothing imports ``scipy.sparse``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, openqdyn\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') if m in sys.modules))\n"
+            "openqdyn.weakcoupling.bath_correlation(openqdyn.BathModel.ohmic(0.05, 3.0, 1.0), 0.5)\n"
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 def test_gamma_matrices_psd_every_block():

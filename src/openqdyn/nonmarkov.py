@@ -276,13 +276,8 @@ def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     the dissipator is sum (c + c^dag)_ab B_a rho B_b^dag - Q rho - rho Q^dag
     with Q = sum c_ab B_b^dag B_a.
     """
-    return _tcl2_assemble(system, bath, t, alpha, _bohr_stack(system, bin_tol))
-
-
-def _tcl2_assemble(system, bath, t, alpha, stack):
-    """:func:`tcl2_generator` over a precomputed :func:`_bohr_stack`."""
     K = len(system.couplings)
-    freqs, fi, ki, B = stack
+    freqs, fi, ki, B = _bohr_stack(system, bin_tol)
     gam = np.array([finite_time_gamma(bath, w, t, system.coupling_pattern, n_couplings=K)
                     for w in freqs], dtype=complex).reshape(len(freqs), K, K)
     c = gam[fi[:, None], ki[None, :], ki[:, None]]
@@ -301,8 +296,7 @@ def tcl2_evolve(system, bath, rho0, t_grid, alpha=1.0, substeps=8, bin_tol=None)
     """
     t = _check_grid(t_grid)
     rho0 = _as_square(rho0, "initial state")
-    stack = _bohr_stack(system, bin_tol)
-    gen = lambda s: _tcl2_assemble(system, bath, s, alpha, stack)
+    gen = lambda s: tcl2_generator(system, bath, s, alpha=alpha, bin_tol=bin_tol)
     n = system.dim
     P = np.eye(n * n, dtype=complex)
     states, witnesses = [], []

@@ -613,21 +613,3 @@ def test_generators_without_bohr_blocks_are_free(couplings):
     assert np.array_equal(nm.tcl2_generator(system, bath, 0.5), free)
     assert np.array_equal(nm.coarse_grain_generator(system, bath, 0.5), free)
 
-
-def test_tcl2_evolve_builds_one_bohr_stack(monkeypatch):
-    """The time-independent Bohr stack is built once per trajectory, and the
-    trajectory equals the time-splitting product of the public generator."""
-    system = wc.damped_oscillator(4)
-    bath = wc.BathModel.ohmic(coupling=0.05, omega_c=3.0, temperature=1.0)
-    rho0 = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
-    gen = lambda s: nm.tcl2_generator(system, bath, s)
-    P1 = oq.liouville.propagate_time_dependent(gen, 0.0, 0.5, 2)
-    P2 = oq.liouville.propagate_time_dependent(gen, 0.5, 1.0, 2) @ P1
-    ref = [rho0, apply_superop(P1, rho0), apply_superop(P2, rho0)]
-    calls = []
-    real = wc.bohr_decompose
-    monkeypatch.setattr(wc, "bohr_decompose", lambda *a: calls.append(a) or real(*a))
-    traj = nm.tcl2_evolve(system, bath, rho0, [0.0, 0.5, 1.0], substeps=2)
-    assert len(calls) == len(system.couplings)
-    for got, want in zip(traj.states, ref):
-        assert np.array_equal(got, want)

@@ -52,11 +52,11 @@ class QuadratureError(OpenQDynError, ValueError):
 
 
 class StepSizeError(OpenQDynError, RuntimeError):
-    """Fixed-step integration became unstable (trace drift detected)."""
+    """A trajectory's trace drifted beyond 1e-6 (a trace-changing generator or a coarse step)."""
 
     def __init__(self, drift, msg=None):
         self.drift = float(drift)
-        super().__init__(msg or f"trace drift {drift:.3e} exceeds 1e-6; reduce the step size")
+        super().__init__(msg or f"trace drift {drift:.3e} exceeds 1e-6")
 
 
 class ConfigError(OpenQDynError, ValueError):

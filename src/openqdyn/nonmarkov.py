@@ -1,9 +1,13 @@
 """Non-Markovian evolution schemes.
 
-Contents: exponential memory-kernel and post-Markovian integro-differential
-models, the second-order time-convolutionless (TCL2) generator, local
-generator extraction from sampled map families, and the dynamical
-coarse-graining family of completely positive semigroups.
+Contents: memory-kernel and post-Markovian integro-differential models, the
+second-order time-convolutionless (TCL2) generator, local generator
+extraction from sampled map families, and the dynamical coarse-graining
+family of completely positive semigroups.
+
+Both integro-differential schemes take an exponential kernel exactly, as the
+semigroup of an augmented linear system in (rho, w) on twice the Liouville
+space, and any other kernel by O(dt^2) history quadrature.
 
 Complete positivity of finite-order TCL propagation is *not* asserted; the
 solvers monitor trace and positivity of the trajectory (and the minimum Choi
@@ -24,6 +28,7 @@ from .liouville import (
     devectorize,
     expm,
     left_multiply_superop,
+    propagate_semigroup,
     propagate_time_dependent,
     right_multiply_superop,
     vectorize,
@@ -43,9 +48,9 @@ from .weakcoupling import (
 class MemoryKernel:
     """Normalized exponential memory kernel k(t) = g e^{-g t}.
 
-    The exponential ansatz is the only built-in (it admits an exact local
+    The exponential ansatz is the only built-in (it admits an exact augmented
     embedding); arbitrary kernels enter through :class:`TabulatedKernel` and
-    the direct history-quadrature path.
+    the history quadrature.
     """
 
     g: float
@@ -105,85 +110,54 @@ def _check_grid(t_grid):
     return t
 
 
-def _monitor(states, times):
+def _monitor(states, times, stacklevel=3):
+    """Trace error and minimum eigenvalue of a trajectory; a positivity
+    violation warns at the caller ``stacklevel`` frames up (the solver's)."""
     tr_err = max(abs(np.trace(r).real - 1.0) + abs(np.trace(r).imag) for r in states)
     min_eig = min(np.linalg.eigvalsh((r + r.conj().T) / 2.0).min() for r in states)
     if min_eig < -1e-6:
         warnings.warn(f"trajectory positivity violation: min eigenvalue {min_eig:.3e}",
-                      stacklevel=3)
+                      stacklevel=stacklevel)
     return float(tr_err), float(min_eig)
 
 
-def memory_kernel_evolve(L, kernel, rho0, t_grid, dt_max=None, steps=2000):
-    """Evolve d rho/dt = int_0^t k(t-t') L[rho(t')] dt'.
+def _kernel_evolve(L, kernel, rho0, t_grid, steps, augmented, history):
+    """Shared solver of the two kernel schemes.
 
-    The exponential kernel admits an exact local embedding: with
-    w(t) = int_0^t k(t-t') L rho(t') dt' the pair (rho, w) obeys the linear
-    system rho' = w, w' = g L rho - g w, which is advanced with the classical
-    fixed-step 4th-order one-step update (applied as its update matrix, the
-    scheme being linear).  Trace drift beyond 1e-6 raises
-    :class:`StepSizeError`.  Tabulated kernels go through direct history
-    quadrature with documented O(dt^2) accuracy.
+    An exponential kernel k(t) = g e^{-g t} makes the scheme a linear ODE in
+    the pair (rho, w): ``augmented(L, I, g)`` gives the 2 x 2 block matrix of
+    its generator, whose semigroup applied to (vec rho0, 0) is exact for
+    every L, defective ones included.  Any other kernel takes the history
+    quadrature of :func:`_volterra` with ``history(L, lags)``.
     """
     L = _as_square(L, "generator")
     t = _check_grid(t_grid)
     rho0 = _as_square(rho0, "initial state")
-    if getattr(kernel, "kind", "exponential") != "exponential":
-        def history(lags):               # H_s = k(s), a scalar per lag
-            kv = kernel(lags)
-            return lambda y: kv[:len(y), None] * y
-
-        states = _volterra(L, history, rho0, t, steps)
-        tr_err, min_eig = _monitor(states, t)
-        if tr_err > 1e-6:
-            raise StepSizeError(tr_err)
-        return Trajectory(t, states, tr_err, min_eig)
-    g = kernel.g
     n2 = L.shape[0]
-    A = np.zeros((2 * n2, 2 * n2), dtype=complex)
-    A[:n2, n2:] = np.eye(n2)
-    A[n2:, :n2] = g * L
-    A[n2:, n2:] = -g * np.eye(n2)
-    scale = max(np.linalg.norm(L, 2), 1e-300)
-    h_max = dt_max if dt_max is not None else min(0.05 / g, 0.05 / scale)
-    y = np.concatenate([vectorize(rho0), np.zeros(n2, dtype=complex)])
-    states = []
-    t_prev = 0.0
-    if t[0] == 0.0:
-        states.append(rho0.astype(complex))
-        t = t[1:]
-    for t_next in t:
-        span = t_next - t_prev
-        k = max(1, int(np.ceil(span / h_max)))
-        h = span / k
-        hA = h * A
-        M = (np.eye(2 * n2) + hA + hA @ hA / 2.0
-             + hA @ hA @ hA / 6.0 + hA @ hA @ hA @ hA / 24.0)
-        y = np.linalg.matrix_power(M, k) @ y
-        rho = devectorize(y[:n2])
-        drift = abs(np.trace(rho) - 1.0)
-        if drift > 1e-6:
-            raise StepSizeError(drift)
-        states.append(rho)
-        t_prev = t_next
-    times = _check_grid(t_grid)
-    tr_err, min_eig = _monitor(states, times)
-    return Trajectory(times, states, tr_err, min_eig)
+    if getattr(kernel, "kind", "exponential") == "exponential":
+        A = np.block(augmented(L, np.eye(n2), kernel.g))
+        y0 = np.concatenate([vectorize(rho0), np.zeros(n2, dtype=complex)])
+        states = [devectorize(y[:n2]) for y in propagate_semigroup(A, t, y0)]
+    else:
+        states = _volterra(L, history, rho0, t, steps)
+    return Trajectory(t, states, *_monitor(states, t, stacklevel=4))
 
 
 def _volterra(L, history, rho0, t_grid, steps):
     """O(dt^2) predictor-corrector for rho'(t) = L int_0^t H_s[rho(t - s)] ds.
 
     The history integral is the trapezoid rule on ``steps`` uniform lags up to
-    ``t_grid[-1]``, and each step is a Heun update.  ``history(lags)`` sees
+    ``t_grid[-1]``, and each step is a Heun update.  ``history(L, lags)`` sees
     the lag grid once and returns ``apply(y)``, which maps the rows
     y[i] = rho(t - lags[i]) to H_{lags[i]}[y[i]].  Output times are rounded
     to the nearest grid point.
     """
     n2 = L.shape[0]
     t_end = t_grid[-1]
-    h = t_end / steps if t_end > 0 else 1.0
-    apply = history(np.linspace(0.0, t_end, steps + 1))
+    if t_end == 0.0:                     # the grid is the single time 0
+        return [rho0]
+    h = t_end / steps
+    apply = history(L, np.linspace(0.0, t_end, steps + 1))
     ys = np.empty((steps + 1, n2), dtype=complex)
     ys[0] = vectorize(rho0)
 
@@ -199,51 +173,46 @@ def _volterra(L, history, rho0, t_grid, steps):
         ys[m + 1] = ys[m] + h * f0            # predictor
         f1 = rhs(m + 1)
         ys[m + 1] = ys[m] + 0.5 * h * (f0 + f1)
-    idx = [min(int(round(tt / h)) if t_end > 0 else 0, steps) for tt in t_grid]
+    idx = [min(int(round(tt / h)), steps) for tt in t_grid]
     return [devectorize(ys[i]) for i in idx]
 
 
-def post_markovian_evolve(L, kernel, rho0, t_grid, cond_threshold=1e8, steps=2000):
+def memory_kernel_evolve(L, kernel, rho0, t_grid, steps=2000):
+    """Evolve d rho/dt = int_0^t k(t-t') L[rho(t')] dt'.
+
+    With w(t) = int_0^t k(t-t') L rho(t') dt', an exponential kernel gives the
+    linear system rho' = w, w' = g L rho - g w, propagated exactly.  Any other
+    kernel (:class:`TabulatedKernel`) takes the history quadrature on
+    ``steps`` lags, O(dt^2).  A trace error beyond 1e-6 raises
+    :class:`StepSizeError`.
+    """
+    def history(L, lags):                # H_s = k(s), a scalar per lag
+        kv = kernel(lags)
+        return lambda y: kv[:len(y), None] * y
+
+    traj = _kernel_evolve(L, kernel, rho0, t_grid, steps,
+                          lambda L, I, g: [[0 * I, I], [g * L, -g * I]], history)
+    if traj.max_trace_error > 1e-6:
+        raise StepSizeError(traj.max_trace_error)
+    return traj
+
+
+def post_markovian_evolve(L, kernel, rho0, t_grid, steps=2000):
     """Evolve the post-Markovian equation
     d rho/dt = L int_0^t k(t') e^{L t'} rho(t-t') dt'.
 
-    Diagonalizes L and solves each eigenmode's scalar integro-differential
-    equation through the same augmented-variable embedding (per mode the
-    augmented system is 2x2 and is advanced exactly).  A defective L falls
-    back to direct quadrature over the history with O(dt^2) accuracy.
+    With w(t) = int_0^t k(t') e^{L t'} rho(t-t') dt', an exponential kernel
+    gives the linear system rho' = L w, w' = g rho + (L - g) w, propagated
+    exactly.  Any other kernel (:class:`TabulatedKernel`) takes the history
+    quadrature on ``steps`` lags, O(dt^2).
     """
-    L = _as_square(L, "generator")
-    t = _check_grid(t_grid)
-    rho0 = _as_square(rho0, "initial state")
-    g = kernel.g
-    w, V = np.linalg.eig(L)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > cond_threshold:
-        def history(lags):               # H_s = k(s) e^{L s}
-            kprops = np.array([kernel(s) * expm(L * s) for s in lags])
-            return lambda y: np.einsum("mij,mj->mi", kprops[:len(y)], y)
+    def history(L, lags):                # H_s = k(s) e^{L s}
+        kprops = np.array(propagate_semigroup(L, lags, np.eye(L.shape[0], dtype=complex)))
+        kprops *= kernel(lags)[:, None, None]
+        return lambda y: np.einsum("mij,mj->mi", kprops[:len(y)], y)
 
-        states = _volterra(L, history, rho0, t, steps)
-    else:
-        Vinv = np.linalg.inv(V)
-        c0 = Vinv @ vectorize(rho0)
-        states = []
-        for tt in t:
-            c = np.empty_like(c0)
-            for i, lam in enumerate(w):
-                c[i] = c0[i] * _pm_mode(lam, g, tt)
-            states.append(devectorize(V @ c))
-    tr_err, min_eig = _monitor(states, t)
-    return Trajectory(t, states, tr_err, min_eig)
-
-
-def _pm_mode(lam, g, t):
-    """Scalar post-Markovian mode factor via the augmented 2x2 system
-    c' = lam w, w' = g c + (lam - g) w with c(0) = 1, w(0) = 0."""
-    if t == 0.0:
-        return 1.0
-    M = np.array([[0.0, lam], [g, lam - g]], dtype=complex)
-    return expm(M * t)[0, 0]
+    return _kernel_evolve(L, kernel, rho0, t_grid, steps,
+                          lambda L, I, g: [[0 * I, L], [g * I, L - g * I]], history)
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def test_criterion_13_memory_kernel_limits():
                                             jumps=[(gamma, sigma_z)]))
     rho0d = np.array([[0.5, c0], [c0, 0.5]], dtype=complex)
     t2 = np.linspace(0.0, 4.0, 9)
-    traj2 = memory_kernel_evolve(Ld, MemoryKernel(g=g2), rho0d, t2, dt_max=2e-4)
+    traj2 = memory_kernel_evolve(Ld, MemoryKernel(g=g2), rho0d, t2)
     disc = np.sqrt(g2 * g2 + 4 * g2 * lam)
     s_p, s_m = (-g2 + disc) / 2, (-g2 - disc) / 2
     A = -c0 * s_m / (s_p - s_m)

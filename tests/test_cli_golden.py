@@ -9,6 +9,9 @@ The goldens record the CLI's behaviour; they are not regenerated to follow a
 code change.  ``python tests/test_cli_golden.py --write`` adds goldens for
 the cases that have no entry in ``status.json`` yet, running them on the
 checkout under ``src/``; committed goldens are never rewritten.
+``python tests/test_cli_golden.py --diff`` runs every case and prints each
+golden line the checkout no longer reproduces, as ``file:line: old -> new``
+(and each moved ``status.json`` entry); it writes nothing.
 """
 import contextlib
 import io
@@ -180,13 +183,18 @@ def status():
         return json.load(fh)
 
 
-def _first_difference(expected, actual):
-    """Where two byte strings first differ: the 1-based line number and the
-    expected and actual lines (None past the end of either)."""
+def _line_differences(expected, actual):
+    """Every line where two byte strings differ: the 1-based line number and
+    the expected and actual lines (None past the end of either)."""
     exp, act = expected.split(b"\n"), actual.split(b"\n")
-    for lineno, (e, a) in enumerate(itertools.zip_longest(exp, act), 1):
-        if e != a:
-            return f"line {lineno}: expected {e!r}, got {a!r}"
+    return [(lineno, e, a) for lineno, (e, a) in enumerate(itertools.zip_longest(exp, act), 1)
+            if e != a]
+
+
+def _first_difference(expected, actual):
+    """Where two byte strings first differ, as a message."""
+    lineno, e, a = _line_differences(expected, actual)[0]
+    return f"line {lineno}: expected {e!r}, got {a!r}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -250,5 +258,32 @@ def _write_new_goldens():
             fh.write(out.getvalue())
 
 
+def _diff_goldens():
+    """Print each golden line that the checkout under ``src/`` no longer
+    reproduces, as ``file:line: old -> new``, and each moved ``status.json``
+    entry; nothing is written."""
+    import tempfile
+
+    os.environ["COLUMNS"] = "80"
+    with open(os.path.join(GOLDEN, "status.json"), encoding="utf-8") as fh:
+        status = json.load(fh)
+    show = lambda line: "(none)" if line is None else line.decode()
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, files = run_case(name, tmp)
+        if got != status.get(name):
+            print(f"status.json:{name}: {status.get(name)} -> {got}")
+        for fname, data in files.items():
+            path = os.path.join(GOLDEN, fname)
+            expected = b""
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    expected = fh.read()
+            for lineno, e, a in _line_differences(expected, data):
+                print(f"{fname}:{lineno}: {show(e)} -> {show(a)}")
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     _write_new_goldens()
+elif __name__ == "__main__" and sys.argv[1:] == ["--diff"]:
+    _diff_goldens()

@@ -72,14 +72,24 @@ def test_memory_kernel_scalar_dephasing_closed_form():
     c0 = 0.4
     rho0 = np.array([[0.5, c0], [c0, 0.5]], dtype=complex)
     t = np.linspace(0.0, 4.0, 9)
-    traj = nm.memory_kernel_evolve(L, nm.MemoryKernel(g=g), rho0, t, dt_max=2e-4)
+    traj = nm.memory_kernel_evolve(L, nm.MemoryKernel(g=g), rho0, t)
     disc = np.sqrt(g * g + 4.0 * g * lam)
     s_plus, s_minus = (-g + disc) / 2.0, (-g - disc) / 2.0
     A = -c0 * s_minus / (s_plus - s_minus)
     B = c0 * s_plus / (s_plus - s_minus)
     for i, tt in enumerate(t):
         expect = A * np.exp(s_plus * tt) + B * np.exp(s_minus * tt)
-        assert abs(traj.states[i][0, 1] - expect) < 1e-8
+        assert abs(traj.states[i][0, 1] - expect) < 1e-12
+
+
+def test_memory_kernel_positivity_warning_names_the_callers_line():
+    # a strongly non-local kernel breaks positivity; the warning points at
+    # the solver's caller, so the default filter shows it once per call site
+    L = damped_qubit_L(0.8, 0.2)
+    rho0 = np.array([[0.9, 0.3], [0.3, 0.1]], dtype=complex)
+    with pytest.warns(UserWarning, match="positivity violation") as caught:
+        nm.memory_kernel_evolve(L, nm.MemoryKernel(g=0.5), rho0, np.linspace(0, 8, 9))
+    assert caught[0].filename == __file__
 
 
 def test_post_markovian_t0_and_markov_limit():
@@ -111,17 +121,23 @@ def test_post_markovian_scalar_laplace_closed_form():
         assert abs(traj.states[i][0, 1] - expect) < 1e-6
 
 
-def test_post_markovian_history_fallback_matches_spectral():
-    # force the quadrature fallback and compare against the spectral route
-    L = damped_qubit_L(0.5, 0.0)
+def test_post_markovian_defective_generator_matches_history():
+    # the resonantly driven decaying qubit at its exceptional point
+    # Omega = gamma/4: L is defective, so no eigenbasis resolves it, while the
+    # augmented semigroup is exact; the history route, Richardson-extrapolated
+    # from its second-order error, agrees with it
+    gamma = 1.0
+    L = superop_of_generator(GKSLGenerator(H=0.5 * (gamma / 4) * np.array([[0, 1], [1, 0]]),
+                                           jumps=[(gamma, sigma_minus)]))
+    assert np.linalg.cond(np.linalg.eig(L)[1]) > 1e6
     rho0 = np.array([[0.8, 0.1], [0.1, 0.2]], dtype=complex)
     t = np.linspace(0.0, 2.0, 5)
-    kernel = nm.MemoryKernel(g=4.0)
-    spectral = nm.post_markovian_evolve(L, kernel, rho0, t)
-    fallback = nm.post_markovian_evolve(L, kernel, rho0, t, cond_threshold=0.0,
-                                        steps=4000)
-    worst = max(np.abs(a - b).max() for a, b in zip(spectral.states, fallback.states))
-    assert worst < 1e-3
+    exact = nm.post_markovian_evolve(L, nm.MemoryKernel(g=4.0), rho0, t)
+    coarse, fine = (nm.post_markovian_evolve(L, _HistoryExponentialKernel(4.0), rho0, t,
+                                             steps=steps).states for steps in (2000, 4000))
+    worst = max(np.abs(a - (4 * f - c) / 3).max()
+                for a, c, f in zip(exact.states, coarse, fine))
+    assert worst < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +341,18 @@ def test_coarse_grain_trajectory_valid_and_steady_limit():
     assert trace_norm(traj.states[-1] - steady) / 2.0 < 1e-3
 
 
-def test_tabulated_kernel_matches_exponential_route():
-    # a tabulated exponential kernel must reproduce the exact local embedding
+@pytest.mark.parametrize("scheme", ["memory_kernel", "post_markovian"])
+def test_tabulated_kernel_matches_exponential_route(scheme):
+    # a tabulated exponential kernel must reproduce the exact augmented embedding
+    evolve = getattr(nm, f"{scheme}_evolve")
     g = 4.0
     ts = np.linspace(0.0, 12.0, 4001)
     tab = nm.TabulatedKernel(ts, g * np.exp(-g * ts))
     L = damped_qubit_L(0.5, 0.2)
     rho0 = np.array([[0.8, 0.2], [0.2, 0.2]], dtype=complex)
     grid = np.linspace(0.0, 3.0, 7)
-    exact = nm.memory_kernel_evolve(L, nm.MemoryKernel(g=g), rho0, grid)
-    hist = nm.memory_kernel_evolve(L, tab, rho0, grid, steps=3000)
+    exact = evolve(L, nm.MemoryKernel(g=g), rho0, grid)
+    hist = evolve(L, tab, rho0, grid, steps=3000)
     worst = max(np.abs(a - b).max() for a, b in zip(exact.states, hist.states))
     assert worst < 2e-3
     with pytest.raises(ValueError):
@@ -343,7 +361,7 @@ def test_tabulated_kernel_matches_exponential_route():
 
 class _HistoryExponentialKernel:
     """g e^{-g t} routed through the history quadrature instead of the exact
-    local embedding."""
+    augmented embedding."""
 
     kind = "history"
 
@@ -362,29 +380,25 @@ def test_history_quadrature_is_second_order(scheme):
     L = damped_qubit_L(0.5, 0.2)
     rho0 = np.array([[0.8, 0.2], [0.2, 0.2]], dtype=complex)
     t = np.array([0.0, 1.0, 2.0])
-    if scheme == "memory_kernel":
-        exact = nm.memory_kernel_evolve(L, nm.MemoryKernel(g=g), rho0, t, dt_max=1e-3)
-        run = lambda steps: nm.memory_kernel_evolve(L, _HistoryExponentialKernel(g), rho0, t,
-                                                    steps=steps)
-    else:
-        exact = nm.post_markovian_evolve(L, nm.MemoryKernel(g=g), rho0, t)
-        run = lambda steps: nm.post_markovian_evolve(L, nm.MemoryKernel(g=g), rho0, t,
-                                                     cond_threshold=0.0, steps=steps)
+    evolve = getattr(nm, f"{scheme}_evolve")
+    exact = evolve(L, nm.MemoryKernel(g=g), rho0, t)
+    run = lambda steps: evolve(L, _HistoryExponentialKernel(g), rho0, t, steps=steps)
     errors = [max(np.abs(a - b).max() for a, b in zip(exact.states, run(steps).states))
               for steps in (100, 200, 400)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.5 < coarse / fine < 4.5
 
 
-def test_memory_kernel_unstable_step_raises():
+@pytest.mark.parametrize("kernel", [nm.MemoryKernel(g=4.0), _HistoryExponentialKernel(4.0)],
+                         ids=["exponential", "history"])
+def test_memory_kernel_trace_drift_raises(kernel):
     from openqdyn.errors import StepSizeError
 
-    L = damped_qubit_L()
+    # a generator that does not annihilate the trace drifts it on either route
+    L = damped_qubit_L() - 0.1 * np.eye(4)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    # force a step far beyond the stability limit of the one-step update
     with pytest.raises(StepSizeError):
-        nm.memory_kernel_evolve(L, nm.MemoryKernel(g=50.0), rho0,
-                                np.array([0.0, 50.0]), dt_max=1.0)
+        nm.memory_kernel_evolve(L, kernel, rho0, np.array([0.0, 1.0]), steps=100)
 
 
 def test_coarse_grain_brute_force_double_integral_oracle():

@@ -24,6 +24,8 @@ from .operators import rand_density_matrix, rand_pure_state
 TOL_HERM = 1e-12
 #: default tolerance for positive semidefiniteness (absolute on eigenvalues)
 TOL_PSD = 1e-10
+#: bytes of one stack of generators that :func:`_time_split` takes at once
+_STACK_BYTES = 8 * 2 ** 20
 
 
 def _as_square(M, name="matrix"):
@@ -236,6 +238,8 @@ def propagate_time_dependent(gen, t0, t1, steps):
     uniform grid with the generator frozen at the left endpoint of each step.
     Converges to the time-ordered propagator as ``steps`` grows; the leading
     error is O(1/steps), so callers estimate accuracy by doubling ``steps``.
+    The generators are exponentiated and multiplied in stacks of at most
+    ``_STACK_BYTES`` (see :func:`_time_split`).
     """
     if t1 < t0:
         raise ValueError(f"t1={t1} must not precede t0={t0}")
@@ -245,14 +249,48 @@ def propagate_time_dependent(gen, t0, t1, steps):
         dim = _as_square(gen(t0), "generator output").shape[0]
         return np.eye(dim, dtype=complex)
     dt = (t1 - t0) / steps
-    P = None
+    P, stack, times = None, [], []
     for j in range(steps):
-        G = _as_square(gen(t0 + j * dt), "generator output")
-        if not np.all(np.isfinite(G)):
-            raise MagnitudeError(f"generator non-finite at t={t0 + j * dt}")
-        step = expm(dt * G)
-        P = step if P is None else step @ P
+        times.append(t0 + j * dt)
+        stack.append(_as_square(gen(times[-1]), "generator output"))
+        if j == steps - 1 or stack[0].nbytes * (len(stack) + 1) > _STACK_BYTES:
+            if P is None:
+                P = np.eye(len(stack[0]), dtype=complex)
+            P = _time_split(np.array(stack), times, np.full(len(stack), dt), P,
+                            [len(stack) - 1])[0]
+            stack, times = [], []
     return P
+
+
+def _time_split(G, times, dt, X, ends):
+    """``E_j ... E_1 E_0 X`` for every index j in ``ends`` (ascending, the last
+    one ``len(G) - 1``), with E_i = e^{dt[i] G[i]}: the time-splitting product
+    of a stack of generators, G[i] frozen over [times[i], times[i] + dt[i]].
+
+    Every E_i is zero off the exact-zero blocks of the stack's union pattern,
+    so each block is exponentiated for the whole stack in one scipy call, and
+    the product is accumulated one block row at a time, (E X)[b] = E[b, b] X[b].
+    Raises :class:`MagnitudeError` on a non-finite generator or an overflow.
+    """
+    finite = np.isfinite(G).all(axis=(1, 2))
+    if not finite.all():
+        raise MagnitudeError(f"generator non-finite at t={times[np.argmin(finite)]}")
+    blocks = _blocks((G != 0).any(axis=0))
+    dt = np.asarray(dt)[:, None, None]
+    steps = [scipy.linalg.expm(dt * (G if len(blocks) == 1 else G[:, b[:, None], b]))
+             for b in blocks]
+    if not all(np.all(np.isfinite(E)) for E in steps):
+        raise MagnitudeError("matrix exponential overflowed; norm too extreme")
+    out = np.zeros((len(ends),) + X.shape, dtype=complex)
+    for b, E in zip(blocks, steps):
+        cols = np.flatnonzero(X[b].any(axis=0))    # the other columns stay zero
+        Xb, k = X[np.ix_(b, cols)], 0
+        for j, Ej in enumerate(E):
+            Xb = Ej @ Xb
+            if j == ends[k]:
+                out[k][np.ix_(b, cols)] = Xb
+                k += 1
+    return out
 
 
 def hs_basis(dim):

@@ -23,13 +23,14 @@ import numpy as np
 from .errors import SingularMapError, StepSizeError
 from .gksl import hamiltonian_superop
 from .liouville import (
+    _STACK_BYTES,
     _as_square,
+    _time_split,
     apply_superop,
     devectorize,
     expm,
     left_multiply_superop,
     propagate_semigroup,
-    propagate_time_dependent,
     right_multiply_superop,
     vectorize,
 )
@@ -241,23 +242,46 @@ def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     coefficients carry the time dependence.  At t = 0 the dissipative part
     vanishes.
 
+    ``t`` is a horizon or a 1-D array of m horizons, which gives the
+    (m, N^2, N^2) stack of generators from one Bohr decomposition and one
+    Gamma table over every (t, w); each slice equals the generator at that
+    horizon alone up to rounding.
+
     Over the blocks B_(w,l) = A_l(w), with c[(w,l),(w',k)] = Gamma^t_kl(w),
     the dissipator is sum (c + c^dag)_ab B_a rho B_b^dag - Q rho - rho Q^dag
     with Q = sum c_ab B_b^dag B_a.
     """
-    K = len(system.couplings)
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError("horizon t must be a number or a 1-D array")
+    ts = np.atleast_1d(t)
+    n, K = system.dim, len(system.couplings)
     freqs, fi, ki, B = _bohr_stack(system, bin_tol)
-    gam = np.array([finite_time_gamma(bath, w, t, system.coupling_pattern, n_couplings=K)
-                    for w in freqs], dtype=complex).reshape(len(freqs), K, K)
-    c = gam[fi[:, None], ki[None, :], ki[:, None]]
-    Q = np.einsum("ab,bji,ajk->ik", c, B.conj(), B)
-    D = (_operator_sum_superop(B, c + c.conj().T, B)
-         - left_multiply_superop(Q) - right_multiply_superop(Q.conj().T))
-    return hamiltonian_superop(system.H) + float(alpha) ** 2 * D
+    gam = np.empty((len(ts), len(freqs), K, K), dtype=complex)
+    for i, w in enumerate(freqs):
+        gam[:, i] = finite_time_gamma(bath, w, ts, system.coupling_pattern, n_couplings=K)
+    c = gam[:, fi[:, None], ki[None, :], ki[:, None]]
+    Q = np.einsum("tab,bji,ajk->tik", c, B.conj(), B)
+    D = _operator_sum_superop(B, c + c.conj().transpose(0, 2, 1), B)
+    D = D.reshape(len(ts), n, n, n, n)       # [t, j, i, l, k]: row j*N+i, column l*N+k
+    for j in range(n):
+        D[:, j, :, j, :] -= Q                 # Q rho
+        D[:, :, j, :, j] -= Q.conj()          # rho Q^dag
+    D *= float(alpha) ** 2
+    L = D.reshape(len(ts), n * n, n * n)
+    L += hamiltonian_superop(system.H)
+    return L if t.ndim else L[0]
 
 
 def tcl2_evolve(system, bath, rho0, t_grid, alpha=1.0, substeps=8, bin_tol=None):
     """Propagate under the TCL2 generator with the time-splitting product.
+
+    Each output interval is split into ``substeps`` equal steps with the
+    generator frozen at the left endpoint of each, as in
+    :func:`propagate_time_dependent`.  The generators come from
+    :func:`tcl2_generator` on chunks of whole intervals whose stack fits
+    ``_STACK_BYTES`` (at least one interval), so memory is bounded however
+    long the grid.
 
     The accumulated map's minimum Choi eigenvalue is recorded at every output
     time: finite-order TCL propagation can break complete positivity, and the
@@ -265,17 +289,31 @@ def tcl2_evolve(system, bath, rho0, t_grid, alpha=1.0, substeps=8, bin_tol=None)
     """
     t = _check_grid(t_grid)
     rho0 = _as_square(rho0, "initial state")
-    gen = lambda s: tcl2_generator(system, bath, s, alpha=alpha, bin_tol=bin_tol)
-    n = system.dim
-    P = np.eye(n * n, dtype=complex)
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    n2 = system.dim ** 2
+    starts = np.concatenate([[0.0], t[:-1]])
+    live = np.flatnonzero(t > starts)            # the output times that end an interval
+    dts = (t[live] - starts[live]) / substeps
+    per = max(1, _STACK_BYTES // (16 * n2 * n2 * substeps))
+    P = np.eye(n2, dtype=complex)
     states, witnesses = [], []
-    t_prev = 0.0
-    for tt in t:
-        if tt > t_prev:
-            P = propagate_time_dependent(gen, t_prev, tt, substeps) @ P
+
+    def record(P):
         states.append(apply_superop(P, rho0))
         witnesses.append(float(is_cp(P).min_choi_eigenvalue))
-        t_prev = tt
+
+    if len(live) < len(t):                       # t[0] = 0: the identity map
+        record(P)
+    for c in range(0, len(live), per):
+        t0, dt = starts[live[c:c + per]], dts[c:c + per]
+        times = (t0[:, None] + np.arange(substeps) * dt[:, None]).ravel()
+        ends = substeps * np.arange(1, len(t0) + 1) - 1
+        stack = tcl2_generator(system, bath, times, alpha=alpha, bin_tol=bin_tol)
+        maps = _time_split(stack, times, np.repeat(dt, substeps), P, ends)
+        del stack                                # before the next chunk's stack is built
+        for P in maps:
+            record(P)
     tr_err, min_eig = _monitor(states, t)
     return Trajectory(t, states, tr_err, min_eig, min_choi_eigenvalues=witnesses)
 

@@ -475,23 +475,44 @@ def _halfline_kernel(x, t):
     return np.where(small, series, exact)
 
 
+#: quadrature-kernel entries (horizons x nodes) evaluated at once by
+#: finite_time_gamma; bounds its temporaries for any number of horizons
+_GAMMA_BLOCK = 2 ** 16
+
+
 def finite_time_gamma(bath, omega, t, coupling_pattern="position_xy", n_couplings=None):
     """Finite-horizon one-sided Fourier transform Gamma^t(omega) of the bath
     correlations: int_0^t du e^{i omega u} C(u), as a coupling-space matrix.
 
-    Converges to gamma(omega)/2 + i S(omega) as t -> infinity.
+    Converges to gamma(omega)/2 + i S(omega) as t -> infinity.  ``t`` is a
+    horizon or a 1-D array of m horizons, which gives the (m, K, K) stack of
+    matrices; each slice equals the call at that horizon alone (the horizons
+    that share a node count share one quadrature rule).  A negative horizon
+    raises ValueError.
     """
     omega = float(omega)
-    t = float(t)
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError("horizon t must be a number or a 1-D array")
+    if not np.all(t >= 0):
         raise ValueError("horizon t must be >= 0")
     w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
-    n = int(min(max(4096, 1.3 * (bath.omega_max + abs(omega)) * t), 2 ** 17))
-    x, w = _panel_nodes(0.0, bath.omega_max, bath._breakpoints(), n)
+    ts = np.atleast_1d(t)
+    nodes = np.minimum(np.maximum(4096, 1.3 * (bath.omega_max + abs(omega)) * ts),
+                       2 ** 17).astype(int)
+    i_plus, i_minus = np.empty((2, len(ts)), dtype=complex)
     T = bath.temperature
-    i_plus = np.sum(w * bath.J(x) * (_nbar(x, T) + 1.0) * _halfline_kernel(omega - x, t))
-    i_minus = np.sum(w * bath.J(x) * _nbar(x, T) * _halfline_kernel(omega + x, t))
-    return i_plus * w_plus + i_minus * w_minus
+    for n in np.unique(nodes):
+        x, w = _panel_nodes(0.0, bath.omega_max, bath._breakpoints(), n)
+        f_plus = w * bath.J(x) * (_nbar(x, T) + 1.0)
+        f_minus = w * bath.J(x) * _nbar(x, T)
+        rows = np.flatnonzero(nodes == n)
+        for r in np.array_split(rows, -(-rows.size * x.size // _GAMMA_BLOCK)):
+            tr = ts[r, None]
+            i_plus[r] = np.sum(f_plus * _halfline_kernel(omega - x, tr), axis=-1)
+            i_minus[r] = np.sum(f_minus * _halfline_kernel(omega + x, tr), axis=-1)
+    gam = i_plus[:, None, None] * w_plus + i_minus[:, None, None] * w_minus
+    return gam if t.ndim else gam[0]
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,29 @@ def test_propagate_halving_error_ratio():
     assert 1.6 < e1 / e2 < 2.4
 
 
+def test_propagate_stacks_split_under_the_byte_cap(monkeypatch):
+    """Stacks of one, two or three generators (cap below, at and above two
+    generators) give the one-stack product up to rounding, and a generator
+    whose two-level blocks are disconnected is propagated block by block."""
+    rng = np.random.default_rng(14)
+    L0, L1 = (np.kron(np.eye(2), 1j * rand_hermitian(2, rng)) for _ in range(2))
+    assert len(lv._blocks(L0 + L1)) == 2
+    gen = lambda t: L0 + np.sin(t) * L1
+    ref = lv.propagate_time_dependent(gen, 0.3, 1.7, 7)
+    for cap in (1, 2 * L0.nbytes, 3 * L0.nbytes):
+        monkeypatch.setattr(lv, "_STACK_BYTES", cap)
+        P = lv.propagate_time_dependent(gen, 0.3, 1.7, 7)
+        assert np.abs(P - ref).max() < 1e-14
+    exact = lv.expm(0.2 * gen(0.3))
+    assert np.abs(lv.propagate_time_dependent(gen, 0.3, 0.5, 1) - exact).max() < 1e-15
+
+
+def test_propagate_rejects_non_finite_generator():
+    with pytest.raises(MagnitudeError, match="t=0.5"):
+        lv.propagate_time_dependent(lambda t: np.full((2, 2), np.nan if t > 0.4 else 0.0),
+                                    0.0, 1.0, 2)
+
+
 def test_propagate_rejects_reversed_interval():
     with pytest.raises(ValueError):
         lv.propagate_time_dependent(lambda t: np.eye(2), 1.0, 0.0, 4)

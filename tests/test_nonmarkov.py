@@ -593,14 +593,18 @@ def _assert_rel_close(got, ref, rtol=1e-13):
 ORACLE_MODELS = ("qubit", "osc6", "dephasing", "random4")
 
 
-@pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
+@pytest.mark.parametrize("t", [0.0, 0.3, 2.0, np.array([0.0, 0.3, 2.0])],
+                         ids=lambda t: "stack" if np.ndim(t) else str(t))
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
 @pytest.mark.parametrize("model", ORACLE_MODELS)
 def test_tcl2_generator_matches_term_loop(model, temperature, t):
+    """A 1-D array of horizons gives the stack of the generators."""
     system = _oracle_model(model)
     bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
-    _assert_rel_close(nm.tcl2_generator(system, bath, t, alpha=0.7),
-                      _loop_tcl2_generator(system, bath, t, alpha=0.7))
+    got = nm.tcl2_generator(system, bath, t, alpha=0.7)
+    assert got.shape == np.shape(t) + (system.dim ** 2,) * 2
+    for ti, L in zip(np.atleast_1d(t), got.reshape((-1,) + got.shape[-2:])):
+        _assert_rel_close(L, _loop_tcl2_generator(system, bath, ti, alpha=0.7))
 
 
 @pytest.mark.parametrize("tau", [0.3, 2.0])
@@ -625,5 +629,105 @@ def test_generators_without_bohr_blocks_are_free(couplings):
     bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
     free = hamiltonian_superop(system.H)
     assert np.array_equal(nm.tcl2_generator(system, bath, 0.5), free)
+    assert np.array_equal(nm.tcl2_generator(system, bath, np.array([0.0, 0.5])),
+                          np.array([free, free]))
     assert np.array_equal(nm.coarse_grain_generator(system, bath, 0.5), free)
 
+
+
+# ---------------------------------------------------------------------------
+# TCL2 trajectories from generator stacks
+# ---------------------------------------------------------------------------
+
+def _loop_tcl2_evolve(system, bath, rho0, t_grid, alpha, substeps):
+    """States and Choi witnesses of the TCL2 trajectory, one
+    propagate_time_dependent call and one generator per substep per interval."""
+    from openqdyn.liouville import propagate_time_dependent
+    from openqdyn.maps import is_cp
+
+    gen = lambda s: nm.tcl2_generator(system, bath, s, alpha=alpha)
+    P = np.eye(system.dim ** 2, dtype=complex)
+    states, witnesses, t_prev = [], [], 0.0
+    for tt in t_grid:
+        if tt > t_prev:
+            P = propagate_time_dependent(gen, t_prev, tt, substeps) @ P
+        states.append(apply_superop(P, rho0))
+        witnesses.append(is_cp(P).min_choi_eigenvalue)
+        t_prev = tt
+    return states, witnesses
+
+
+TCL2_GRIDS = {"uniform": np.linspace(0.0, 2.0, 5), "nonuniform": [0.0, 0.1, 0.35, 1.0, 1.2],
+              "late_start": [0.4, 0.9, 1.5], "single_zero": [0.0],
+              "chunked": np.linspace(0.0, 1.4, 8)}
+
+
+@pytest.mark.parametrize("grid", sorted(TCL2_GRIDS))
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+@pytest.mark.parametrize("model", ["qubit", "osc4"])
+def test_tcl2_evolve_matches_per_interval_loop(model, temperature, grid, monkeypatch):
+    """States within 1e-12 of their largest entry; witnesses within 1e-12 of
+    N, the trace of the Choi matrix of a trace-preserving map.  The chunked
+    grid's 7 intervals run in stacks of two intervals, so in 4 chunks."""
+    system = wc.damped_qubit(OMEGA0) if model == "qubit" else wc.damped_oscillator(4, OMEGA0)
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
+    rho0 = np.zeros((system.dim, system.dim), dtype=complex)
+    rho0[np.ix_([0, -1], [0, -1])] = [[0.4, 0.3], [0.3, 0.6]]
+    substeps, t_grid = 4, TCL2_GRIDS[grid]
+    calls = []
+    if grid == "chunked":
+        monkeypatch.setattr(nm, "_STACK_BYTES", 2 * substeps * 16 * system.dim ** 4)
+        gen = nm.tcl2_generator
+        monkeypatch.setattr(nm, "tcl2_generator", lambda *a, **k: calls.append(a) or gen(*a, **k))
+    traj = nm.tcl2_evolve(system, bath, rho0, t_grid, alpha=0.7, substeps=substeps)
+    if grid == "chunked":
+        assert len(calls) == 4
+    monkeypatch.undo()
+    states, witnesses = _loop_tcl2_evolve(system, bath, rho0, t_grid, 0.7, substeps)
+    assert len(traj.states) == len(states) == len(t_grid)
+    for got, ref in zip(traj.states, states):
+        _assert_rel_close(got, ref, rtol=1e-12)
+    assert np.abs(np.array(traj.min_choi_eigenvalues) - witnesses).max() <= 1e-12 * system.dim
+
+
+def _osc10_tcl2(n_times):
+    system = wc.damped_oscillator(10, OMEGA0)
+    bath = wc.BathModel.ohmic(coupling=0.05, omega_c=3.0, temperature=1.0)
+    rho0 = np.diag(np.linspace(1.0, 0.0, 10)).astype(complex) / 5.0
+    return nm.tcl2_evolve(system, bath, rho0, np.linspace(0.0, 0.1 * (n_times - 1), n_times),
+                          substeps=8)
+
+
+def test_tcl2_evolve_memory_does_not_grow_with_the_grid():
+    """One stack of all 808 substep generators of the 101-time grid would take
+    130 MB; in chunks the peak is that of the 11-time grid."""
+    import tracemalloc
+
+    _osc10_tcl2(11)                      # quadrature rules and imports cached
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n_times in (11, 101):
+            tracemalloc.reset_peak()
+            _osc10_tcl2(n_times)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_tcl2_evolve_builds_generators_once_per_chunk(monkeypatch):
+    """One tcl2_generator call per chunk: as many whole intervals of 8
+    substeps as fit under the stack cap, each call with one Bohr
+    decomposition per coupling."""
+    horizons, bohr = [], []
+    gen, decompose = nm.tcl2_generator, wc.bohr_decompose
+    monkeypatch.setattr(nm, "tcl2_generator",
+                        lambda system, bath, t, **k: horizons.append(len(t)) or
+                        gen(system, bath, t, **k))
+    monkeypatch.setattr(wc, "bohr_decompose", lambda *a, **k: bohr.append(1) or decompose(*a, **k))
+    _osc10_tcl2(21)
+    per = nm._STACK_BYTES // (8 * 100 ** 2 * 16)          # intervals per chunk
+    assert horizons == [8 * per] * (20 // per) + [8 * (20 % per)] * (20 % per > 0)
+    assert len(horizons) >= 2
+    assert len(bohr) <= 2 * len(horizons) < 20 * 8

@@ -503,6 +503,28 @@ def test_finite_time_gamma_converges_to_halfline_transform():
     assert errs[2] < errs[0]
 
 
+@pytest.mark.parametrize("T", [0.0, 1.0])
+def test_finite_time_gamma_array_matches_scalar_calls(T):
+    """Horizons on both sides of the 4096-node threshold: omega_max = 120, so
+    1.3 (omega_max + |w|) 40 > 4096 while the shorter horizons take 4096."""
+    bath = ohmic(coupling=0.1, T=T)
+    assert 1.3 * bath.omega_max * 40.0 > 4096
+    ts = np.array([0.0, 0.3, 2.0, 40.0, 0.3])
+    for w in (-OMEGA0, 0.0, 2.5 * OMEGA0):
+        G = wc.finite_time_gamma(bath, w, ts, "position_xy")
+        assert G.shape == (len(ts), 2, 2)
+        for t, Gt in zip(ts, G):
+            ref = wc.finite_time_gamma(bath, w, t, "position_xy")
+            assert np.abs(Gt - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1e-300)
+
+
+def test_finite_time_gamma_rejects_negative_or_2d_horizons():
+    bath = ohmic()
+    for t in (-1.0, np.array([0.0, 1.0, -0.5]), np.ones((2, 2)), np.nan):
+        with pytest.raises(ValueError):
+            wc.finite_time_gamma(bath, OMEGA0, t, "position_xy")
+
+
 def test_all_three_presets_certify_across_temperatures():
     for T in (0.2, 0.5, 1.0, 2.0, 5.0):
         bath = ohmic(T=T)

@@ -522,6 +522,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
+        if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
+            raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
         cfg = parse_config(args.config)
         out_path = args.out or _get(cfg, "output", "path", default=None)
         if out_path is None:

@@ -12,13 +12,11 @@ from .liouville import (
     TOL_HERM,
     TOL_PSD,
     _as_square,
+    _lindblad_superop,
     _vec_columns,
-    conjugation_superop,
     devectorize,
     hs_basis,
     is_hermitian,
-    left_multiply_superop,
-    right_multiply_superop,
     vectorize,
 )
 from .maps import _map_dim, choi_of
@@ -26,20 +24,14 @@ from .maps import _map_dim, choi_of
 
 def hamiltonian_superop(H):
     """Superoperator of the coherent part rho -> -i[H, rho]."""
-    H = _as_square(H, "Hamiltonian")
-    return -1j * (left_multiply_superop(H) - right_multiply_superop(H))
+    return _lindblad_superop(H)
 
 
 def dissipator_superop(V):
     """Superoperator of the unit-rate dissipator
     rho -> V rho V^dag - (1/2){V^dag V, rho}."""
     V = _as_square(V, "jump operator")
-    VdV = V.conj().T @ V
-    return (
-        conjugation_superop(V, V.conj().T)
-        - 0.5 * left_multiply_superop(VdV)
-        - 0.5 * right_multiply_superop(VdV)
-    )
+    return _lindblad_superop(np.zeros_like(V), 0.5 * V.conj().T @ V, [V], np.eye(1))
 
 
 @dataclass
@@ -83,11 +75,11 @@ class GKSLGenerator:
 
 
 def superop_of_generator(gen):
-    """Liouvillian matrix of a GKSL generator under the global convention."""
-    L = hamiltonian_superop(gen.H)
-    for g, V in gen.jumps:
-        L = L + g * dissipator_superop(V)
-    return L
+    """Liouvillian matrix of a GKSL generator: Q = (1/2) sum_k g_k V_k^dag V_k."""
+    g = np.array([g for g, _ in gen.jumps])
+    V = np.array([V for _, V in gen.jumps], dtype=complex).reshape(-1, gen.dim, gen.dim)
+    Q = 0.5 * np.einsum("a,aji,ajk->ik", g, V.conj(), V)
+    return _lindblad_superop(gen.H, Q, V, np.diag(g))
 
 
 def time_dependent_superop(H_of_t, jumps_of_t):
@@ -97,14 +89,7 @@ def time_dependent_superop(H_of_t, jumps_of_t):
     Rates may go negative along the way (the family is then not Markovian in
     general); the divisibility witness is the arbiter in that case.
     """
-
-    def gen(t):
-        L = hamiltonian_superop(H_of_t(t))
-        for g, V in jumps_of_t(t):
-            L = L + g * dissipator_superop(V)
-        return L
-
-    return gen
+    return lambda t: superop_of_generator(GKSLGenerator(H_of_t(t), jumps_of_t(t)))
 
 
 @dataclass

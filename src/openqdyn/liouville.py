@@ -6,6 +6,10 @@ index ``j*N + i``, and the superoperator of ``rho -> A rho B`` is
 ``kron(B.T, A)``.  All superoperator matrices produced anywhere in the
 package are interchangeable under this convention.
 
+Every generator in the package, rho -> -i[H, rho] + sum_ab c_ab L_a rho R_b^dag
+- Q rho - rho Q^dag, is built by :func:`_lindblad_superop`; the ``kron``
+primitives below are the reference form of the convention.
+
 Exact-zero blocking: a matrix whose nonzero pattern splits, under a
 permutation, into disconnected diagonal blocks (a Davies generator of a
 diagonal H_S splits into its Bohr-frequency sectors, and so do its
@@ -152,6 +156,50 @@ def right_multiply_superop(B):
     """Superoperator of ``rho -> rho B``."""
     B = _as_square(B, "B")
     return np.kron(B.T, np.eye(B.shape[0]))
+
+
+def _reshuffle(M):
+    """The index reshuffle R[(a,b),(c,d)] = M[(d,b),(c,a)] on the last two
+    axes of a square matrix or a stack of them; it is its own inverse and maps
+    a column-stacked superoperator to its Choi matrix and back."""
+    n = int(round(np.sqrt(M.shape[-1])))
+    return M.reshape(M.shape[:-2] + (n,) * 4).swapaxes(-4, -1).reshape(M.shape)
+
+
+def _operator_sum_superop(left, coeffs, right):
+    """Superoperator of rho -> sum_jk coeffs[j, k] left_j rho right_k^dag; a
+    stack of coefficient matrices (..., j, k) gives the stack of superoperators.
+
+    The Choi matrix of rho -> A rho B^dag is vec(A) vec(B)^dag, so the sum's
+    Choi matrix is F_left coeffs F_right^dag over the column-stacked operators.
+    """
+    return _reshuffle(_vec_columns(left) @ coeffs @ _vec_columns(right).conj().T)
+
+
+def _lindblad_superop(H, Q=0, left=(), coeffs=np.zeros((0, 0)), right=None):
+    """Superoperator of rho -> -i[H, rho] + sum_ab coeffs[a, b] L_a rho R_b^dag
+    - Q rho - rho Q^dag, with L = ``left``, R = ``right`` (default L) and any
+    square H; a stack of Q or of coeffs gives the stack of superoperators.
+
+    The operator sum goes through its Choi matrix.  On the 4-index view
+    [j, i, l, k] (row j*N + i, column l*N + k), rho -> K rho is K[i, k] at
+    j = l and rho -> rho M is M[l, j] at i = k; here K = Q + iH, M = Q^dag - iH.
+    """
+    H = _as_square(H, "Hamiltonian")
+    n = H.shape[0]
+    left = np.asarray(left, dtype=complex).reshape(-1, n, n)
+    right = left if right is None else np.asarray(right, dtype=complex).reshape(-1, n, n)
+    K = Q + 1j * H
+    Mt = np.conj(Q) - 1j * H.T                     # M.T, indexed [j, l]
+    S = _operator_sum_superop(left, coeffs, right)
+    shape = np.broadcast_shapes(S.shape[:-2], K.shape[:-2]) + (n,) * 4
+    S = S.reshape(S.shape[:-2] + (n,) * 4)
+    if S.shape != shape:
+        S = np.broadcast_to(S, shape).copy()
+    for j in range(n):
+        S[..., j, :, j, :] -= K
+        S[..., :, j, :, j] -= Mt
+    return S.reshape(shape[:-4] + (n * n, n * n))
 
 
 def apply_superop(S, rho):

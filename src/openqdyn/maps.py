@@ -20,6 +20,8 @@ from .liouville import (
     _block_diag,
     _blocks,
     _diagonal_blocks,
+    _operator_sum_superop,
+    _reshuffle,
     _vec_columns,
     hs_basis,
     induced_trace_norm,
@@ -38,14 +40,6 @@ def _map_dim(S):
     return S, n
 
 
-def _reshuffle(M):
-    """The index reshuffle R[(a,b),(c,d)] = M[(d,b),(c,a)] on the last two
-    axes of a square matrix or a stack of them; it is its own inverse and maps
-    a column-stacked superoperator to its Choi matrix and back."""
-    n = int(round(np.sqrt(M.shape[-1])))
-    return M.reshape(M.shape[:-2] + (n,) * 4).swapaxes(-4, -1).reshape(M.shape)
-
-
 def choi_of(S):
     """Choi matrix C = sum_ij |i><j| (x) E(|i><j|) of a superoperator.
 
@@ -58,16 +52,6 @@ def choi_of(S):
 def superop_from_choi(C):
     """Inverse reshuffle of :func:`choi_of`."""
     return _reshuffle(_map_dim(C)[0])
-
-
-def _operator_sum_superop(left, coeffs, right):
-    """Superoperator of rho -> sum_jk coeffs[j, k] left_j rho right_k^dag; a
-    stack of coefficient matrices (..., j, k) gives the stack of superoperators.
-
-    The Choi matrix of rho -> A rho B^dag is vec(A) vec(B)^dag, so the sum's
-    Choi matrix is F_left coeffs F_right^dag over the column-stacked operators.
-    """
-    return _reshuffle(_vec_columns(left) @ coeffs @ _vec_columns(right).conj().T)
 
 
 class CPReport(NamedTuple):

@@ -25,16 +25,15 @@ from .gksl import hamiltonian_superop
 from .liouville import (
     _STACK_BYTES,
     _as_square,
+    _lindblad_superop,
     _time_split,
     apply_superop,
     devectorize,
     expm,
-    left_multiply_superop,
     propagate_semigroup,
-    right_multiply_superop,
     vectorize,
 )
-from .maps import _guarded_inverse, _operator_sum_superop, is_cp
+from .maps import _guarded_inverse, is_cp
 from .weakcoupling import (
     _bohr_blocks,
     _halfline_kernel,
@@ -255,21 +254,15 @@ def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     if t.ndim > 1:
         raise ValueError("horizon t must be a number or a 1-D array")
     ts = np.atleast_1d(t)
-    n, K = system.dim, len(system.couplings)
+    K = len(system.couplings)
     freqs, fi, ki, B = _bohr_stack(system, bin_tol)
     gam = np.empty((len(ts), len(freqs), K, K), dtype=complex)
     for i, w in enumerate(freqs):
         gam[:, i] = finite_time_gamma(bath, w, ts, system.coupling_pattern, n_couplings=K)
     c = gam[:, fi[:, None], ki[None, :], ki[:, None]]
     Q = np.einsum("tab,bji,ajk->tik", c, B.conj(), B)
-    D = _operator_sum_superop(B, c + c.conj().transpose(0, 2, 1), B)
-    D = D.reshape(len(ts), n, n, n, n)       # [t, j, i, l, k]: row j*N+i, column l*N+k
-    for j in range(n):
-        D[:, j, :, j, :] -= Q                 # Q rho
-        D[:, :, j, :, j] -= Q.conj()          # rho Q^dag
-    D *= float(alpha) ** 2
-    L = D.reshape(len(ts), n * n, n * n)
-    L += hamiltonian_superop(system.H)
+    alpha2 = float(alpha) ** 2
+    L = _lindblad_superop(system.H, alpha2 * Q, B, alpha2 * (c + c.conj().transpose(0, 2, 1)))
     return L if t.ndim else L[0]
 
 
@@ -416,13 +409,11 @@ def _coarse_grain_parts(system, bath, tau, alpha, table, n, freqs, stack):
     H_raw = (np.einsum("ab,aij,bjk->ik", c_tri, B, B)
              - np.einsum("ab,bij,ajk->ik", c_trin, B, B))
     Q = np.einsum("ab,aij,bjk->ik", c_sq, B, B)
-    sandwich = _operator_sum_superop(B, c_sqn, B.conj().transpose(0, 2, 1))
     alpha2 = float(alpha) ** 2
     H_cg = (alpha2 / 2.0j) * H_raw
     H_cg = (H_cg + H_cg.conj().T) / 2.0
-    Q = (Q + Q.conj().T) / 2.0
-    D = alpha2 * (sandwich - 0.5 * left_multiply_superop(Q)
-                  - 0.5 * right_multiply_superop(Q))
+    Q = alpha2 / 4.0 * (Q + Q.conj().T)
+    D = _lindblad_superop(np.zeros_like(Q), Q, B, alpha2 * c_sqn, B.conj().transpose(0, 2, 1))
     return H_cg, D
 
 

@@ -1,18 +1,18 @@
 """Liouvillian spectral analysis: relaxing classification, steady states,
 ergodic averages, and Spohn's commutant criterion.
 
-Jordan structure is never computed explicitly; a unitary-similarity (Schur)
-reduction provides the eigenvalues, which together with multiplicities is all
-the relaxing criterion needs.  Eigenvalues are always reported sorted by real
-part, then imaginary part, so results are deterministic.
+Jordan structure is never computed explicitly; one eigendecomposition gives
+the eigenvalues, which with multiplicities is all the relaxing criterion
+needs.  Eigenvalues are sorted by real part on the zero-tolerance grid, then
+by imaginary part, so rounding noise does not order a conjugate pair.
 """
 from dataclasses import dataclass, field
 from typing import List, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateSpectrumError, DimensionError
+from .gksl import hamiltonian_superop
 from .liouville import _as_square, apply_superop, devectorize, trace_norm, vectorize
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -20,7 +20,7 @@ DEFAULT_ZERO_TOL = 1e-9
 
 @dataclass
 class SpectralReport:
-    eigenvalues: np.ndarray          # sorted by (real, imag)
+    eigenvalues: np.ndarray          # sorted by (real on the tolerance grid, imag)
     zero_multiplicity: int
     spectral_gap: float              # -max nonzero real part
     diagonalizable: bool
@@ -34,31 +34,28 @@ def _superop_scale(L):
 def liouvillian_spectrum(L, tol=DEFAULT_ZERO_TOL):
     """Full spectrum of a Liouvillian with zero-cluster identification.
 
-    Eigenvalues come from a Schur reduction; the zero cluster is
-    ``|lambda| <= tol * ||L||``.  The diagonalizability flag is a
-    tolerance-level statement from the conditioning of an eigenvector matrix,
-    not a Jordan-form computation.
+    One ``eig`` call; the zero cluster is ``|lambda| <= tol * ||L||``.  The
+    sort key is the real part divided by that tolerance and rounded (the real
+    part itself when the tolerance is not positive), then the imaginary part.
+    The diagonalizability flag is a tolerance-level statement from the
+    conditioning of the eigenvectors, not a Jordan-form computation.
     """
     L = _as_square(L, "Liouvillian")
     scale = _superop_scale(L)
-    T, _ = scipy.linalg.schur(L.astype(complex), output="complex")
-    lam = np.diag(T)
-    lam = lam[np.lexsort((lam.imag, lam.real))]
-    zero_mask = np.abs(lam) <= tol * scale
+    lam, V = np.linalg.eig(L)
+    grid = tol * scale
+    re = np.round(lam.real / grid) if grid > 0 else lam.real
+    lam = lam[np.lexsort((lam.imag, re))]
+    zero_mask = np.abs(lam) <= grid
     zero_mult = int(zero_mask.sum())
     nonzero = lam[~zero_mask]
     gap = float(-nonzero.real.max()) if nonzero.size else float("inf")
-    try:
-        _, V = np.linalg.eig(L)
-        diagonalizable = np.linalg.cond(V) < 1e10
-    except np.linalg.LinAlgError:
-        diagonalizable = False
     return SpectralReport(
         eigenvalues=lam,
         zero_multiplicity=zero_mult,
         spectral_gap=gap,
-        diagonalizable=bool(diagonalizable),
-        zero_tolerance=tol * scale,
+        diagonalizable=bool(np.linalg.cond(V) < 1e10),
+        zero_tolerance=grid,
     )
 
 
@@ -217,22 +214,13 @@ def spohn_check(jumps, tol=1e-12):
     """
     if not jumps:
         raise ValueError("empty jump set")
-    n = _as_square(jumps[0], "jump").shape[0]
-    rows = []
-    for V in jumps:
-        V = _as_square(V, "jump")
-        if V.shape[0] != n:
-            raise DimensionError("jump operators have mixed dimensions")
-        rows.append(np.kron(np.eye(n), V) - np.kron(V.T, np.eye(n)))
-    M = np.vstack(rows)
+    jumps = [_as_square(V, "jump") for V in jumps]
+    if any(V.shape != jumps[0].shape for V in jumps):
+        raise DimensionError("jump operators have mixed dimensions")
+    M = np.vstack([1j * hamiltonian_superop(V) for V in jumps])    # X -> [V, X]
     s = np.linalg.svd(M, compute_uv=False)      # rows >= n^2, so len(s) = n^2
     scale = max(s.max(), 1e-300)
     commutant_dim = int(np.sum(s <= 1e-10 * scale))
-    self_adjoint = True
-    for V in jumps:
-        Vd = V.conj().T
-        vscale = max(np.abs(V).max(), 1.0)
-        if not any(np.abs(W - Vd).max() <= tol * vscale for W in jumps):
-            self_adjoint = False
-            break
+    self_adjoint = all(any(np.abs(W - V.conj().T).max() <= tol * max(np.abs(V).max(), 1.0)
+                           for W in jumps) for V in jumps)
     return SpohnReport(self_adjoint, commutant_dim, self_adjoint and commutant_dim == 1)

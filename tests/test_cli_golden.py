@@ -11,7 +11,9 @@ the cases that have no entry in ``status.json`` yet, running them on the
 checkout under ``src/``; committed goldens are never rewritten.
 ``python tests/test_cli_golden.py --diff`` runs every case and prints each
 golden line the checkout no longer reproduces, as ``file:line: old -> new``
-(and each moved ``status.json`` entry); it writes nothing.
+(and each moved ``status.json`` entry), then one summary line per moved
+file: the number of moved lines, the largest absolute change of a numeric
+cell, and whether any other cell changed; it writes nothing.
 """
 import contextlib
 import io
@@ -138,6 +140,9 @@ def _cases():
         "err_bad_rho_file": (["evolve"], _config(
             initial="state = file\nrho_file = {inputs}/obs2.csv")),
         "err_usage": (["evolve"], None),
+        "err_tol_zero": (["spectrum", "--tol", "0"], _config()),
+        "err_tol_negative": (["check", "--tol", "-1"], _config(checks="requested = cp,markov")),
+        "err_tol_nan": (["spectrum", "--tol", "nan"], _config()),
         "err_generator_before_t0_row": (["evolve"], _config(
             "dephasing", "flat", solver="output_times = 0")),
     }
@@ -191,6 +196,26 @@ def _line_differences(expected, actual):
             if e != a]
 
 
+def _move_summary(moves):
+    """``(moved lines, largest absolute change of a numeric cell, whether a
+    non-numeric cell changed)`` over the ``(lineno, old, new)`` triples of
+    :func:`_line_differences`.  Cells are the comma-separated fields of a line;
+    a line that appears, disappears or changes its cell count is a
+    non-numeric change."""
+    largest, other = 0.0, False
+    for _, e, a in moves:
+        old, new = (None if x is None else x.split(b",") for x in (e, a))
+        if old is None or new is None or len(old) != len(new):
+            other = True
+            continue
+        for x, y in zip(old, new):
+            try:
+                largest = max(largest, abs(float(x) - float(y)))
+            except ValueError:
+                other = other or x != y
+    return len(moves), largest, other
+
+
 def _first_difference(expected, actual):
     """Where two byte strings first differ, as a message."""
     lineno, e, a = _line_differences(expected, actual)[0]
@@ -214,6 +239,14 @@ def test_first_difference_names_line_and_both_texts():
     assert _first_difference(b"t,x\n", b"t,x\n0,2\n") == "line 2: expected b'', got b'0,2'"
     assert _first_difference(b"t,x\n0,1", b"t,x\n0,1\n") == \
         "line 3: expected None, got b''"
+
+
+def test_move_summary_counts_lines_and_splits_numeric_cells():
+    moves = _line_differences(b"re,im\n1.0,2.0\npass,3\n", b"re,im\n1.5,2.0\npass,2.75\n")
+    assert _move_summary(moves) == (2, 0.5, False)
+    moves = _line_differences(b"a,1\nb,2\n", b"a,1\nfail,2\n")
+    assert _move_summary(moves) == (1, 0.0, True)
+    assert _move_summary(_line_differences(b"1,2\n", b"1,2\n3\n"))[2]
 
 
 def test_cli_golden_help(capsys, monkeypatch):
@@ -268,6 +301,7 @@ def _diff_goldens():
     with open(os.path.join(GOLDEN, "status.json"), encoding="utf-8") as fh:
         status = json.load(fh)
     show = lambda line: "(none)" if line is None else line.decode()
+    moved = {}
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             got, files = run_case(name, tmp)
@@ -279,8 +313,14 @@ def _diff_goldens():
             if os.path.exists(path):
                 with open(path, "rb") as fh:
                     expected = fh.read()
-            for lineno, e, a in _line_differences(expected, data):
+            moves = _line_differences(expected, data)
+            for lineno, e, a in moves:
                 print(f"{fname}:{lineno}: {show(e)} -> {show(a)}")
+            if moves:
+                moved[fname] = _move_summary(moves)
+    for fname, (lines, largest, other) in moved.items():
+        print(f"moved {fname}: {lines} lines, max numeric |change| {largest:.3g}, "
+              f"non-numeric cells changed: {'yes' if other else 'no'}")
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

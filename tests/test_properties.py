@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from openqdyn import gksl, maps
 from openqdyn import weakcoupling as wc
-from openqdyn.liouville import conjugation_superop, expm, propagate_semigroup
+from openqdyn.liouville import (
+    _lindblad_superop,
+    conjugation_superop,
+    expm,
+    left_multiply_superop,
+    propagate_semigroup,
+    right_multiply_superop,
+)
 from openqdyn.operators import rand_hermitian
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
@@ -97,6 +104,89 @@ def test_operator_sum_superop_matches_kron_sum(dim, seed, n_left, n_right):
               for j in range(n_left) for k in range(n_right))
     got = maps._operator_sum_superop(left, c, right)
     assert np.abs(got - ref).max() < 1e-13 * _scale(ref)
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _kron_lindblad(H, Q, left, c, right):
+    """The kron reference sum of rho -> -i[H, rho] + sum_ab c_ab L_a rho R_b^dag
+    - Q rho - rho Q^dag."""
+    L = (-1j * (left_multiply_superop(H) - right_multiply_superop(H))
+         - left_multiply_superop(Q) - right_multiply_superop(Q.conj().T))
+    for a in range(len(left)):
+        for b in range(len(right)):
+            L = L + c[a, b] * conjugation_superop(left[a], right[b].conj().T)
+    return L
+
+
+@PROPERTY
+@given(DIMS, SEEDS, st.integers(0, 3), st.integers(0, 3))
+def test_lindblad_superop_matches_kron_sum(dim, seed, n_left, n_right):
+    """Non-Hermitian H and Q, different left and right operators, and empty
+    operator lists."""
+    rng = np.random.default_rng(seed)
+    H, Q = _complex(rng, dim, dim), _complex(rng, dim, dim)
+    left, right = _complex(rng, n_left, dim, dim), _complex(rng, n_right, dim, dim)
+    c = _complex(rng, n_left, n_right)
+    ref = _kron_lindblad(H, Q, left, c, right)
+    got = _lindblad_superop(H, Q, left, c, right)
+    assert np.abs(got - ref).max() < 1e-13 * _scale(ref)
+    if n_left == n_right:                  # right defaults to left
+        ref = _kron_lindblad(H, Q, left, c, left)
+        assert np.abs(_lindblad_superop(H, Q, left, c) - ref).max() < 1e-13 * _scale(ref)
+    ref = _kron_lindblad(H, Q, [], np.zeros((0, 0)), [])
+    assert np.abs(_lindblad_superop(H, Q) - ref).max() < 1e-13 * _scale(ref)
+
+
+@PROPERTY
+@given(DIMS, SEEDS, st.integers(1, 3), st.integers(0, 3),
+       st.sampled_from(["both", "Q", "coeffs"]))
+def test_lindblad_superop_stacks_match_slices(dim, seed, m, n_ops, stacked):
+    """A stack of Q, of coefficient matrices or of both gives the stack of
+    superoperators, each slice the kron reference sum of its own data."""
+    rng = np.random.default_rng(seed)
+    H, B = _complex(rng, dim, dim), _complex(rng, n_ops, dim, dim)
+    Q, c = _complex(rng, m, dim, dim), _complex(rng, m, n_ops, n_ops)
+    if stacked == "Q":
+        c[:] = c[0]
+    elif stacked == "coeffs":
+        Q[:] = Q[0]
+    got = _lindblad_superop(H, Q if stacked != "coeffs" else Q[0], B,
+                            c if stacked != "Q" else c[0])
+    assert got.shape == (m, dim * dim, dim * dim)
+    for k in range(m):
+        ref = _kron_lindblad(H, Q[k], B, c[k], B)
+        assert np.abs(got[k] - ref).max() < 1e-13 * _scale(ref)
+
+
+@PROPERTY
+@given(DIMS, SEEDS)
+def test_hamiltonian_superop_is_the_kron_commutator(dim, seed):
+    """Bitwise, for a non-Hermitian H too; a generator without jumps is its
+    Hamiltonian part alone."""
+    rng = np.random.default_rng(seed)
+    H = _complex(rng, dim, dim)
+    ref = -1j * (left_multiply_superop(H) - right_multiply_superop(H))
+    assert np.array_equal(gksl.hamiltonian_superop(H), ref)
+    H = rand_hermitian(dim, rng)
+    ref = -1j * (left_multiply_superop(H) - right_multiply_superop(H))
+    assert np.array_equal(gksl.superop_of_generator(gksl.GKSLGenerator(H=H)), ref)
+
+
+@PROPERTY
+@given(DIMS, SEEDS)
+def test_superop_of_generator_matches_kron_dissipators(dim, seed):
+    gen = _random_generator(dim, np.random.default_rng(seed))
+    ref = -1j * (left_multiply_superop(gen.H) - right_multiply_superop(gen.H))
+    for g, V in gen.jumps:
+        VdV = V.conj().T @ V
+        D = (conjugation_superop(V, V.conj().T) - 0.5 * left_multiply_superop(VdV)
+             - 0.5 * right_multiply_superop(VdV))
+        assert np.abs(gksl.dissipator_superop(V) - D).max() < 1e-13 * _scale(D)
+        ref = ref + g * D
+    assert np.abs(gksl.superop_of_generator(gen) - ref).max() < 1e-13 * _scale(ref)
 
 
 @PROPERTY

@@ -232,3 +232,24 @@ def test_spectrum_includes_lamb_shifted_precession():
     imags = np.sort(rep.eigenvalues.imag)
     assert abs(imags[0] + shifted_splitting) < 1e-10
     assert abs(imags[-1] - shifted_splitting) < 1e-10
+
+
+def test_spectrum_orders_each_real_part_by_imaginary_part():
+    """Rows sort by the real part on the zero-tolerance grid, then by the
+    imaginary part, so rounding noise in the real parts of a conjugate pair
+    does not decide their order; tol = 0 sorts by the exact (real, imag)."""
+    import openqdyn.weakcoupling as wc
+
+    gen = wc.davies_generator(wc.damped_oscillator(n_levels=6, omega0=1.0),
+                              wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0))
+    L = gen.superoperator()
+    rep = spectra.liouvillian_spectrum(L)
+    snapped = np.round(rep.eigenvalues.real / rep.zero_tolerance)
+    assert np.all(np.diff(snapped) >= 0)
+    tied = np.diff(snapped) == 0
+    assert np.count_nonzero(tied & (np.abs(rep.eigenvalues.imag[1:]) > 0.1)) >= 4
+    assert np.all(np.diff(rep.eigenvalues.imag)[tied] >= 0)
+    exact = spectra.liouvillian_spectrum(L, tol=0.0)
+    keys = [(z.real, z.imag) for z in exact.eigenvalues]
+    assert keys == sorted(keys)
+    assert exact.zero_tolerance == 0.0

@@ -12,6 +12,7 @@ from .liouville import (
     TOL_HERM,
     TOL_PSD,
     _as_square,
+    _check_tol,
     _lindblad_superop,
     _vec_columns,
     devectorize,
@@ -217,8 +218,10 @@ def check_kossakowski_conditions(L, partitions, tol=1e-10):
     For each partition builds A_ij = Tr[P_i L(P_j)] and verifies the three
     conditions: nonpositive diagonal, nonnegative off-diagonal, vanishing
     column sums.  A sampled check: passing is evidence, a failure is a
-    counterexample.  Reports the first violation found.
+    counterexample.  Reports the first violation found.  ``tol`` must be
+    finite and nonnegative (ValueError otherwise).
     """
+    _check_tol(tol)
     L = _as_square(L, "generator")
     dim = int(round(np.sqrt(L.shape[0])))
     scale = max(np.abs(L).max(), 1.0)

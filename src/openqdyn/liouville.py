@@ -16,10 +16,14 @@ diagonal H_S splits into its Bohr-frequency sectors, and so do its
 exponentials and their Choi matrices) is exponentiated, inverted and
 diagonalized block by block.  The blocks are the connected components of
 the exact nonzero pattern: no tolerance and no basis change, so a matrix that
-is one block takes the same dense LAPACK call as without blocking.
+is one block takes the same dense kernel call as without blocking.
+
+Matrix exponentials run in numpy alone (:func:`_pade_expm`): every product
+goes through one BLAS, and importing the package loads no ``scipy.linalg``.
 """
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, MagnitudeError
 from .operators import rand_density_matrix, rand_pure_state
@@ -30,6 +34,15 @@ TOL_HERM = 1e-12
 TOL_PSD = 1e-10
 #: bytes of one stack of generators that :func:`_time_split` takes at once
 _STACK_BYTES = 8 * 2 ** 20
+#: degrees m of the diagonal Pade approximants r_m of e^A, each with the
+#: largest 1-norm theta_m of A at which r_m(A) = e^(A + dA) with
+#: ||dA|| <= 2^-53 ||A|| (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
+          (9, 2.097847961257068e0), (13, 5.371920351148152e0))
+#: coefficients b_j = (2m - j)! / (j! (m - j)!) of the numerator p_m(A) =
+#: sum_j b_j A^j of r_m = p_m(-A)^-1 p_m(A)
+_PADE = {m: [math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
+             for j in range(m + 1)] for m, _ in _THETA}
 
 
 def _as_square(M, name="matrix"):
@@ -37,6 +50,13 @@ def _as_square(M, name="matrix"):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {M.shape}")
     return M
+
+
+def _check_tol(tol):
+    """Raise ValueError unless the tolerance is finite and nonnegative: a
+    negative, NaN or infinite tolerance would flip a verdict silently."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
 def _blocks(M):
@@ -228,10 +248,59 @@ def expm(M):
     if not np.all(np.isfinite(M)):
         raise MagnitudeError("matrix exponential of non-finite input")
     blocks = _blocks(M)
-    E = _block_diag([scipy.linalg.expm(B) for B in _diagonal_blocks(M, blocks)], blocks)
-    if not np.all(np.isfinite(E)):
+    return _block_diag([_pade_expm(B) for B in _diagonal_blocks(M, blocks)], blocks)
+
+
+def _pade_expm(A):
+    """e^A of a finite square matrix, or of each matrix of a stack (..., n, n)
+    one at a time, so that the transient memory is that of one matrix.
+    Raises :class:`MagnitudeError` when a result overflows."""
+    out = np.empty_like(A)
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is checked below
+        for i in np.ndindex(A.shape[:-2]):
+            out[i] = _pade_expm_one(A[i])
+    if not np.all(np.isfinite(out)):
         raise MagnitudeError("matrix exponential overflowed; norm too extreme")
-    return E
+    return out
+
+
+def _pade_expm_one(A):
+    """e^A by scaling and squaring (Higham 2005): r_m(A) for the least degree
+    m whose theta_m bounds ||A||_1, else r_13(A / 2^s) squared s times, with
+    s from the smaller of ||A||_1 and max(||A^4||^(1/4), ||A^6||^(1/6)) (the
+    power bound of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970,
+    2009).  A diagonal matrix gives the exponential of its diagonal exactly."""
+    d = np.diagonal(A)
+    if np.count_nonzero(A) == np.count_nonzero(d):
+        return np.diag(np.exp(d))
+    norm = np.abs(A).sum(axis=0).max()
+    if not np.isfinite(norm):
+        return np.full_like(A, np.inf)
+    m = next(m for m, theta in _THETA if norm <= theta or m == 13)
+    powers = [np.eye(len(A), dtype=A.dtype), A @ A]         # A^0, A^2, A^4, ...
+    while len(powers) < (4 if m == 13 else m // 2 + 1):
+        powers.append(powers[-1] @ powers[1])
+    b, s = _PADE[m], 0
+    if m == 13:
+        eta = max(np.abs(powers[2]).sum(axis=0).max() ** 0.25,
+                  np.abs(powers[3]).sum(axis=0).max() ** (1 / 6))
+        s = max(0, math.ceil(math.log2(min(norm, eta) / _THETA[-1][1])))
+        A = A * 2.0 ** -s
+        powers = [P * 2.0 ** (-2 * k * s) for k, P in enumerate(powers)]
+        I, A2, A4, A6 = powers
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+    else:
+        U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
+        V = sum(b[2 * k] * P for k, P in enumerate(powers))
+    # r_m = p_m(A) p_m(-A)^-1 solved row by row, so that a left null vector of A
+    # (the trace of a trace-preserving generator) is kept to rounding
+    R = np.linalg.solve((V - U).T, (V + U).T).T
+    for _ in range(s):
+        R = R @ R
+    return R
 
 
 def propagate_semigroup(L, times, X):
@@ -316,8 +385,9 @@ def _time_split(G, times, dt, X, ends):
     of a stack of generators, G[i] frozen over [times[i], times[i] + dt[i]].
 
     Every E_i is zero off the exact-zero blocks of the stack's union pattern,
-    so each block is exponentiated for the whole stack in one scipy call, and
-    the product is accumulated one block row at a time, (E X)[b] = E[b, b] X[b].
+    so each block is exponentiated for the whole stack in one
+    :func:`_pade_expm` call, and the product is accumulated one block row at a
+    time, (E X)[b] = E[b, b] X[b].
     Raises :class:`MagnitudeError` on a non-finite generator or an overflow.
     """
     finite = np.isfinite(G).all(axis=(1, 2))
@@ -325,10 +395,7 @@ def _time_split(G, times, dt, X, ends):
         raise MagnitudeError(f"generator non-finite at t={times[np.argmin(finite)]}")
     blocks = _blocks((G != 0).any(axis=0))
     dt = np.asarray(dt)[:, None, None]
-    steps = [scipy.linalg.expm(dt * (G if len(blocks) == 1 else G[:, b[:, None], b]))
-             for b in blocks]
-    if not all(np.all(np.isfinite(E)) for E in steps):
-        raise MagnitudeError("matrix exponential overflowed; norm too extreme")
+    steps = [_pade_expm(dt * (G if len(blocks) == 1 else G[:, b[:, None], b])) for b in blocks]
     out = np.zeros((len(ends),) + X.shape, dtype=complex)
     for b, E in zip(blocks, steps):
         cols = np.flatnonzero(X[b].any(axis=0))    # the other columns stay zero

@@ -19,6 +19,7 @@ from .liouville import (
     _as_square,
     _block_diag,
     _blocks,
+    _check_tol,
     _diagonal_blocks,
     _operator_sum_superop,
     _reshuffle,
@@ -67,7 +68,9 @@ def is_cp(S, tol=DEFAULT_CP_TOL):
     from the eigenvalues of the Hermitian part of C.  A map that is not
     Hermiticity-preserving (non-Hermitian Choi) is reported as such and fails.
     The eigenvalues come from the exact-zero blocks of C, one block at a time.
+    ``tol`` must be finite and nonnegative (ValueError otherwise).
     """
+    _check_tol(tol)
     C = choi_of(S)
     Ch = (C + C.conj().T) / 2.0
     w = np.concatenate([np.linalg.eigvalsh(B) for B in _diagonal_blocks(Ch, _blocks(C))])
@@ -226,7 +229,9 @@ def divisibility_witness(family, tol=1e-10, cond_threshold=DEFAULT_COND_THRESHOL
     its minimum Choi eigenvalue reported; the family is Markovian on the
     sampled grid iff every intermediate map is CP.  Non-invertible samples
     mark their interval inconclusive instead of failing the whole run.
+    ``tol`` must be finite and nonnegative (ValueError otherwise).
     """
+    _check_tol(tol)
     times = [t for t, _ in family]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("sample times must be strictly increasing")

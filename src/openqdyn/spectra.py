@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionError
 from .gksl import hamiltonian_superop
-from .liouville import _as_square, apply_superop, devectorize, trace_norm, vectorize
+from .liouville import _as_square, _check_tol, apply_superop, devectorize, trace_norm, vectorize
 
 DEFAULT_ZERO_TOL = 1e-9
 
@@ -36,10 +36,12 @@ def liouvillian_spectrum(L, tol=DEFAULT_ZERO_TOL):
 
     One ``eig`` call; the zero cluster is ``|lambda| <= tol * ||L||``.  The
     sort key is the real part divided by that tolerance and rounded (the real
-    part itself when the tolerance is not positive), then the imaginary part.
+    part itself when the tolerance is zero), then the imaginary part.
     The diagonalizability flag is a tolerance-level statement from the
-    conditioning of the eigenvectors, not a Jordan-form computation.
+    conditioning of the eigenvectors, not a Jordan-form computation.  ``tol``
+    must be finite and nonnegative (ValueError otherwise).
     """
+    _check_tol(tol)
     L = _as_square(L, "Liouvillian")
     scale = _superop_scale(L)
     lam, V = np.linalg.eig(L)
@@ -116,7 +118,9 @@ def steady_states(L, tol=DEFAULT_ZERO_TOL, rng=None):
     projectors kept when they are themselves steady, which recovers the
     extreme points in the commuting case.  At least one state is always
     returned (the ergodic average of the maximally mixed state as fallback).
+    ``tol`` must be finite and nonnegative (ValueError otherwise).
     """
+    _check_tol(tol)
     L = _as_square(L, "Liouvillian")
     n = int(round(np.sqrt(L.shape[0])))
     scale = _superop_scale(L)

@@ -357,3 +357,11 @@ def test_kossakowski_of_superop_matches_definition(dim, rotate):
         assert np.abs(kf.a - chi[:-1, :-1]).max() < 1e-13 * scale
         assert np.abs(kf.H - 0.5j * (F - F.conj().T)).max() < 1e-13 * scale
         assert len(kf.basis) == m
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_kossakowski_conditions_reject_bad_tolerance(tol):
+    L = gksl.superop_of_generator(damped_qubit_generator())
+    parts = [[np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]]
+    with pytest.raises(ValueError, match="tol"):
+        gksl.check_kossakowski_conditions(L, parts, tol=tol)

@@ -69,6 +69,72 @@ def test_expm_rejects_nonfinite():
         lv.expm(np.array([[1e309 if False else np.nan, 0.0], [0.0, 0.0]]))
 
 
+
+# -- the numpy scaling-and-squaring kernel, against scipy.linalg.expm ---------
+
+def _decaying(rng, n, norm):
+    """Random complex n x n matrix of 1-norm ``norm``, shifted so that every
+    eigenvalue has a negative real part, like a generator's."""
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A *= norm / np.abs(A).sum(axis=0).max()
+    return A - (np.linalg.eigvals(A).real.max() + 0.1 * norm) * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 20, 50])
+def test_pade_expm_matches_scipy(n):
+    """Every Pade degree (the theta_m edges) and scaling up to 1-norm 1e3."""
+    import scipy.linalg
+
+    rng = np.random.default_rng(n)
+    edges = [theta * f for _, theta in lv._THETA for f in (0.99, 1.01)]
+    for norm in list(np.logspace(-8, 3, 12)) + edges:
+        A = _decaying(rng, n, norm)
+        ref = scipy.linalg.expm(A)
+        assert np.abs(lv._pade_expm(A) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 100.0])
+def test_pade_expm_jordan_block_closed_form(t):
+    """e^{t(-I + N)} = e^{-t} sum_k (tN)^k / k! for the nilpotent shift N."""
+    from math import factorial
+
+    N = np.eye(6, k=1, dtype=complex)
+    ref = np.exp(-t) * sum(np.linalg.matrix_power(t * N, k) / factorial(k) for k in range(6))
+    got = lv._pade_expm(t * (N - np.eye(6)))
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_pade_expm_stack_equals_its_slices():
+    rng = np.random.default_rng(21)
+    G = np.array([_decaying(rng, 9, norm) for norm in (1e-3, 0.5, 3.0, 40.0)])
+    G[1] = np.diag(np.diag(G[1]))
+    E = lv._pade_expm(G.reshape(2, 2, 9, 9))
+    for i, A in enumerate(G):
+        assert np.array_equal(E[divmod(i, 2)], lv._pade_expm(A))
+
+
+def test_pade_expm_diagonal_is_exp_bitwise():
+    d = np.array([-3.0 + 1j, 0.0, 2.5, -40.0 - 7j, 1e-9j])
+    assert np.array_equal(lv._pade_expm(np.diag(d)), np.diag(np.exp(d)))
+    assert np.array_equal(lv.expm(np.diag(d)), np.diag(np.exp(d)))
+
+
+def test_pade_expm_one_by_one_and_zero():
+    assert np.array_equal(lv._pade_expm(np.array([[2.0 - 1j]])), np.array([[np.exp(2.0 - 1j)]]))
+    assert np.array_equal(lv._pade_expm(np.zeros((4, 4), dtype=complex)), np.eye(4))
+    assert np.array_equal(lv.expm(np.zeros((1, 1))), np.ones((1, 1)))
+
+
+def test_pade_expm_overflow_raises():
+    big = np.array([[800.0, 1.0], [0.0, 1.0]], dtype=complex)
+    for M in (big, np.diag([800.0, 1.0]), np.full((3, 3), 1e306), np.full((3, 3), 1e308)):
+        with pytest.raises(MagnitudeError, match="overflow"):
+            lv.expm(M)
+    with pytest.raises(MagnitudeError, match="overflow"):
+        lv._pade_expm(np.array([np.eye(2), big]))
+    with pytest.raises(MagnitudeError, match="non-finite"):
+        lv.expm(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
 def test_trotter_commuting_exact():
     rng = np.random.default_rng(5)
     A = rand_hermitian(3, rng)

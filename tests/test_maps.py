@@ -332,3 +332,25 @@ def test_tensor_stability_of_cp():
         big = _tensor_with_identity(S, 2)
         assert maps.is_cp(big).verdict
         assert maps.is_trace_preserving(big)
+
+
+BAD_TOLS = pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+
+
+@BAD_TOLS
+def test_is_cp_rejects_bad_tolerance(tol):
+    """A negative or NaN tolerance used to fail a CPTP map silently."""
+    E = expm(superop_of_generator(GKSLGenerator(H=0.5 * sigma_z, jumps=[(0.4, sigma_z)])))
+    assert maps.is_cp(E).verdict
+    with pytest.raises(ValueError, match="tol"):
+        maps.is_cp(E, tol=tol)
+
+
+@BAD_TOLS
+def test_divisibility_witness_rejects_bad_tolerance(tol):
+    L = superop_of_generator(GKSLGenerator(H=0.5 * sigma_z, jumps=[(0.4, sigma_z)]))
+    family = [(t, expm(t * L)) for t in (0.5, 1.0)]
+    with pytest.raises(ValueError, match="tol"):
+        maps.divisibility_witness(family, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        maps.divisibility_witness(family[:1], tol=tol)     # no interval to test

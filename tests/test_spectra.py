@@ -253,3 +253,27 @@ def test_spectrum_orders_each_real_part_by_imaginary_part():
     keys = [(z.real, z.imag) for z in exact.eigenvalues]
     assert keys == sorted(keys)
     assert exact.zero_tolerance == 0.0
+
+
+BAD_TOLS = pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+
+
+@BAD_TOLS
+def test_liouvillian_spectrum_rejects_bad_tolerance(tol):
+    """A negative or NaN tolerance used to report zero multiplicity 0."""
+    with pytest.raises(ValueError, match="tol"):
+        spectra.liouvillian_spectrum(damped_qubit_L(), tol=tol)
+
+
+@BAD_TOLS
+def test_is_relaxing_rejects_bad_tolerance(tol):
+    """A negative or NaN tolerance used to answer ``degenerate-zero``."""
+    assert spectra.is_relaxing(damped_qubit_L()).verdict
+    with pytest.raises(ValueError, match="tol"):
+        spectra.is_relaxing(damped_qubit_L(), tol=tol)
+
+
+@BAD_TOLS
+def test_steady_states_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        spectra.steady_states(damped_qubit_L(), tol=tol)

@@ -371,6 +371,33 @@ def test_import_leaves_quadrature_and_sparse_modules_unloaded():
     assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
+
+def test_import_and_qubit_runs_leave_scipy_linalg_unloaded(tmp_path):
+    """Matrix exponentials run in numpy alone, so neither the import nor a
+    qubit ``derive``, ``evolve`` and ``nonmarkov`` run (``tcl2`` and
+    ``coarse_grain``) loads ``scipy.linalg``, whose import is most of the
+    package's start-up time."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = []
+    for verb, scheme in [("derive", "markov"), ("evolve", "markov"), ("nonmarkov", "tcl2"),
+                         ("nonmarkov", "coarse_grain")]:
+        cfg = tmp_path / f"{verb}_{scheme}.cfg"
+        cfg.write_text("[model]\npreset = damped_qubit\nomega0 = 1.0\n"
+                       "[bath]\ntype = ohmic\nalpha = 0.1\nomega_c = 3.0\ntemperature = 1.0\n"
+                       f"[solver]\nscheme = {scheme}\nt_final = 1.0\nsteps = 2\nsubsteps = 2\n"
+                       f"[output]\npath = {tmp_path / (cfg.stem + '.csv')}\n")
+        args += [verb, str(cfg)]
+    code = ("import sys, openqdyn, openqdyn.cli\n"
+            "print([openqdyn.cli.main([verb, '--config', cfg])\n"
+            "       for verb, cfg in zip(sys.argv[1::2], sys.argv[2::2])],\n"
+            "      'scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code] + args, capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0] False"
+
 def test_gamma_matrices_psd_every_block():
     system = wc.damped_qubit(OMEGA0)
     bath = ohmic()

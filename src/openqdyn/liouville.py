@@ -43,6 +43,9 @@ _THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.5041789961
 #: sum_j b_j A^j of r_m = p_m(-A)^-1 p_m(A)
 _PADE = {m: [math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
              for j in range(m + 1)] for m, _ in _THETA}
+#: theta_13 for the power bound max(||A^4||^(1/4), ||A^6||^(1/6)) in place of
+#: ||A||_1 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009)
+_THETA13_POWERS = 4.25
 
 
 def _as_square(M, name="matrix"):
@@ -266,10 +269,12 @@ def _pade_expm(A):
 
 def _pade_expm_one(A):
     """e^A by scaling and squaring (Higham 2005): r_m(A) for the least degree
-    m whose theta_m bounds ||A||_1, else r_13(A / 2^s) squared s times, with
-    s from the smaller of ||A||_1 and max(||A^4||^(1/4), ||A^6||^(1/6)) (the
-    power bound of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970,
-    2009).  A diagonal matrix gives the exponential of its diagonal exactly."""
+    m whose theta_m bounds ||A||_1, else r_13(A / 2^s) squared s times.  For
+    degree 13, s brings max(||A^4||^(1/4), ||A^6||^(1/6)) / 2^s under theta_13
+    and then takes the squarings of :func:`_pade13_extra_squarings` (Al-Mohy &
+    Higham 2009); the 1-norm alone would overscale a non-normal A and lose
+    accuracy in the squarings.  A diagonal matrix gives the exponential of its
+    diagonal exactly."""
     d = np.diagonal(A)
     if np.count_nonzero(A) == np.count_nonzero(d):
         return np.diag(np.exp(d))
@@ -282,9 +287,11 @@ def _pade_expm_one(A):
         powers.append(powers[-1] @ powers[1])
     b, s = _PADE[m], 0
     if m == 13:
-        eta = max(np.abs(powers[2]).sum(axis=0).max() ** 0.25,
-                  np.abs(powers[3]).sum(axis=0).max() ** (1 / 6))
-        s = max(0, math.ceil(math.log2(min(norm, eta) / _THETA[-1][1])))
+        # eta <= ||A||_1; the min keeps s finite when A^6 overflows
+        eta = min(norm, max(np.abs(powers[2]).sum(axis=0).max() ** 0.25,
+                            np.abs(powers[3]).sum(axis=0).max() ** (1 / 6)))
+        s = max(0, math.ceil(math.log2(eta / _THETA13_POWERS))) if eta > 0 else 0
+        s += _pade13_extra_squarings(A * 2.0 ** -s)
         A = A * 2.0 ** -s
         powers = [P * 2.0 ** (-2 * k * s) for k, P in enumerate(powers)]
         I, A2, A4, A6 = powers
@@ -301,6 +308,28 @@ def _pade_expm_one(A):
     for _ in range(s):
         R = R @ R
     return R
+
+
+def _pade13_extra_squarings(B):
+    """ell(B, 13) of Al-Mohy & Higham (2009): the least k >= 0 such that
+    c ||(|B| / 2^k)^27||_1 / ||B / 2^k||_1 <= 2^-53, with c = 13!^2 / (26! 27!)
+    the leading coefficient of the backward error of r_13.  A power bound
+    below ||B||_1 can underscale a non-normal B; this restores the squarings
+    that the rounding of r_13(B) needs.  ||  |B|^27 ||_1 is the largest entry of
+    1^T |B|^27, taken in log2 one product at a time so that it cannot
+    overflow."""
+    absB = np.abs(B)
+    v, log_norm = np.ones(len(B)), 0.0
+    for _ in range(27):
+        v = v @ absB
+        top = v.max()
+        if top == 0:
+            return 0
+        log_norm += math.log2(top)
+        v /= top
+    log_c = math.log2(math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27)))
+    log_alpha = log_c + log_norm - math.log2(absB.sum(axis=0).max())
+    return max(0, math.ceil((log_alpha + 53) / 26))
 
 
 def propagate_semigroup(L, times, X):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,13 @@ def test_expm_zero_and_nilpotent():
     assert np.allclose(lv.expm(np.zeros((3, 3))), np.eye(3))
     N = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(lv.expm(N), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # 1-norm above theta_13: degree 13 with scaling, on powers that vanish
+    assert np.allclose(lv.expm(6 * N), np.array([[1.0, 6.0], [0.0, 1.0]]))
+    S = 4 * np.diag(np.sqrt(np.arange(1.0, 4.0)), -1)          # 4 * create(4)
+    E = np.eye(4)
+    for k in range(1, 4):
+        E = E + np.linalg.matrix_power(S, k) / math.factorial(k)
+    assert np.abs(lv.expm(S) - E).max() < 1e-13 * np.abs(E).max()
 
 
 def test_expm_commuting_factorizes():
@@ -104,6 +113,45 @@ def test_pade_expm_jordan_block_closed_form(t):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_pade_expm_non_normal_is_not_overscaled(monkeypatch):
+    """[[a, c], [0, b]] with c = 1e6: e^a, e^b on the diagonal and
+    c e^b expm1(a - b) / (a - b) above it.  The power bound scales by 2^-4 and
+    the rounding guard adds no squaring; the 18 squarings that the 1-norm
+    alone asks for lose accuracy (2.8e-6 relative)."""
+    a, b, c = -1.0, -1.01, 1e6
+    A = np.array([[a, c], [0.0, b]])
+    ref = np.array([[math.exp(a), c * math.exp(b) * math.expm1(a - b) / (a - b)],
+                    [0.0, math.exp(b)]])
+    assert lv._pade13_extra_squarings(A / 16) == 0
+    assert np.abs(lv.expm(A) - ref).max() <= 1e-13 * np.abs(ref).max()
+    monkeypatch.setattr(lv, "_pade13_extra_squarings", lambda B: 14)
+    assert np.abs(lv.expm(A) - ref).max() > 1e-8 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("x, s", [(2.2, 0), (4.2, 0), (4.5, 1), (8.4, 1), (8.6, 2)])
+def test_pade13_scaling_from_power_bound(monkeypatch, x, s):
+    """[[0, x], [x, 0]] squares to x^2 I, so the power bound is x and degree 13
+    (x > theta_9) runs on A / 2^s with the least s that brings x / 2^s under
+    4.25."""
+    A = np.array([[0.0, x], [x, 0.0]])
+    seen = []
+    monkeypatch.setattr(lv, "_pade13_extra_squarings", lambda B: seen.append(B) or 0)
+    lv.expm(A)
+    assert len(seen) == 1 and np.array_equal(seen[0], A / 2 ** s)
+
+
+@pytest.mark.parametrize("k, ell", [(10.0, 2), (100.0, 6)])
+def test_pade13_extra_squarings(k, ell):
+    """B = k [[1, -1], [1, -1]] has |B|^27 = k^27 2^26 J, so
+    ell = ceil(log2((2k)^26 2^53 13!^2 / (26! 27!)) / 26): ceil(1.88) = 2 at
+    k = 10, ceil(5.20) = 6 at k = 100.  B^2 = 0, so e^B = I + B."""
+    B = k * np.array([[1.0, -1.0], [1.0, -1.0]])
+    assert lv._pade13_extra_squarings(B) == ell
+    assert np.abs(lv.expm(B) - (np.eye(2) + B)).max() <= 1e-12 * 2 * k
+    assert lv._pade13_extra_squarings(np.eye(3, k=1) * 1e3) == 0   # |B|^27 = 0
+    assert lv._pade13_extra_squarings(np.full((3, 3), 0.1)) == 0
+
+
 def test_pade_expm_stack_equals_its_slices():
     rng = np.random.default_rng(21)
     G = np.array([_decaying(rng, 9, norm) for norm in (1e-3, 0.5, 3.0, 40.0)])
@@ -127,7 +175,8 @@ def test_pade_expm_one_by_one_and_zero():
 
 def test_pade_expm_overflow_raises():
     big = np.array([[800.0, 1.0], [0.0, 1.0]], dtype=complex)
-    for M in (big, np.diag([800.0, 1.0]), np.full((3, 3), 1e306), np.full((3, 3), 1e308)):
+    for M in (big, np.diag([800.0, 1.0]), np.full((3, 3), 1e306), np.full((3, 3), 1e308),
+              np.array([[0.0, 1e60], [1e60, 0.0]])):          # A^6 overflows
         with pytest.raises(MagnitudeError, match="overflow"):
             lv.expm(M)
     with pytest.raises(MagnitudeError, match="overflow"):

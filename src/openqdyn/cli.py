@@ -121,7 +121,7 @@ def read_matrix_csv(path):
     for lineno, vals in _csv_rows(path, "matrix file"):
         if len(vals) % 2 != 0:
             raise ConfigError(f"{path}:{lineno}: odd number of entries (need re,im pairs)")
-        rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
+        rows.append(np.asarray(vals, dtype=float).view(complex))
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ConfigError(f"{path}: matrix is not square")
     return np.array(rows, dtype=complex)
@@ -146,8 +146,7 @@ def read_map_family_csv(path):
         side = int(round((len(rest) // 2) ** 0.5))
         if not rest or 2 * side * side != len(rest):
             raise ConfigError(f"{path}:{lineno}: row does not hold a square matrix")
-        flat = [complex(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
-        family.append((vals[0], np.array(flat, dtype=complex).reshape(side, side)))
+        family.append((vals[0], np.asarray(rest, dtype=float).view(complex).reshape(side, side)))
     if len(family) < 2:
         raise ConfigError(f"{path}: family needs at least two samples")
     return family

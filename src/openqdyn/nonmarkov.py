@@ -9,6 +9,12 @@ Both integro-differential schemes take an exponential kernel exactly, as the
 semigroup of an augmented linear system in (rho, w) on twice the Liouville
 space, and any other kernel by O(dt^2) history quadrature.
 
+Both finite-horizon schemes, TCL2 and dynamical coarse graining, take their
+coefficients as one-sided Fourier transforms of the bath correlation: a
+closed-form kernel per bath frequency (the half-line integral for TCL2, the
+triangle integral for coarse graining) summed on the frequency rule of
+:meth:`BathModel.correlation_table`.
+
 Complete positivity of finite-order TCL propagation is *not* asserted; the
 solvers monitor trace and positivity of the trajectory (and the minimum Choi
 eigenvalue of the accumulated map where requested) and report violations
@@ -21,7 +27,6 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import SingularMapError, StepSizeError
-from .gksl import hamiltonian_superop
 from .liouville import (
     _STACK_BYTES,
     _as_square,
@@ -36,10 +41,11 @@ from .liouville import (
 from .maps import _guarded_inverse, is_cp
 from .weakcoupling import (
     _bohr_blocks,
-    _halfline_kernel,
-    _panel_nodes,
+    _horizons,
+    _node_counts,
     _pattern_weights,
-    _smooth_time,
+    _row_blocks,
+    _triangle_kernel,
     finite_time_gamma,
 )
 
@@ -105,6 +111,8 @@ def _check_grid(t_grid):
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0 or t[0] < 0:
         raise ValueError("t_grid must be a 1-D array starting at t >= 0")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t_grid times must be finite")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly ascending")
     return t
@@ -250,9 +258,7 @@ def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     the dissipator is sum (c + c^dag)_ab B_a rho B_b^dag - Q rho - rho Q^dag
     with Q = sum c_ab B_b^dag B_a.
     """
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1:
-        raise ValueError("horizon t must be a number or a 1-D array")
+    t = _horizons(t)
     ts = np.atleast_1d(t)
     K = len(system.couplings)
     freqs, fi, ki, B = _bohr_stack(system, bin_tol)
@@ -363,121 +369,114 @@ def tcl_from_family(samples, smoothing="central-difference", cond_threshold=1e10
 # dynamical coarse graining
 # ---------------------------------------------------------------------------
 
-def _cg_pair_integrals(table, tau, freqs, n, smooth):
+def _cg_pair_integrals(table, taus, freqs):
     """Triangle integrals of e^{-i w t1 - i w' t2} f(t1 - t2) over
-    {0 <= t2 <= t1 <= tau}, as an array [f, w, w'] over the four correlation
-    building blocks f = c_plus(u), c_minus(u), c_plus(-u), c_minus(-u).
+    {0 <= t2 <= t1 <= tau}, as an array [tau, f, w, w'] over the horizons and
+    the four correlation building blocks f = c_plus(u), c_minus(u),
+    c_plus(-u), c_minus(-u).
 
-    In difference coordinates (u = t1 - t2) the inner t2 integral is the
-    analytic half-line kernel, leaving one-dimensional quadratures in u where
-    the correlation is actually supported:
-    TRI = int_0^tau du e^{-i w u} f(u) E_{tau-u}(-(w + w')).
+    On the frequency rule ``table`` = (nu, g_plus, g_minus) of
+    :meth:`BathModel.correlation_table`, c_plus(u) = sum g_plus e^{-i nu u}
+    and c_minus(u) = sum g_minus e^{+i nu u}, so in difference coordinates
+    (u = t1 - t2, v = t2) every block is a nu-sum of the closed-form
+    I(w +- nu, w + w', tau) of :func:`_triangle_kernel`.
     """
-    breaks = [b for b in (smooth, 10.0 * smooth) if b < tau]
-    u, wu = _panel_nodes(0.0, tau, breaks, n)
-    c_plus, c_minus = table.c_plus(u), table.c_minus(u)
-    F = (wu * c_plus, wu * c_minus, wu * np.conj(c_plus), wu * np.conj(c_minus))
-    tri = np.empty((4, len(freqs), len(freqs)), dtype=complex)
-    for i, w in enumerate(freqs):
-        ph = np.exp(-1j * w * u)
-        for j, wp in enumerate(freqs):
-            weight = ph * _halfline_kernel(-(w + wp), tau - u)
-            tri[:, i, j] = [np.sum(weight * f) for f in F]
+    nu, g_plus, g_minus = table
+    taus = np.asarray(taus, dtype=float)
+    tri = np.empty((len(taus), 4, len(freqs), len(freqs)), dtype=complex)
+    for r in _row_blocks(np.arange(len(taus)), nu.size):
+        tr = taus[r, None]
+        for i, w in enumerate(freqs):
+            for j, wp in enumerate(freqs):
+                up = _triangle_kernel(w + nu, w + wp, tr)       # e^{-i nu u} terms
+                down = _triangle_kernel(w - nu, w + wp, tr)     # e^{+i nu u} terms
+                for f, (g, I) in enumerate([(g_plus, up), (g_minus, down),
+                                            (g_plus, down), (g_minus, up)]):
+                    tri[r, f, i, j] = np.sum(g * I, axis=-1)
     return tri
 
 
-def _coarse_grain_parts(system, bath, tau, alpha, table, n, freqs, stack):
-    """Lamb-shift operator and dissipator superoperator of the horizon-tau
-    coarse-grained generator (interaction picture, alpha^2 included), from
-    the Bohr frequencies and the block stack of :func:`_bohr_stack`.
-
-    Over the blocks B_a = A_k(w), B_b = A_l(w'), each part is a pair sum
-    sum_ab c_ab X_a Y_b whose coefficients weight the triangle integrals of
-    the pair (w, w') with the coupling weights of (k, l).
-    """
-    fi, ki, B = stack
-    Wp, Wm = (W[np.ix_(ki, ki)] for W in
-              _pattern_weights(system.coupling_pattern, len(system.couplings)))
-    tri = _cg_pair_integrals(table, tau, freqs, n, _smooth_time(bath))
-    square = tri + tri[[2, 3, 0, 1]].transpose(0, 2, 1)     # both time orderings
-    pair = np.ix_(fi, fi)
-    c_tri = Wp * tri[0][pair] + Wm * tri[1][pair]
-    c_trin = Wp.T * tri[2][pair] + Wm.T * tri[3][pair]
-    c_sq = Wp * square[0][pair] + Wm * square[1][pair]
-    c_sqn = Wp.T * square[2][pair] + Wm.T * square[3][pair]
-
-    H_raw = (np.einsum("ab,aij,bjk->ik", c_tri, B, B)
-             - np.einsum("ab,bij,ajk->ik", c_trin, B, B))
-    Q = np.einsum("ab,aij,bjk->ik", c_sq, B, B)
-    alpha2 = float(alpha) ** 2
-    H_cg = (alpha2 / 2.0j) * H_raw
-    H_cg = (H_cg + H_cg.conj().T) / 2.0
-    Q = alpha2 / 4.0 * (Q + Q.conj().T)
-    D = _lindblad_superop(np.zeros_like(Q), Q, B, alpha2 * c_sqn, B.conj().transpose(0, 2, 1))
-    return H_cg, D
-
-
 def coarse_grain_generator(system, bath, tau, alpha=1.0, picture="schrodinger",
-                           table=None, tol=1e-8, bin_tol=None):
+                           bin_tol=None):
     """Coarse-grained generator L-bar^tau = L^tau / tau.
 
     L^tau collects the exact second-order double-time integrals of the
     interaction over the horizon [0, tau]: a Hermitian level-shift part (the
     time-ordered commutator contraction) plus a dissipator built from the
     horizon-integrated coupling, completely positive by construction for
-    every tau.  The triangular time-ordering split is integrated in
-    difference coordinates, where the inner integral is the analytic
-    half-line kernel; the remaining one-dimensional node counts are doubled
-    until the result is stable to ``tol``.
+    every tau.  The integrals over the triangular time-ordering split are
+    taken in closed form per bath frequency and summed on the frequency rule
+    of :meth:`BathModel.correlation_table` (:func:`_cg_pair_integrals`).
 
+    ``tau`` is a horizon or a 1-D array of m horizons, which gives the
+    (m, N^2, N^2) stack of generators from one Bohr decomposition; the
+    horizons that share a node count share one frequency rule, so each slice
+    equals the generator at that horizon alone.  Every horizon must be
+    positive and finite (ValueError otherwise).
+
+    Over the blocks B_a = A_k(w), B_b = A_l(w'), each part is a pair sum
+    sum_ab c_ab X_a Y_b whose coefficients weight the triangle integrals of
+    the pair (w, w') with the coupling weights of (k, l).
     ``picture="schrodinger"`` (default) adds the free part -i[H_A, .];
     ``picture="interaction"`` returns L^tau/tau alone.
     """
-    if tau <= 0:
+    tau = _horizons(tau)
+    if not np.all(tau > 0):
         raise ValueError("coarse-graining time tau must be positive")
     if picture not in ("schrodinger", "interaction"):
         raise ValueError("picture must be 'schrodinger' or 'interaction'")
-    if table is None:
-        table = bath.correlation_table(tau)
-    freqs, *stack = _bohr_stack(system, bin_tol)
-    wmax_sys = max((abs(w) for w in freqs), default=0.0)   # sets the node count
-    n = int(max(256, 1.5 * 2.0 * wmax_sys * tau))
-    H_prev = D_prev = None
-    while True:
-        H_cg, D = _coarse_grain_parts(system, bath, tau, alpha, table, n, freqs, stack)
-        if H_prev is not None:
-            scale = max(np.abs(D).max(), np.abs(H_cg).max(), 1e-300)
-            err = max(np.abs(D - D_prev).max(), np.abs(H_cg - H_prev).max())
-            if err <= tol * scale or n >= 2 ** 16:
-                break
-        H_prev, D_prev = H_cg, D
-        n *= 2
-    L = (hamiltonian_superop(H_cg) + D) / tau
-    if picture == "schrodinger":
-        L = L + hamiltonian_superop(system.H)
-    return L
+    taus = np.atleast_1d(tau)
+    freqs, fi, ki, B = _bohr_stack(system, bin_tol)
+    nodes = _node_counts(bath, max((abs(w) for w in freqs), default=0.0), taus)
+    tri = np.empty((len(taus), 4, len(freqs), len(freqs)), dtype=complex)
+    for n in np.unique(nodes):
+        rows = np.flatnonzero(nodes == n)
+        tri[rows] = _cg_pair_integrals(bath.correlation_table(n), taus[rows], freqs)
+    square = tri + tri[:, [2, 3, 0, 1]].transpose(0, 1, 3, 2)     # both time orderings
+    Wp, Wm = (W[np.ix_(ki, ki)] for W in
+              _pattern_weights(system.coupling_pattern, len(system.couplings)))
+    pair = (slice(None), fi[:, None], fi[None, :])
+    c_tri = Wp * tri[:, 0][pair] + Wm * tri[:, 1][pair]
+    c_trin = Wp.T * tri[:, 2][pair] + Wm.T * tri[:, 3][pair]
+    c_sq = Wp * square[:, 0][pair] + Wm * square[:, 1][pair]
+    c_sqn = Wp.T * square[:, 2][pair] + Wm.T * square[:, 3][pair]
+
+    H_raw = (np.einsum("tab,aij,bjk->tik", c_tri, B, B)
+             - np.einsum("tab,bij,ajk->tik", c_trin, B, B))
+    Q = np.einsum("tab,aij,bjk->tik", c_sq, B, B)
+    alpha2 = float(alpha) ** 2
+    H_cg = (alpha2 / 2.0j) * H_raw
+    H_cg = (H_cg + H_cg.conj().transpose(0, 2, 1)) / 2.0
+    Q = alpha2 / 4.0 * (Q + Q.conj().transpose(0, 2, 1))
+    # -i[H_cg, .] - Q rho - rho Q^dag is -K rho - rho K^dag with K = Q + i H_cg
+    per_tau = 1.0 / taus[:, None, None]
+    H = system.H if picture == "schrodinger" else np.zeros_like(system.H)
+    L = _lindblad_superop(H, (Q + 1j * H_cg) * per_tau, B, alpha2 * c_sqn * per_tau,
+                          B.conj().transpose(0, 2, 1))
+    return L if tau.ndim else L[0]
 
 
 def coarse_grain_evolve(system, bath, alpha, rho0, t_grid, bin_tol=None):
     """Coarse-grained trajectory: at each output time t the horizon is tied to
     the clock, rho(t) = U_t exp(L^{tau=t}) rho0 U_t^dag.
 
-    Each output time is independent of the others.  Every state is validated
-    as a density matrix through the shared trajectory monitor.
+    Each output time is independent of the others; the generators come from
+    :func:`coarse_grain_generator` on chunks of output times whose stack fits
+    ``_STACK_BYTES``.  Every state is validated as a density matrix through
+    the shared trajectory monitor.
     """
     t = _check_grid(t_grid)
     rho0 = _as_square(rho0, "initial state")
-    table = bath.correlation_table(max(t[-1], 1e-9))
-    states = []
-    for tt in t:
-        if tt == 0.0:
-            states.append(rho0.astype(complex))
-            continue
-        L_int = coarse_grain_generator(system, bath, tt, alpha,
-                                       picture="interaction", table=table,
+    states = [rho0.astype(complex)] if t[0] == 0.0 else []
+    live = t[t > 0.0]
+    per = max(1, _STACK_BYTES // (16 * system.dim ** 4))
+    for c in range(0, len(live), per):
+        times = live[c:c + per]
+        stack = coarse_grain_generator(system, bath, times, alpha, picture="interaction",
                                        bin_tol=bin_tol)
-        rho_int = apply_superop(expm(tt * L_int), rho0)
-        U = expm(-1j * system.H * tt)
-        states.append(U @ rho_int @ U.conj().T)
+        for tt, L_int in zip(times, stack):
+            rho_int = apply_superop(expm(tt * L_int), rho0)
+            U = expm(-1j * system.H * tt)
+            states.append(U @ rho_int @ U.conj().T)
     tr_err, min_eig = _monitor(states, t)
     return Trajectory(t, states, tr_err, min_eig)

@@ -22,7 +22,6 @@ Two bath-coupling patterns are supported:
     2 pi J (nbar+1) and 2 pi J nbar on the diagonal.  This is the only
     pattern for which a zero-frequency block is meaningful.
 """
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple
@@ -171,128 +170,26 @@ class BathModel:
         im, _ = scipy.integrate.quad(plain, 0.0, self.omega_max, weight="sin", wvar=t, **kw)
         return complex(re, -im)
 
-    def correlation_table(self, t_max):
-        """Fast evaluator for the correlation's building blocks on [-t_max, t_max].
+    def correlation_table(self, n_nodes):
+        """The bath correlation as a frequency rule: composite Gauss-Legendre
+        nodes nu on [0, omega_max] (``n_nodes`` of them, split at the bath's
+        breakpoints) and the weights g_plus = w J (nbar+1), g_minus = w J nbar.
 
-        Returns an object with vectorized callables c_plus, c_minus where
-        c_plus(u) = int J (nbar+1) e^{-i w u} dw and
-        c_minus(u) = int J nbar e^{+i w u} dw.  The single-pattern
-        correlation is their sum; the quadrature-pair correlation matrix is
-        (c_plus M + c_minus conj(M))/4.
+        c_plus(u) = sum g_plus e^{-i nu u} and c_minus(u) = sum g_minus e^{+i nu u}
+        are the correlation's building blocks: the single-pattern correlation is
+        their sum, the quadrature-pair correlation matrix (c_plus M + c_minus
+        conj(M))/4.  The finite-horizon schemes (TCL2 and coarse graining) sum
+        their kernels against these weights.  Returns (nu, g_plus, g_minus).
         """
-        return _CorrelationTable(self, float(t_max))
-
-
-class _CorrelationTable:
-    """Fast evaluator for the two one-sided correlation integrals on
-    [0, t_max]: a Chebyshev interpolant where the correlation actually lives,
-    spliced to the analytic endpoint (integration-by-parts) expansion
-    c(u) ~ sum_m g^(m)(0)/(i u)^{m+1} in the far tail.
-
-    The correlation peaks at u = 0, which the interval mapping places at a
-    node-clustered endpoint, so the degree scales like sqrt(interval /
-    smoothness time)."""
-
-    _TAIL_ORDER = 4
-
-    def __init__(self, bath, t_max):
-        self.t_max = max(t_max, 1e-12)
-        smooth = _smooth_time(bath)
-        jmax_edge = float(bath.J(np.array([bath.omega_max]))[0])
-        jmax_peak = max(float(np.max(bath.J(np.linspace(1e-6, bath.omega_max, 513)))), 1e-300)
-        tail_ok = jmax_edge <= 1e-6 * jmax_peak
-        # tail expansion needs u beyond the slowest correlation decay scale
-        slow = 1.0 / bath.feature_scale
-        if bath.temperature > 0:
-            slow = max(slow, 1.0 / (2.0 * np.pi * bath.temperature))
-        self.u_split = self.t_max if not tail_ok else min(self.t_max, 60.0 * slow)
-        n_freq = int(min(max(6144, 1.8 * bath.omega_max * self.u_split), 2 ** 18))
-        x, w = _panel_nodes(0.0, bath.omega_max, bath._breakpoints(), n_freq)
-        jp = bath.J(x) * (_nbar(x, bath.temperature) + 1.0) * w
-        jm = bath.J(x) * _nbar(x, bath.temperature) * w
-        deg = int(min(max(192, 60.0 * np.sqrt(self.u_split / smooth)), 4000))
-        # Chebyshev points of the first kind, mapped to [0, u_split]
-        theta = np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1)
-        u_nodes = 0.5 * self.u_split * (np.cos(theta) + 1.0)
-        cp = np.empty(deg + 1, dtype=complex)
-        cm = np.empty(deg + 1, dtype=complex)
-        buf = np.empty((min(256, deg + 1), x.size), dtype=complex)
-        for i0 in range(0, deg + 1, 256):      # chunked: the full outer product is large
-            i1 = min(i0 + 256, deg + 1)
-            phase = buf[:i1 - i0]
-            np.multiply(-1j, np.outer(u_nodes[i0:i1], x), out=phase)
-            np.exp(phase, out=phase)
-            cp[i0:i1] = phase @ jp
-            cm[i0:i1] = np.conj(phase @ jm)         # jm is real
-        k = np.arange(deg + 1)
-        cosmat = np.cos(np.outer(k, theta))
-        self._fit_p = (2.0 / (deg + 1)) * (cosmat @ cp)
-        self._fit_m = (2.0 / (deg + 1)) * (cosmat @ cm)
-        self._fit_p[0] /= 2.0
-        self._fit_m[0] /= 2.0
-        self._tail_p = self._tail_m = None
-        if self.u_split < self.t_max:
-            window = min(bath.feature_scale,
-                         bath.temperature if bath.temperature > 0 else np.inf) / 4.0
-            nu = np.linspace(1e-9 * window, window, 9)
-            basis = np.vander(nu, self._TAIL_ORDER + 1, increasing=True)
-            coef_p, *_ = np.linalg.lstsq(
-                basis, bath.J(nu) * (_nbar(nu, bath.temperature) + 1.0), rcond=None)
-            coef_m, *_ = np.linalg.lstsq(
-                basis, bath.J(nu) * _nbar(nu, bath.temperature), rcond=None)
-            fact = np.array([math.factorial(m) for m in range(self._TAIL_ORDER + 1)],
-                            dtype=float)
-            self._tail_p = coef_p * fact          # g^(m)(0)
-            self._tail_m = coef_m * fact
-
-    def _eval_half(self, coeffs, tail, u, sign):
-        """One-sided value at |u|; Chebyshev core plus asymptotic tail.
-
-        ``sign`` is the transform orientation: +1 for int g e^{-i nu u}
-        (tail terms g^(m)(0)/(+iu)^{m+1}), -1 for int g e^{+i nu u}.
-        """
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        x = 2.0 * np.clip(u, 0.0, self.u_split) / self.u_split - 1.0
-        val = np.atleast_1d(np.polynomial.chebyshev.chebval(x, coeffs)).astype(complex)
-        if tail is not None:
-            far = u > self.u_split
-            if np.any(far):
-                uu = u[far]
-                acc = np.zeros(uu.shape, dtype=complex)
-                for m, gm in enumerate(tail):
-                    acc += gm / (sign * 1j * uu) ** (m + 1)
-                val[far] = acc
-        return val[0] if scalar else val.reshape(np.shape(x))
-
-    def c_plus(self, u):
-        u = np.asarray(u, dtype=float)
-        val = self._eval_half(self._fit_p, self._tail_p, np.abs(u), +1)
-        return np.where(u >= 0, val, np.conj(val))
-
-    def c_minus(self, u):
-        u = np.asarray(u, dtype=float)
-        val = self._eval_half(self._fit_m, self._tail_m, np.abs(u), -1)
-        return np.where(u >= 0, val, np.conj(val))
-
-    def correlation(self, u):
-        """C(u) in the single-coupling normalization, any sign of u."""
-        return self.c_plus(u) + self.c_minus(u)
+        x, w = _panel_nodes(0.0, self.omega_max, self._breakpoints(), n_nodes)
+        wj, nbar = w * self.J(x), _nbar(x, self.temperature)
+        return x, wj * (nbar + 1.0), wj * nbar
 
 
 def bath_correlation(bath, t, abs_tol=1e-8):
     """Bath correlation function C(t) (single-coupling normalization);
     module-level form of :meth:`BathModel.correlation`."""
     return bath.correlation(t, abs_tol=abs_tol)
-
-
-def _smooth_time(bath):
-    """Characteristic decay/smoothness time of C(u)."""
-    scales = [1.0 / bath.feature_scale]
-    if bath.temperature > 0:
-        scales.append(1.0 / (2.0 * np.pi * bath.temperature))
-    return min(scales)
 
 
 _LEGGAUSS_CACHE = {}
@@ -469,15 +366,84 @@ def _halfline_kernel(x, t):
     x = np.asarray(x, dtype=float)
     xt = x * t
     small = np.abs(xt) < 1e-5
+    exact = ~small
+    out = np.empty(xt.shape, dtype=complex)
+    np.multiply(1j, xt, out=out, where=exact)
+    np.exp(out, out=out, where=exact)
+    np.subtract(out, 1.0, out=out, where=exact)
+    np.divide(out, 1j * x, out=out, where=exact)
+    if small.any():
+        xs = xt[small]
+        out[small] = np.broadcast_to(t, xt.shape)[small] * (1.0 + 0.5j * xs - xs**2 / 6.0)
+    return out
+
+
+def _triangle_kernel(a, s, t):
+    """I(a, s, t) = int int_{u, v >= 0, u + v <= t} e^{-i a u - i s v} du dv.
+
+    By Hermite-Genocchi, I is the second divided difference of z -> e^{tz}
+    at the nodes 0, -ia, -is.  It is the quotient of two first divided
+    differences e^{t(p+q)/2} t sinc(t(p-q)/2i), each accurate to rounding
+    for every argument (the quotient form of :func:`_halfline_kernel` loses
+    eps/|x t|, which a difference of two kernels would expose), over the
+    larger of |s| and |a - s|; that is at least half the largest distance
+    between the nodes.  When it is below 1/(2t), I is the Taylor series
+    t^2 sum_k h_k(-iat, -ist)/(k+2)! in the complete homogeneous
+    polynomials h_k.
+    """
+    a, s, t = (np.asarray(v, dtype=float) for v in (a, s, t))
+    A, S = 0.5 * a * t, 0.5 * s * t
+    phase_a, ts = np.exp(-1j * A), t * np.exp(-1j * S)
+    f_a = t * phase_a * np.sinc(A / np.pi)                # f[0, -ia] = E_t(-a)
+    f_s = ts * np.sinc(S / np.pi)                         # f[0, -is] = E_t(-s)
+    f_as = ts * phase_a * np.sinc((A - S) / np.pi)        # f[-ia, -is]
+    ds, dd = np.abs(s), np.abs(a - s)
+    by_s = ds >= dd
     with np.errstate(divide="ignore", invalid="ignore"):
-        exact = (np.exp(1j * xt) - 1.0) / (1j * x)
-    series = t * (1.0 + 0.5j * xt - xt**2 / 6.0)
-    return np.where(small, series, exact)
+        out = np.asarray(1j * (np.where(by_s, f_as, f_s) - f_a) / np.where(by_s, s, s - a))
+    near = np.maximum(ds, dd) * t < 0.5
+    if near.any():
+        A, S, tn = (np.broadcast_to(v, near.shape)[near] for v in (A, S, t))
+        za, zs = -2j * A, -2j * S                         # -iat and -ist
+        h = p = np.ones_like(za)
+        acc, fact = 0.5 * h, 2.0
+        for k in range(1, 20):           # the terms left out are below 21/22! < 2e-20
+            p = p * zs
+            h = za * h + p
+            fact *= k + 2
+            acc = acc + h / fact
+        out[near] = tn * tn * acc
+    return out
 
 
-#: quadrature-kernel entries (horizons x nodes) evaluated at once by
-#: finite_time_gamma; bounds its temporaries for any number of horizons
+#: quadrature-kernel entries (horizons x nodes) evaluated at once by the
+#: finite-horizon rules; bounds their temporaries for any number of horizons
 _GAMMA_BLOCK = 2 ** 16
+
+
+def _horizons(t):
+    """A horizon or a 1-D array of horizons as a float array; each must be
+    finite and nonnegative (ValueError otherwise)."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError("horizon t must be a number or a 1-D array")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("horizon t must be finite")
+    if not np.all(t >= 0):
+        raise ValueError("horizon t must be >= 0")
+    return t
+
+
+def _node_counts(bath, omega, t):
+    """Frequency nodes of the finite-horizon rule at each horizon t: enough to
+    resolve e^{i nu t} across the band, 4096 at least and 2^17 at most."""
+    return np.minimum(np.maximum(4096, 1.3 * (bath.omega_max + abs(omega)) * t),
+                      2 ** 17).astype(int)
+
+
+def _row_blocks(rows, n):
+    """``rows`` split so that each block times ``n`` nodes fits _GAMMA_BLOCK."""
+    return np.array_split(rows, -(-rows.size * n // _GAMMA_BLOCK))
 
 
 def finite_time_gamma(bath, omega, t, coupling_pattern="position_xy", n_couplings=None):
@@ -487,27 +453,20 @@ def finite_time_gamma(bath, omega, t, coupling_pattern="position_xy", n_coupling
     Converges to gamma(omega)/2 + i S(omega) as t -> infinity.  ``t`` is a
     horizon or a 1-D array of m horizons, which gives the (m, K, K) stack of
     matrices; each slice equals the call at that horizon alone (the horizons
-    that share a node count share one quadrature rule).  A negative horizon
+    that share a node count share one rule of
+    :meth:`BathModel.correlation_table`).  A negative or non-finite horizon
     raises ValueError.
     """
     omega = float(omega)
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1:
-        raise ValueError("horizon t must be a number or a 1-D array")
-    if not np.all(t >= 0):
-        raise ValueError("horizon t must be >= 0")
+    t = _horizons(t)
     w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
     ts = np.atleast_1d(t)
-    nodes = np.minimum(np.maximum(4096, 1.3 * (bath.omega_max + abs(omega)) * ts),
-                       2 ** 17).astype(int)
+    nodes = _node_counts(bath, omega, ts)
     i_plus, i_minus = np.empty((2, len(ts)), dtype=complex)
-    T = bath.temperature
     for n in np.unique(nodes):
-        x, w = _panel_nodes(0.0, bath.omega_max, bath._breakpoints(), n)
-        f_plus = w * bath.J(x) * (_nbar(x, T) + 1.0)
-        f_minus = w * bath.J(x) * _nbar(x, T)
+        x, f_plus, f_minus = bath.correlation_table(n)
         rows = np.flatnonzero(nodes == n)
-        for r in np.array_split(rows, -(-rows.size * x.size // _GAMMA_BLOCK)):
+        for r in _row_blocks(rows, x.size):
             tr = ts[r, None]
             i_plus[r] = np.sum(f_plus * _halfline_kernel(omega - x, tr), axis=-1)
             i_minus[r] = np.sum(f_minus * _halfline_kernel(omega + x, tr), axis=-1)

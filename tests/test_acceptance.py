@@ -300,11 +300,9 @@ def test_criterion_11_pure_dephasing_cross_validation():
 def test_criterion_12_dynamical_coarse_graining():
     system = damped_qubit(OMEGA0)
     bath = ohmic(coupling=0.05, T=1.0)
-    table = bath.correlation_table(20.0)
     psd_ok = True
     for tau in np.geomspace(0.05, 20.0, 20):
-        L = coarse_grain_generator(system, bath, tau, picture="interaction",
-                                   table=table)
+        L = coarse_grain_generator(system, bath, tau, picture="interaction")
         kf = kossakowski_of_superop(L)
         w = np.linalg.eigvalsh(kf.a)
         psd_ok = psd_ok and w.min() > -1e-10 * max(abs(w).max(), 1e-300)
@@ -314,8 +312,7 @@ def test_criterion_12_dynamical_coarse_graining():
     gen = davies_generator(system, bath_v)
     L_dav_int = gen.superoperator() - hamiltonian_superop(system.H)
     resonant = np.abs(L_dav_int) > 1e-12 * np.abs(L_dav_int).max()
-    Lcg = coarse_grain_generator(system, bath_v, 800.0, picture="interaction",
-                                 table=bath_v.correlation_table(800.0))
+    Lcg = coarse_grain_generator(system, bath_v, 800.0, picture="interaction")
     dev = np.abs((Lcg - L_dav_int)[resonant]).max() / np.abs(L_dav_int).max()
     davies_ok = dev <= 1e-3
 
@@ -323,8 +320,7 @@ def test_criterion_12_dynamical_coarse_graining():
     t = 2.0
 
     def deviation(a):
-        L_int = coarse_grain_generator(system, bath, t, alpha=a,
-                                       picture="interaction", table=table) * t
+        L_int = coarse_grain_generator(system, bath, t, alpha=a, picture="interaction") * t
         return trace_norm(apply_superop(expm(L_int), rho0)
                           - (rho0 + apply_superop(L_int, rho0)))
 

@@ -69,6 +69,24 @@ def test_matrix_csv_roundtrip(tmp_path):
     assert np.abs(back - M).max() < 1e-10
 
 
+def test_csv_readers_return_the_written_doubles(tmp_path):
+    """Each complex entry reads back as exactly the two numbers in its cells."""
+    rng = np.random.default_rng(81)
+    family = [(t, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+              for t in (0.0, 0.5, 1.25)]
+    family[1][1][0, 1] = -0.0 + 1e-300j
+    written = np.vectorize(lambda z: complex(float(cli.fmt(z.real)), float(cli.fmt(z.imag))))
+    path = str(tmp_path / "f.csv")
+    cli.write_map_family_csv(path, family)
+    back = cli.read_map_family_csv(path)
+    assert [t for t, _ in back] == [t for t, _ in family]
+    for (_, E), (_, E_back) in zip(family, back):
+        assert E_back.dtype == complex
+        assert np.array_equal(E_back, written(E))
+    cli.write_matrix_csv(path, family[2][1])
+    assert np.array_equal(cli.read_matrix_csv(path), written(family[2][1]))
+
+
 def test_evolve_damped_qubit_fixed_point(tmp_path):
     # final <sigma_z> = -1/(2 nbar + 1) after ~10 relaxation times
     alpha, T = 0.1, 1.0

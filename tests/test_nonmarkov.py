@@ -258,10 +258,8 @@ def test_tcl_from_family_forward_smoothing():
 def test_coarse_grain_psd_kossakowski_along_tau():
     system = wc.damped_qubit(OMEGA0)
     bath = wc.BathModel.ohmic(coupling=0.05, omega_c=3.0, temperature=1.0)
-    table = bath.correlation_table(20.0)
     for tau in np.geomspace(0.05, 20.0, 20):
-        L = nm.coarse_grain_generator(system, bath, tau, picture="interaction",
-                                      table=table)
+        L = nm.coarse_grain_generator(system, bath, tau, picture="interaction")
         kf = kossakowski_of_superop(L)
         w = np.linalg.eigvalsh(kf.a)
         assert w.min() > -1e-10 * max(abs(w).max(), 1e-300), f"tau={tau}"
@@ -272,11 +270,8 @@ def test_coarse_grain_psd_kossakowski_along_tau():
 def test_coarse_grain_alpha_square_prefactor():
     system = wc.damped_qubit(OMEGA0)
     bath = wc.BathModel.ohmic(coupling=0.05, omega_c=3.0, temperature=1.0)
-    table = bath.correlation_table(2.0)
-    L1 = nm.coarse_grain_generator(system, bath, 2.0, alpha=1.0,
-                                   picture="interaction", table=table)
-    L2 = nm.coarse_grain_generator(system, bath, 2.0, alpha=2.0,
-                                   picture="interaction", table=table)
+    L1 = nm.coarse_grain_generator(system, bath, 2.0, alpha=1.0, picture="interaction")
+    L2 = nm.coarse_grain_generator(system, bath, 2.0, alpha=2.0, picture="interaction")
     assert np.abs(L2 - 4.0 * L1).max() < 1e-10 * np.abs(L2).max()
 
 
@@ -287,9 +282,7 @@ def test_coarse_grain_large_tau_matches_davies():
     gen = wc.davies_generator(system, bath)
     L_dav_int = gen.superoperator() - hamiltonian_superop(system.H)
     resonant = np.abs(L_dav_int) > 1e-12 * np.abs(L_dav_int).max()
-    table = bath.correlation_table(800.0)
-    L = nm.coarse_grain_generator(system, bath, 800.0, picture="interaction",
-                                  table=table)
+    L = nm.coarse_grain_generator(system, bath, 800.0, picture="interaction")
     scale = np.abs(L_dav_int).max()
     assert np.abs((L - L_dav_int)[resonant]).max() <= 1e-3 * scale
     assert np.abs(L[~resonant]).max() <= 1e-3 * scale
@@ -310,14 +303,13 @@ def test_coarse_grain_evolve_t0_and_alpha_scaling():
     bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     t = 2.0
-    table = bath.correlation_table(t)
     traj0 = nm.coarse_grain_evolve(system, bath, 0.1, rho0, np.array([0.0]))
     assert np.abs(traj0.states[0] - rho0).max() == 0.0
 
     def deviation(alpha):
         # interaction picture: || e^{L^t} rho0 - (1 + L^t) rho0 ||_1
         L_int = nm.coarse_grain_generator(system, bath, t, alpha=alpha,
-                                          picture="interaction", table=table) * t
+                                          picture="interaction") * t
         full = apply_superop(expm(L_int), rho0)
         lin = rho0 + apply_superop(L_int, rho0)
         return trace_norm(full - lin)
@@ -339,6 +331,34 @@ def test_coarse_grain_trajectory_valid_and_steady_limit():
     assert traj.max_trace_error < 1e-8
     assert traj.min_eigenvalue > -1e-6
     assert trace_norm(traj.states[-1] - steady) / 2.0 < 1e-3
+
+
+def _evolve_on(name, grid):
+    system = wc.damped_qubit(OMEGA0)
+    bath = wc.BathModel.ohmic(coupling=0.05, omega_c=3.0, temperature=1.0)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    L = damped_qubit_L()
+    tabulated = nm.TabulatedKernel(np.linspace(0.0, 5.0, 51), np.exp(-np.linspace(0.0, 5.0, 51)))
+    run = {"memory_kernel": lambda: nm.memory_kernel_evolve(L, nm.MemoryKernel(4.0), rho0, grid),
+           "memory_kernel_tabulated": lambda: nm.memory_kernel_evolve(L, tabulated, rho0, grid),
+           "post_markovian": lambda: nm.post_markovian_evolve(L, nm.MemoryKernel(4.0), rho0, grid),
+           "tcl2": lambda: nm.tcl2_evolve(system, bath, rho0, grid),
+           "coarse_grain": lambda: nm.coarse_grain_evolve(system, bath, 1.0, rho0, grid),
+           "coarse_grain_generator": lambda: nm.coarse_grain_generator(system, bath, grid[-1]),
+           "coarse_grain_generator_stack": lambda: nm.coarse_grain_generator(system, bath, grid[1:])}
+    return run[name]()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["memory_kernel", "memory_kernel_tabulated", "post_markovian",
+                                  "tcl2", "coarse_grain", "coarse_grain_generator",
+                                  "coarse_grain_generator_stack"])
+def test_non_finite_times_are_rejected(name, bad):
+    """A NaN or infinite output time or horizon is a ValueError naming the
+    cause, not a state at that time or an unrelated error."""
+    with pytest.raises(ValueError, match="finite"):
+        _evolve_on(name, np.array([0.0, 0.5, bad]))
+    _evolve_on(name, np.array([0.0, 0.5, 1.0]))       # the same call on a finite grid runs
 
 
 @pytest.mark.parametrize("scheme", ["memory_kernel", "post_markovian"])
@@ -526,23 +546,18 @@ def _loop_tcl2_generator(system, bath, t, alpha):
     return L
 
 
-def _loop_coarse_grain_parts(system, bath, tau, alpha, table, n):
-    """Coarse-grained (H_cg, D) summed term by term over (w, w', k, l)."""
+def _loop_coarse_grain_parts(system, bath, tau, alpha):
+    """Coarse-grained (H_cg, D) summed term by term over (w, w', k, l), on the
+    triangle integrals of ``nm._cg_pair_integrals`` at the generator's node
+    count."""
     from openqdyn.liouville import (
         conjugation_superop, left_multiply_superop, right_multiply_superop)
 
     decs, freqs = wc._bohr_blocks(system)
-    smooth = wc._smooth_time(bath)
-    breaks = sorted({smooth, 10.0 * smooth} & set(
-        b for b in (smooth, 10.0 * smooth) if b < tau))
-    u, wu = wc._panel_nodes(0.0, tau, breaks, n)
-    F = [wu * table.c_plus(u), wu * table.c_minus(u),
-         wu * np.conj(table.c_plus(u)), wu * np.conj(table.c_minus(u))]
-    tri = {}
-    for w in freqs:
-        for wp in freqs:
-            weight = np.exp(-1j * w * u) * wc._halfline_kernel(-(w + wp), tau - u)
-            tri[(w, wp)] = [complex(np.sum(weight * f)) for f in F]
+    n = wc._node_counts(bath, max((abs(w) for w in freqs), default=0.0), tau)
+    tri_all = nm._cg_pair_integrals(bath.correlation_table(int(n)), [tau], freqs)[0]
+    tri = {(w, wp): tri_all[:, i, j]
+           for i, w in enumerate(freqs) for j, wp in enumerate(freqs)}
     Wp, Wm = wc._pattern_weights(system.coupling_pattern, len(system.couplings))
     dim = system.dim
     H_raw = np.zeros((dim, dim), dtype=complex)
@@ -607,20 +622,73 @@ def test_tcl2_generator_matches_term_loop(model, temperature, t):
         _assert_rel_close(L, _loop_tcl2_generator(system, bath, ti, alpha=0.7))
 
 
-@pytest.mark.parametrize("tau", [0.3, 2.0])
+@pytest.mark.parametrize("tau", [0.3, 2.0, np.array([0.3, 2.0])],
+                         ids=lambda t: "stack" if np.ndim(t) else str(t))
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
 @pytest.mark.parametrize("model", ORACLE_MODELS)
 def test_coarse_grain_parts_match_term_loop(model, temperature, tau):
     """tau = 0 has no coarse-grained generator (it is rejected), so the
-    horizons are 0.3 and 2."""
+    horizons are 0.3 and 2; a 1-D array of horizons gives the stack."""
     system = _oracle_model(model)
     bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
-    table = bath.correlation_table(tau)
-    freqs, *stack = nm._bohr_stack(system)
-    H_cg, D = nm._coarse_grain_parts(system, bath, tau, 0.7, table, 256, freqs, stack)
-    H_ref, D_ref = _loop_coarse_grain_parts(system, bath, tau, 0.7, table, 256)
-    _assert_rel_close(H_cg, H_ref)
-    _assert_rel_close(D, D_ref)
+    got = nm.coarse_grain_generator(system, bath, tau, alpha=0.7, picture="interaction")
+    assert got.shape == np.shape(tau) + (system.dim ** 2,) * 2
+    for ti, L in zip(np.atleast_1d(tau), got.reshape((-1,) + got.shape[-2:])):
+        H_ref, D_ref = _loop_coarse_grain_parts(system, bath, ti, alpha=0.7)
+        _assert_rel_close(L, (hamiltonian_superop(H_ref) + D_ref) / ti)
+
+
+def test_coarse_grain_generator_stack_is_single_calls():
+    """Horizons on two node counts (40 needs more than the 4096-node floor)
+    give exactly the generators of the single-horizon calls."""
+    system = _oracle_model("random4")
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
+    taus = np.array([0.3, 40.0, 2.0])
+    assert len(set(wc._node_counts(bath, 0.0, taus))) == 2
+    stack = nm.coarse_grain_generator(system, bath, taus)
+    for tau, L in zip(taus, stack):
+        assert np.array_equal(L, nm.coarse_grain_generator(system, bath, tau))
+
+
+#: Bohr frequencies with a zero, a degenerate pair sum w + w' = 0 and
+#: unrelated sums
+TRI_FREQS = [-2.3, -1.0, 0.0, 1.0, 1.7]
+
+
+@pytest.mark.parametrize("tau", [0.3, 2.0, 20.0])
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_cg_pair_integrals_converge_in_nu(temperature, tau):
+    """Doubling the frequency rule of the generator's node count moves the
+    triangle integrals by rounding only."""
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
+    n = int(wc._node_counts(bath, max(map(abs, TRI_FREQS)), tau))
+    tri, tri2 = (nm._cg_pair_integrals(bath.correlation_table(m), [tau], TRI_FREQS)
+                 for m in (n, 2 * n))
+    assert np.abs(tri2 - tri).max() <= 1e-12 * np.abs(tri).max()
+
+
+@pytest.mark.parametrize("tau", [0.3, 2.0, 20.0])
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_cg_pair_integrals_match_time_domain_route(temperature, tau):
+    """The closed form per frequency against the route it replaced: a
+    2^14-node quadrature in the lag u of
+    int_0^tau du e^{-i w u} f(u) E_{tau-u}(-(w + w')), with the correlation
+    pieces f = c_plus(+-u), c_minus(+-u) summed directly on the same rule.
+    Both routes integrate the same discrete bath, so a coarse 512-node rule
+    serves."""
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
+    table = bath.correlation_table(512)
+    nu, g_plus, g_minus = table
+    u, wu = wc._panel_nodes(0.0, tau, [], 2 ** 14)
+    c_plus, c_minus = np.empty((2, u.size), dtype=complex)
+    for k in range(0, u.size, 256):             # 256 u-nodes at a time
+        phase = np.exp(-1j * np.outer(u[k:k + 256], nu))
+        c_plus[k:k + 256], c_minus[k:k + 256] = phase @ g_plus, np.conj(phase @ g_minus)
+    F = wu * np.array([c_plus, c_minus, np.conj(c_plus), np.conj(c_minus)])
+    ref = np.array([[F @ (np.exp(-1j * w * u) * wc._halfline_kernel(-(w + wp), tau - u))
+                     for wp in TRI_FREQS] for w in TRI_FREQS]).transpose(2, 0, 1)
+    tri = nm._cg_pair_integrals(table, [tau], TRI_FREQS)[0]
+    assert np.abs(tri - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("couplings", [[], [np.zeros((2, 2))]], ids=["none", "zero"])

@@ -552,6 +552,55 @@ def test_finite_time_gamma_rejects_negative_or_2d_horizons():
             wc.finite_time_gamma(bath, OMEGA0, t, "position_xy")
 
 
+def test_halfline_kernel_is_the_masked_closed_form():
+    """The exact quotient is taken only where |x t| >= 1e-5 and the series
+    only elsewhere; the result is bitwise that of evaluating both everywhere
+    and selecting."""
+    x = np.concatenate([[0.0, 1e-9, -3e-6], OMEGA0 - np.linspace(0.0, 120.0, 997)])
+    for t in (2.0, np.array([[0.0], [1e-7], [0.3], [40.0]])):
+        xt = x * t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exact = (np.exp(1j * xt) - 1.0) / (1j * x)
+        ref = np.where(np.abs(xt) < 1e-5, t * (1.0 + 0.5j * xt - xt**2 / 6.0), exact)
+        got = wc._halfline_kernel(x, t)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(float), ref.view(float))
+
+
+def _triangle_by_quadrature(a, s, t, n=64):
+    """int_0^t du e^{-iau} int_0^{t-u} dv e^{-isv} by Gauss-Legendre in u and v."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    u, wu = 0.5 * t * (x + 1.0), 0.5 * t * w
+    v, wv = 0.5 * (t - u)[:, None] * (x + 1.0), 0.5 * (t - u)[:, None] * w
+    return np.sum(wu * np.exp(-1j * a * u) * np.sum(wv * np.exp(-1j * s * v), axis=1))
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0, 20.0])
+@pytest.mark.parametrize("st", [1e-12, 1e-8, 1e-4, 1e-1, 2.0])
+def test_triangle_kernel_matches_quadrature(st, t):
+    """Near-coincident nodes included: a t near 0, a t near s t, and s t
+    down to 1e-12, where a plain difference quotient loses eps/|s t|."""
+    s = st / t
+    for at in (0.0, 1e-12, 1e-7, 1e-3, 2e-3, 0.02, 0.5, 3.0, -7.0, st, st * (1 + 1e-9), -st):
+        a = at / t
+        ref = _triangle_by_quadrature(a, s, t)
+        got = wc._triangle_kernel(a, s, t)
+        assert abs(got - ref) <= 1e-13 * abs(ref), (at, st, t)
+
+
+def test_triangle_kernel_broadcasts_and_has_the_s0_limit():
+    nu = np.linspace(0.0, 30.0, 41)
+    t = np.array([[0.3], [2.0]])
+    got = wc._triangle_kernel(OMEGA0 - nu, 0.0, t)
+    assert got.shape == (2, nu.size)
+    for i, ti in enumerate(t[:, 0]):
+        for j, a in enumerate(OMEGA0 - nu):
+            assert got[i, j] == wc._triangle_kernel(a, 0.0, ti)
+            if abs(a * ti) > 1.0:           # the s = 0 closed form, no cancellation here
+                ref = (np.exp(-1j * a * ti) - 1.0 + 1j * a * ti) / (-a * a)
+                assert abs(got[i, j] - ref) <= 1e-14 * abs(ref)
+
+
 def test_all_three_presets_certify_across_temperatures():
     for T in (0.2, 0.5, 1.0, 2.0, 5.0):
         bath = ohmic(T=T)

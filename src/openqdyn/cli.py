@@ -93,10 +93,13 @@ def _positive(cast):
 
 
 def _read_lines(path, what):
-    """All lines of a text file; an unreadable file is a config error."""
+    """The lines of a text file without their line breaks, read one at a
+    time, so that a large map family is never held as text all at once; an
+    unreadable file is a config error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            for line in fh:
+                yield line.rstrip("\n")
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}")
 

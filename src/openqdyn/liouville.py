@@ -107,6 +107,16 @@ def _block_diag(mats, blocks):
     return out
 
 
+def _block_cond(mats):
+    """2-norm condition number of the block-diagonal matrix of the square
+    ``mats``: the largest singular value over all blocks divided by the
+    smallest; inf when one is zero, as in ``np.linalg.cond``."""
+    sv = np.concatenate([np.linalg.svd(B, compute_uv=False) for B in mats])
+    with np.errstate(all="ignore"):
+        cond = float(sv.max() / sv.min())
+    return np.inf if np.isnan(cond) else cond        # 0/0
+
+
 def _block_rows(M, X, blocks):
     """``M @ X`` for a matrix ``M`` that is zero off the diagonal ``blocks``."""
     if len(blocks) == 1:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionError, NotCompletelyPositiveError, SingularMapError
 from .liouville import (
     _as_square,
+    _block_cond,
     _block_diag,
     _blocks,
     _check_tol,
@@ -72,10 +73,11 @@ def is_cp(S, tol=DEFAULT_CP_TOL):
     """
     _check_tol(tol)
     C = choi_of(S)
-    Ch = (C + C.conj().T) / 2.0
-    w = np.concatenate([np.linalg.eigvalsh(B) for B in _diagonal_blocks(Ch, _blocks(C))])
+    subs = _diagonal_blocks(C, _blocks(C))
+    w = np.concatenate([np.linalg.eigvalsh((B + B.conj().T) / 2.0) for B in subs])
     scale = max(np.abs(w).max(), 1e-300)
-    herm = np.abs(C - C.conj().T).max() <= 1e-10 * max(scale, 1.0)
+    # C is zero off its blocks, so it is Hermitian iff each block is
+    herm = max(np.abs(B - B.conj().T).max() for B in subs) <= 1e-10 * max(scale, 1.0)
     if not herm:
         return CPReport(False, float("nan"), False)
     wmin = float(w.min())
@@ -172,10 +174,7 @@ def _guarded_inverse(S, cond_threshold):
     S, _ = _map_dim(S)
     blocks = _blocks(S)
     subs = _diagonal_blocks(S, blocks)
-    sv = np.concatenate([np.linalg.svd(B, compute_uv=False) for B in subs])
-    with np.errstate(all="ignore"):
-        cond = float(sv.max() / sv.min())
-    cond = np.inf if np.isnan(cond) else cond        # 0/0, as in np.linalg.cond
+    cond = _block_cond(subs)
     if not np.isfinite(cond) or cond > cond_threshold:
         raise SingularMapError(cond, cond_threshold)
     return _block_diag([np.linalg.inv(B) for B in subs], blocks), cond

@@ -1,12 +1,14 @@
 """Exact-zero blocking of the Liouville algebra.
 
-``expm``, ``propagate_semigroup``, the guarded map inverse and ``is_cp`` work
-on the connected components of a matrix's exact nonzero pattern.  The dense
-code they replace is kept here as the oracle: blocked and dense results agree
-within 1e-12 relative, and a matrix that is one block gives bitwise the dense
+``expm``, ``propagate_semigroup``, the guarded map inverse, ``is_cp`` and the
+routines of ``spectra`` work on the connected components of a matrix's exact
+nonzero pattern.  The dense code they replace is kept here as the oracle:
+blocked and dense results agree within 1e-12 relative (eigenvalues within
+their conditioning), and a matrix that is one block gives bitwise the dense
 result.  For ``expm`` the dense call is the package's own kernel
 ``liouville._pade_expm``; ``scipy.linalg.expm`` stays the 1e-12 oracle.
 """
+import itertools
 import warnings
 
 import numpy as np
@@ -14,11 +16,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from openqdyn import gksl, maps
+from openqdyn import gksl, maps, spectra
 from openqdyn import liouville as lv
 from openqdyn import weakcoupling as wc
-from openqdyn.errors import SingularMapError
+from openqdyn.errors import DegenerateSpectrumError, SingularMapError
 from openqdyn.operators import rand_hermitian
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -234,8 +237,13 @@ def test_blocked_algebra_matches_dense_on_permuted_blocks(sizes, seed):
     _assert_expm_matches(M)
     S, _ = _permuted_blocks(sizes, rng, _gaussian(rng, shift=4.0))
     _assert_inverse_matches(S)
-    C, _ = _permuted_blocks(sizes, rng, _hermitian(rng))
+    C, blocks = _permuted_blocks(sizes, rng, _hermitian(rng))
     _assert_cp_matches(maps.superop_from_choi(C))
+    for b in blocks:          # one block that is not Hermitian, each in turn
+        k = min(b)
+        C_b = C.copy()
+        C_b[k, k] += 1e-3j
+        _assert_cp_matches(maps.superop_from_choi(C_b))
 
 
 @PROPERTY
@@ -259,3 +267,254 @@ def test_davies_maps_of_degenerate_spectra_are_blocked():
     sure it is not comparing the dense path with itself."""
     counts = [len(lv._blocks(_davies_superop(seed, 1.0))) for seed in range(8)]
     assert max(counts) > 1
+
+
+# -- spectra: the dense code that the blocked routines replace ----------------------
+
+def dense_spectrum(L, tol=spectra.DEFAULT_ZERO_TOL):
+    """``(report, cond(V))`` from one ``eig`` of the whole matrix, with ||L||_2
+    and cond(V) from dense SVDs and rows sorted by (real on the grid, imag)."""
+    L = np.asarray(L, dtype=complex)
+    scale = max(float(np.linalg.norm(L, 2)), 1e-300)
+    lam, V = np.linalg.eig(L)
+    grid = tol * scale
+    re = np.round(lam.real / grid) if grid > 0 else lam.real
+    lam = lam[np.lexsort((lam.imag, re))]
+    zero = np.abs(lam) <= grid
+    gap = float(-lam[~zero].real.max()) if np.count_nonzero(~zero) else float("inf")
+    cond = np.linalg.cond(V)
+    return spectra.SpectralReport(lam, int(zero.sum()), gap, bool(cond < 1e10), grid), cond
+
+
+def dense_kernel_basis(L, tol=spectra.DEFAULT_ZERO_TOL):
+    """Hermitian basis of ker L from one full SVD of the whole matrix."""
+    L = np.asarray(L, dtype=complex)
+    scale = max(float(np.linalg.norm(L, 2)), 1e-300)
+    _, s, Vh = np.linalg.svd(L)
+    null = [Vh[i].conj() for i in range(len(Vh)) if s[i] <= tol * scale]
+    candidates = []
+    for v in null:
+        X = lv.devectorize(v)
+        candidates.append(X + X.conj().T)
+        candidates.append(1j * (X - X.conj().T))
+    basis = []
+    for X in candidates:
+        for B in basis:
+            X = X - np.trace(B.conj().T @ X) * B
+        norm = np.sqrt(np.trace(X.conj().T @ X).real)
+        if norm > 1e-10:
+            basis.append(X / norm)
+    return basis[:len(null)]
+
+
+def dense_zero_eigenprojector(L, tol=spectra.DEFAULT_ZERO_TOL):
+    L = np.asarray(L, dtype=complex)
+    scale = max(float(np.linalg.norm(L, 2)), 1e-300)
+    w, V = np.linalg.eig(L)
+    idx = np.where(np.abs(w) <= tol * scale)[0]
+    if idx.size == 0:
+        raise DegenerateSpectrumError("no zero eigenvalue found within tolerance")
+    cond = np.linalg.cond(V)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise DegenerateSpectrumError("zero eigenspace unresolved")
+    P = V[:, idx] @ np.linalg.inv(V)[idx, :]
+    if np.abs(P @ P - P).max() > 1e-6:
+        raise DegenerateSpectrumError("zero eigenprojector is not idempotent")
+    return P
+
+
+def dense_commutant_dim(jumps):
+    M = np.vstack([1j * gksl.hamiltonian_superop(V) for V in jumps])
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s <= 1e-10 * max(s.max(), 1e-300)))
+
+
+# -- spectra: inputs -------------------------------------------------------------------
+
+def _with_zero_eigenvalue(rng):
+    """Blocks as ``_gaussian``; the first one is shifted by one of its
+    eigenvalues, so that the matrix has one (rounding-level) zero eigenvalue."""
+    gaussian, made = _gaussian(rng), []
+
+    def make(s):
+        B = gaussian(s)
+        if not made:
+            B = B - np.linalg.eigvals(B)[0] * np.eye(s)
+        made.append(s)
+        return B
+    return make
+
+
+def _davies(n_levels, temperature):
+    """A damped oscillator's Davies generator: equidistant levels, so its
+    Bohr frequencies are degenerate; and its jump operators."""
+    gen = wc.davies_generator(wc.damped_oscillator(n_levels),
+                              wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature))
+    return gen.superoperator(), [V for _, V in gen.base.jumps]
+
+
+def _custom_model(seed):
+    """Davies generator and jumps of a 4-level model in a random basis: the
+    superoperator has no zero entry and is one block."""
+    rng = np.random.default_rng(seed)
+    system = wc.SystemModel(rand_hermitian(4, rng), [rand_hermitian(4, rng)], "single")
+    gen = wc.davies_generator(system, wc.BathModel.ohmic(coupling=0.1, omega_c=3.0,
+                                                         temperature=1.0))
+    return gen.superoperator(), [V for _, V in gen.base.jumps]
+
+
+# -- spectra: the oracle ------------------------------------------------------------
+
+def _assert_spectrum_matches(L):
+    got = spectra.liouvillian_spectrum(L)
+    ref, cond = dense_spectrum(L)
+    scale = ref.zero_tolerance / spectra.DEFAULT_ZERO_TOL
+    # the eigenvalues as multisets, paired one to one; each is fixed to about
+    # eps * cond(V) * ||L|| by either eig
+    dist = np.abs(got.eigenvalues[:, None] - ref.eigenvalues[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= max(REL, 100 * np.finfo(float).eps * cond) * scale
+    assert got.zero_multiplicity == ref.zero_multiplicity
+    assert got.diagonalizable == ref.diagonalizable
+    assert abs(got.zero_tolerance - ref.zero_tolerance) <= REL * ref.zero_tolerance
+    assert abs(got.spectral_gap - ref.spectral_gap) <= max(REL, 100 * np.finfo(float).eps * cond) * scale
+
+
+def _assert_zero_projector_matches(L):
+    try:
+        ref = dense_zero_eigenprojector(L)
+    except DegenerateSpectrumError:
+        with pytest.raises(DegenerateSpectrumError):
+            spectra.zero_eigenprojector(L)
+        return
+    assert np.abs(spectra.zero_eigenprojector(L) - ref).max() <= 1e-10 * _scale(ref)
+
+
+def _kernel_projector(basis):
+    Q = lv._vec_columns(basis) if basis else np.zeros((0, 0))
+    return Q @ Q.conj().T
+
+
+def _assert_steady_states_match(L):
+    """The same kernel dimension and span.  A degenerate kernel has no
+    preferred basis, so its states are checked as steady density matrices;
+    a unique one must be the dense kernel element."""
+    got, ref = spectra.steady_states(L), dense_kernel_basis(L)
+    assert got.kernel_dimension == len(ref)
+    if ref:
+        assert np.abs(_kernel_projector(got.kernel_basis) - _kernel_projector(ref)).max() <= 1e-10
+    assert got.states
+    for rho in got.states:
+        lv.assert_density_matrix(rho, tol_trace=1e-10, tol_psd=1e-8)
+        assert lv.trace_norm(lv.apply_superop(L, rho)) <= 1e-8 * np.linalg.norm(L, 2)
+    if len(ref) == 1:
+        assert len(got.states) == 1
+        assert lv.trace_norm(got.states[0] - ref[0] / np.trace(ref[0])) <= 1e-10
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]).flatmap(lambda N: _sizes(N * N)), SEEDS)
+def test_blocked_spectrum_matches_dense_on_permuted_blocks(sizes, seed):
+    rng = np.random.default_rng(seed)
+    L, _ = _permuted_blocks(sizes, rng, _with_zero_eigenvalue(rng))
+    _assert_spectrum_matches(L)
+    _assert_zero_projector_matches(L)
+    assert spectra.steady_states(L).kernel_dimension == len(dense_kernel_basis(L))
+
+
+@PROPERTY
+@given(SEEDS, st.sampled_from([0.0, 1.0]))
+def test_blocked_spectra_match_dense_on_davies_generators(seed, temperature):
+    L = _davies_superop(seed, temperature)
+    _assert_spectrum_matches(L)
+    _assert_zero_projector_matches(L)
+    _assert_steady_states_match(L)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0], ids=["T0", "T1"])
+@pytest.mark.parametrize("n_levels", [4, 6])
+def test_blocked_spectra_match_dense_on_oscillators(n_levels, temperature):
+    """osc4 and osc6: Davies generators of degenerate Bohr spectra.  Their
+    Spohn matrices have singular values far below the largest, which the
+    eigenvalues of the Gram matrix M^dag M would lose: at T = 0 the commutant
+    of the one jump, the polynomials in the lowering operator, has dimension
+    n; at T = 1 it is trivial."""
+    L, jumps = _davies(n_levels, temperature)
+    assert len(lv._blocks(L)) > 1
+    _assert_spectrum_matches(L)
+    _assert_zero_projector_matches(L)
+    _assert_steady_states_match(L)
+    expect = n_levels if temperature == 0.0 else 1
+    assert spectra.spohn_check(jumps).commutant_dim == dense_commutant_dim(jumps) == expect
+
+
+@PROPERTY
+@given(st.integers(2, 4), st.integers(1, 3), SEEDS)
+def test_blocked_commutant_matches_dense(dim, n_jumps, seed):
+    """Sparse jumps (each entry zero with probability 1/2), so that the
+    unknowns split into several column blocks, and diagonal ones, whose
+    commutator system has zero columns."""
+    rng = np.random.default_rng(seed)
+    jumps = [np.where(rng.random((dim, dim)) < 0.5, 0.0,
+                      rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+             for _ in range(n_jumps)]
+    jumps.append(np.diag(rng.integers(0, 2, dim).astype(complex)))
+    assert spectra.spohn_check(jumps).commutant_dim == dense_commutant_dim(jumps)
+
+
+def test_one_block_spectra_are_bitwise_dense():
+    L, jumps = _custom_model(5)
+    assert len(lv._blocks(L)) == 1
+    got, (ref, _) = spectra.liouvillian_spectrum(L), dense_spectrum(L)
+    assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+    assert (got.zero_multiplicity, got.spectral_gap, got.diagonalizable, got.zero_tolerance) == \
+        (ref.zero_multiplicity, ref.spectral_gap, ref.diagonalizable, ref.zero_tolerance)
+    basis = spectra.steady_states(L).kernel_basis
+    ref_basis = dense_kernel_basis(L)
+    assert len(basis) == len(ref_basis) == 1
+    assert all(np.array_equal(B, R) for B, R in zip(basis, ref_basis))
+    assert np.array_equal(spectra.zero_eigenprojector(L), dense_zero_eigenprojector(L))
+    assert spectra.spohn_check(jumps).commutant_dim == dense_commutant_dim(jumps)
+
+
+def test_spectrum_rows_do_not_depend_on_block_order():
+    """Blocks A, B and a copy of A, in every order of whole blocks.  A and B
+    are triangular, so ``eig`` returns their diagonals exactly: -1 in A and
+    -1 - 1e-12 in B, which share their imaginary part and their cell of the
+    zero-tolerance grid and are told apart by the real-part tiebreak alone."""
+    A = np.array([[-1.0, 1.0], [0.0, -2.0]], dtype=complex)
+    B = np.array([[-1.0 - 1e-12, 1.0], [0.0, -3.0]], dtype=complex)
+    spectra_rows = []
+    for order in itertools.permutations([A, B, A]):
+        L = scipy.linalg.block_diag(*order)
+        assert len(lv._blocks(L)) == 3
+        spectra_rows.append(spectra.liouvillian_spectrum(L).eigenvalues)
+    assert all(np.array_equal(rows, spectra_rows[0]) for rows in spectra_rows)
+    assert np.array_equal(spectra_rows[0].real, [-3.0, -2.0, -2.0, -1.0 - 1e-12, -1.0, -1.0])
+
+
+def test_zero_tolerance_is_relative_to_the_whole_matrix():
+    """A block of norm 2e-6 next to one of norm 2: its singular value and
+    eigenvalue 5e-11 are below tol * ||L||_2 = 2e-9, though not below tol
+    times the block's own norm."""
+    L = scipy.linalg.block_diag(np.ones((2, 2)), 1e-6 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-4]]))
+    assert len(lv._blocks(L)) == 2
+    ref, _ = dense_spectrum(L)
+    assert spectra.liouvillian_spectrum(L).zero_multiplicity == ref.zero_multiplicity == 2
+    assert spectra.steady_states(L).kernel_dimension == len(dense_kernel_basis(L)) == 2
+    _assert_zero_projector_matches(L)
+
+
+def test_diagonalizable_is_the_cond_of_the_block_diagonal_eigenvectors():
+    """cond(V) of the block-diagonal eigenvector matrix is the largest
+    singular value over all blocks over the smallest, not the largest
+    per-block cond: here 1.08e10 (from block B's 1.68 over block A's
+    1.56e-10), while A alone has 9.1e9 and B alone 36."""
+    eta = 2.2e-10
+    A = np.array([[-3.0, 1.0], [0.0, -3.0 - eta]], dtype=complex)
+    B = np.array([[-1.0, 2.0, 2.0], [0.0, -1.5, 2.0], [0.0, 0.0, -2.0]], dtype=complex)
+    assert spectra.liouvillian_spectrum(A).diagonalizable
+    assert spectra.liouvillian_spectrum(B).diagonalizable
+    L = scipy.linalg.block_diag(A, B)
+    assert len(lv._blocks(L)) == 2
+    assert spectra.liouvillian_spectrum(L).diagonalizable is dense_spectrum(L)[0].diagonalizable is False

@@ -277,3 +277,29 @@ def test_is_relaxing_rejects_bad_tolerance(tol):
 def test_steady_states_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol"):
         spectra.steady_states(damped_qubit_L(), tol=tol)
+
+
+@BAD_TOLS
+def test_zero_eigenprojector_rejects_bad_tolerance(tol):
+    """An infinite tolerance used to return the projector onto every
+    eigenvector (the identity); a negative or NaN one raised "no zero
+    eigenvalue found"."""
+    with pytest.raises(ValueError, match="tol must be"):
+        spectra.zero_eigenprojector(damped_qubit_L(), tol=tol)
+
+
+@BAD_TOLS
+def test_ergodic_average_rejects_bad_tolerance(tol):
+    """An infinite tolerance used to return rho0 itself."""
+    rho0 = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
+    with pytest.raises(ValueError, match="tol must be"):
+        spectra.ergodic_average(damped_qubit_L(), rho0, tol=tol)
+
+
+@BAD_TOLS
+def test_spohn_check_rejects_bad_tolerance(tol):
+    """A negative or NaN tolerance used to report a self-adjoint set as not
+    self-adjoint."""
+    assert spectra.spohn_check([sigma_minus, sigma_plus]).self_adjoint_set
+    with pytest.raises(ValueError, match="tol must be"):
+        spectra.spohn_check([sigma_minus, sigma_plus], tol=tol)

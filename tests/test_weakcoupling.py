@@ -111,6 +111,34 @@ def test_unknown_coupling_pattern_rejected_everywhere():
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Legendre rules
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [64, 128, 1024])
+def test_leggauss_matches_numpy(n):
+    """Nodes agree to rounding; numpy's weights come from a companion-matrix
+    eigensolve with one Newton step, and both are good to ~1e-9 relative on
+    the tiny endpoint weights of a 1024-point rule."""
+    x, w = wc._leggauss(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - x_ref).max() <= 2.3e-16
+    assert np.abs(w / w_ref - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 128, 1024])
+def test_leggauss_integrates_legendre_polynomials_exactly(n):
+    """Ascending nodes in (-1, 1), mirror-symmetric, weights summing to 2,
+    and int P_k = 2 delta_k0 for every degree k < 2n."""
+    x, w = wc._leggauss(n)
+    assert len(x) == len(w) == n
+    assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 1e-13
+    moments = w @ np.polynomial.legendre.legvander(x, 2 * n - 1)
+    assert np.abs(moments - 2.0 * (np.arange(2 * n) == 0)).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
 # principal value and shifts
 # ---------------------------------------------------------------------------
 

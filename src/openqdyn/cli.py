@@ -414,8 +414,8 @@ def _verdict(ok):
 
 def cmd_check(ctx):
     from .gksl import check_kossakowski_conditions, random_partitions
-    from .liouville import expm, propagate_semigroup
-    from .maps import divisibility_witness, is_cp, is_trace_preserving
+    from .liouville import expm
+    from .maps import _semigroup_family, divisibility_witness, is_cp, is_trace_preserving
     from .spectra import is_relaxing, spohn_check
 
     requested = [tok.strip() for tok in
@@ -440,9 +440,7 @@ def cmd_check(ctx):
             if family_file:
                 family = read_map_family_csv(family_file)
             else:
-                grid = _from_zero(build_output_times(ctx.cfg))
-                identity = np.eye(ctx.system.dim**2, dtype=complex)
-                family = list(zip(grid, propagate_semigroup(L, grid, identity)))
+                family = _semigroup_family(L, _from_zero(build_output_times(ctx.cfg)))
             report = divisibility_witness(family, tol=tol)
             witness = min((iv.min_choi_eigenvalue for iv in report.intervals
                            if iv.cp is not None), default=float("nan"))

@@ -346,29 +346,39 @@ def propagate_semigroup(L, times, X):
     """``[expm(t*L) @ X for t in times]`` by stepping the semigroup.
 
     A time-independent generator gives a semigroup, e^{(t+s)L} = e^{tL} e^{sL},
-    so each output is the step propagator e^{dt L} times the previous output.
-    The exponential is computed once per distinct spacing; a spacing within a
-    few ulps of the current step's (the rounding of a uniform grid) reuses it.
-    ``X`` is a vector or a matrix; ``t = 0`` returns ``X`` itself.  Times must
-    be nonnegative and strictly ascending (ValueError otherwise).  The step
-    is block-diagonal over the exact-zero blocks of L, and is applied one
-    block row at a time.
+    so each output is the step propagator e^{dt L} times the previous output
+    (see :func:`_semigroup_steps`).  ``X`` is a vector or a matrix; ``t = 0``
+    returns ``X`` itself.  Times must be finite, nonnegative and strictly
+    ascending (ValueError otherwise).  The step is block-diagonal over the exact-zero
+    blocks of L, and is applied one block row at a time.
     """
     L = _as_square(L, "generator")
-    times = [float(t) for t in times]
-    if any(t < 0 for t in times) or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("times must be nonnegative and strictly ascending")
     blocks = _blocks(L)
-    out, t_prev, dt, step = [], 0.0, None, None
-    for t in times:
-        d = t - t_prev
-        if d > 0:
-            if dt is None or abs(d - dt) > 4 * np.spacing(max(t, 1.0)):
-                dt, step = d, expm(d * L)
+    out = []
+    for step in _semigroup_steps(L, times):
+        if step is not None:
             X = _block_rows(step, X, blocks)
         out.append(X)
-        t_prev = t
     return out
+
+
+def _semigroup_steps(L, times):
+    """Per time, the step propagator e^{dt L} from the previous time (from 0
+    for the first), or None where dt = 0.  The exponential is computed once
+    per distinct spacing; a spacing within a few ulps of the current step's
+    (the rounding of a uniform grid) reuses the same array.  Times must be
+    finite, nonnegative and strictly ascending (ValueError otherwise)."""
+    times = [float(t) for t in times]
+    if any(not 0 <= t < np.inf for t in times) or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise ValueError("times must be finite, nonnegative and strictly ascending")
+    steps, t_prev, dt, step = [], 0.0, None, None
+    for t in times:
+        d = t - t_prev
+        if d > 0 and (dt is None or abs(d - dt) > 4 * np.spacing(max(t, 1.0))):
+            dt, step = d, expm(d * L)
+        steps.append(step if d > 0 else None)
+        t_prev = t
+    return steps
 
 
 def trotter_product(L1, L2, n):

@@ -10,20 +10,19 @@ trace-preserving map has Tr C = N and the identity map's Choi is N times the
 maximally entangled projector.
 """
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DimensionError, NotCompletelyPositiveError, SingularMapError
 from .liouville import (
     _as_square,
-    _block_cond,
-    _block_diag,
     _blocks,
     _check_tol,
     _diagonal_blocks,
     _operator_sum_superop,
     _reshuffle,
+    _semigroup_steps,
     _vec_columns,
     hs_basis,
     induced_trace_norm,
@@ -162,22 +161,122 @@ def is_unitary_conjugation(S, tol=1e-10):
     return np.abs(S @ S.conj().T - np.eye(n * n)).max() <= tol * n
 
 
-def _guarded_inverse(S, cond_threshold):
-    """``(inverse, condition number)`` of a map; raises
-    :class:`SingularMapError` when the condition number is not finite or
-    exceeds ``cond_threshold``.
+def _size_groups(blocks):
+    """The blocks of each size m as one (g, m) index array, by size."""
+    return [np.array([b for b in blocks if len(b) == m]) for m in sorted({len(b) for b in blocks})]
 
-    Works on the exact-zero blocks of S: the condition number is the largest
-    singular value over all blocks divided by the smallest, and each block
-    is inverted on its own.
+
+def _chunks(count, groups):
+    """The sample numbers ``0..count-1`` in batches of as many samples as the
+    blocks of one dense map hold, so that a one-block family goes one sample
+    at a time."""
+    step = max(1, sum(B.size for B in groups) ** 2 // sum(B.size * B.shape[1] for B in groups))
+    return np.split(np.arange(count), np.arange(step, count, step))
+
+
+def _one_block(groups):
+    return len(groups) == 1 and len(groups[0]) == 1
+
+
+def _take(groups, maps):
+    """Per block size, the stack (len(maps), g, m, m) of the blocks of
+    ``maps``; a view of the map when it is one map of one block."""
+    if len(maps) == 1 and _one_block(groups):
+        return [maps[0][None, None]]
+    stacks = [np.empty((len(maps),) + B.shape + B.shape[1:], dtype=complex) for B in groups]
+    for B, S in zip(groups, stacks):
+        for k, E in enumerate(maps):
+            S[k] = E[B[:, :, None], B[:, None, :]]
+    return stacks
+
+
+def _dense(groups, stacks, k, out=None):
+    """Map k of the block ``stacks`` (as from :func:`_take`) with zeros off its
+    blocks, written into ``out`` (zero off the blocks) when given; a view of
+    the stack when there is one block."""
+    if _one_block(groups):
+        return stacks[0][k, 0]
+    if out is None:
+        side = sum(B.size for B in groups)
+        out = np.zeros((side, side), dtype=complex)
+    for B, S in zip(groups, stacks):
+        out[B[:, :, None], B[:, None, :]] = S[k]
+    return out
+
+
+class _BlockFamily(NamedTuple):
+    """A sampled map family held by its exact-zero blocks: every map is zero
+    off the blocks of ``groups`` (as from :func:`_size_groups`), and
+    ``take(idx)`` gives, as :func:`_take` does, the blocks of the samples
+    numbered in the integer array ``idx``.  :func:`divisibility_witness`
+    takes one in place of a list of ``(t, E)``."""
+    times: np.ndarray
+    groups: Optional[list]
+    take: Callable
+
+
+def _block_family(family):
+    """A list of ``(t, E)`` as a :class:`_BlockFamily` on the union exact-zero
+    pattern of its maps; a _BlockFamily as it is.  Times must be finite and
+    strictly increasing (ValueError), the maps square of one side
+    (:class:`DimensionError`)."""
+    if isinstance(family, _BlockFamily):
+        return family
+    times = np.array([t for t, _ in family], dtype=float)
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+        raise ValueError("sample times must be finite and strictly increasing")
+    maps = [_map_dim(E)[0] for _, E in family]
+    if not maps:
+        return _BlockFamily(times, None, None)
+    if any(E.shape != maps[0].shape for E in maps):
+        raise DimensionError("the maps of a family have mixed sides")
+    pattern = np.zeros(maps[0].shape, dtype=bool)
+    for E in maps:
+        pattern |= E != 0
+    groups = _size_groups(_blocks(pattern))
+    return _BlockFamily(times, groups, lambda idx: _take(groups, [maps[k] for k in idx]))
+
+
+def _semigroup_family(L, times):
+    """The family ``(t, e^{tL})`` over ``times`` (finite, nonnegative, strictly
+    ascending) as a :class:`_BlockFamily` on the exact-zero blocks of L, built
+    without a dense map: E(t + dt)[b, b] = e^{dt L}[b, b] E(t)[b, b], with one
+    exponential per distinct spacing as in :func:`propagate_semigroup`."""
+    L = _as_square(L, "generator")
+    steps = _semigroup_steps(L, times)
+    groups = _size_groups(_blocks(L))
+    E = _take(groups, [np.eye(len(L), dtype=complex)])
+    stacks = [np.empty((len(steps),) + B.shape[1:], dtype=complex) for B in E]
+    last = None
+    for k, step in enumerate(steps):
+        if step is not None:
+            if step is not last:
+                last, P = step, _take(groups, [step])
+            E = [Pb @ Eb for Pb, Eb in zip(P, E)]
+        for S, Eb in zip(stacks, E):
+            S[k] = Eb[0]
+    return _BlockFamily(np.array(times, dtype=float), groups, lambda idx: [S[idx] for S in stacks])
+
+
+def _guarded_inverse(stacks, cond_threshold):
+    """Guarded inverses of a stack of maps held by their blocks (per group a
+    (K, g, m, m) stack, as from :func:`_take`): ``(cond, ok, inverses)``.
+
+    ``cond[k]`` is the 2-norm condition number of map k, its largest singular
+    value over all blocks divided by its smallest (inf when that is zero, as
+    in ``np.linalg.cond``); ``ok[k]`` tells whether it is at most
+    ``cond_threshold``; ``inverses`` holds the blocks of the inverses of the
+    maps with ``ok``, stacked like ``stacks``.  One SVD call and one inverse
+    call per group.
     """
-    S, _ = _map_dim(S)
-    blocks = _blocks(S)
-    subs = _diagonal_blocks(S, blocks)
-    cond = _block_cond(subs)
-    if not np.isfinite(cond) or cond > cond_threshold:
-        raise SingularMapError(cond, cond_threshold)
-    return _block_diag([np.linalg.inv(B) for B in subs], blocks), cond
+    sv = [np.linalg.svd(S, compute_uv=False) for S in stacks]
+    top = np.max([s[..., 0].max(axis=-1) for s in sv], axis=0)
+    low = np.min([s[..., -1].min(axis=-1) for s in sv], axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = top / low
+    cond[np.isnan(cond)] = np.inf                 # 0/0
+    ok = cond <= cond_threshold
+    return cond, ok, [np.linalg.inv(S if ok.all() else S[ok]) for S in stacks]  # no copy if all pass
 
 
 def invert_map(S, cond_threshold=DEFAULT_COND_THRESHOLD):
@@ -185,11 +284,17 @@ def invert_map(S, cond_threshold=DEFAULT_COND_THRESHOLD):
 
     Note: the inverse of a non-unitary CPTP map is never CPTP itself; the
     ``forward_unitary`` flag tells whether the inverse is again physical.
-    Raises :class:`SingularMapError` above the condition-number threshold,
-    where any divisibility verdict would be numerically meaningless.
+    Raises :class:`SingularMapError` when the 2-norm condition number is not
+    finite or exceeds the threshold, where any divisibility verdict would be
+    numerically meaningless.  The condition number and the inverse come from
+    the exact-zero blocks of S (see :func:`divisibility_witness`).
     """
-    inv, cond = _guarded_inverse(S, cond_threshold)
-    return MapInverse(inv, cond, is_unitary_conjugation(S))
+    S, _ = _map_dim(S)
+    _, groups, take = _block_family([(0.0, S)])
+    cond, ok, inv = _guarded_inverse(take([0]), cond_threshold)
+    if not ok[0]:
+        raise SingularMapError(cond[0], cond_threshold)
+    return MapInverse(_dense(groups, inv, 0), float(cond[0]), is_unitary_conjugation(S))
 
 
 @dataclass
@@ -200,6 +305,7 @@ class IntervalWitness:
     cp: Optional[bool] = None       # None = inconclusive (singular interval)
     singular: bool = False
     label: str = ""
+    condition: float = float("nan")  # 2-norm condition number of E(t_start)
 
 
 @dataclass
@@ -222,31 +328,38 @@ class DivisibilityReport:
 def divisibility_witness(family, tol=1e-10, cond_threshold=DEFAULT_COND_THRESHOLD):
     """CP-divisibility witness for a sampled map family.
 
-    ``family`` is a list of ``(t_i, E_i)`` with strictly increasing times,
-    each ``E_i`` the map from the initial time to ``t_i``.  For each
-    consecutive pair the intermediate map ``E_{i+1} E_i^{-1}`` is formed and
-    its minimum Choi eigenvalue reported; the family is Markovian on the
-    sampled grid iff every intermediate map is CP.  Non-invertible samples
-    mark their interval inconclusive instead of failing the whole run.
-    ``tol`` must be finite and nonnegative (ValueError otherwise).
+    ``family`` is a list of ``(t_i, E_i)`` with finite, strictly increasing
+    times (ValueError otherwise) and maps of one side (DimensionError), each
+    ``E_i`` the map from the initial time to ``t_i``.  For each consecutive
+    pair the intermediate map ``E_{i+1} E_i^{-1}`` is formed and its minimum
+    Choi eigenvalue reported (:func:`is_cp`), with the condition number of
+    ``E_i``; the family is Markovian on the sampled grid iff every
+    intermediate map is CP.  An ``E_i`` whose condition number is not finite
+    or exceeds ``cond_threshold`` marks its interval inconclusive instead of
+    failing the whole run.  ``tol`` must be finite and nonnegative
+    (ValueError otherwise).
+
+    Every map is zero off the exact-zero blocks of the family's union
+    pattern, so the condition numbers, inverses and products are taken per
+    block, batched over the blocks of one size and over as many samples as
+    fit the bytes of one dense map; each intermediate map is then judged
+    densely.
     """
     _check_tol(tol)
-    times = [t for t, _ in family]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("sample times must be strictly increasing")
-    report = DivisibilityReport()
-    for (t1, E1), (t2, E2) in zip(family, family[1:]):
-        iv = IntervalWitness(t_start=float(t1), t_end=float(t2))
-        try:
-            inv, _ = _guarded_inverse(E1, cond_threshold)
-        except SingularMapError:
-            iv.singular = True
-            iv.label = "inconclusive (singular)"
+    times, groups, take = _block_family(family)
+    report, buffer = DivisibilityReport(), None
+    if len(times) < 2:
+        return report
+    for k in _chunks(len(times) - 1, groups):
+        cond, ok, inv = _guarded_inverse(take(k), cond_threshold)
+        mids = [S @ Si for S, Si in zip(take(k[ok] + 1), inv)]
+        for i, c, good, j in zip(k, cond, ok, np.cumsum(ok) - 1):
+            iv = IntervalWitness(float(times[i]), float(times[i + 1]), condition=float(c))
+            if good:
+                buffer = _dense(groups, mids, j, buffer)     # zero off the blocks
+                cp = is_cp(buffer, tol)
+                iv.min_choi_eigenvalue, iv.cp = cp.min_choi_eigenvalue, bool(cp.verdict)
+            else:
+                iv.singular, iv.label = True, "inconclusive (singular)"
             report.intervals.append(iv)
-            continue
-        intermediate = np.asarray(E2, dtype=complex) @ inv
-        cp = is_cp(intermediate, tol)
-        iv.min_choi_eigenvalue = cp.min_choi_eigenvalue
-        iv.cp = bool(cp.verdict)
-        report.intervals.append(iv)
     return report

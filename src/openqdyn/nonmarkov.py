@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import SingularMapError, StepSizeError
+from .errors import StepSizeError
 from .liouville import (
     _STACK_BYTES,
     _as_square,
@@ -38,7 +38,7 @@ from .liouville import (
     propagate_semigroup,
     vectorize,
 )
-from .maps import _guarded_inverse, is_cp
+from .maps import _block_family, _chunks, _dense, _guarded_inverse, is_cp
 from .weakcoupling import (
     _bohr_blocks,
     _horizons,
@@ -333,35 +333,30 @@ def tcl_from_family(samples, smoothing="central-difference", cond_threshold=1e10
 
     Forms dE/dt by finite differences (central at interior samples, one-sided
     at the ends; ``smoothing="none"`` uses forward differences throughout)
-    and composes with the sampled map's inverse.  Samples whose map is
-    singular beyond the condition threshold are marked None: the local
-    generator may still exist, but this grid cannot resolve it.
+    and composes with the sampled map's inverse.  Times must be finite and
+    strictly increasing (ValueError otherwise).  Samples whose map has a
+    2-norm condition number above the threshold are marked None: the local
+    generator may still exist, but this grid cannot resolve it.  As in
+    :func:`divisibility_witness`, inverses and products are taken on the
+    exact-zero blocks of the family, batched over samples.
     """
     if smoothing not in ("none", "central-difference"):
         raise ValueError("smoothing must be 'none' or 'central-difference'")
-    times = np.array([t for t, _ in samples], dtype=float)
-    maps = [np.asarray(E, dtype=complex) for _, E in samples]
-    if len(maps) < 2:
+    if len(samples) < 2:
         raise ValueError("need at least two samples")
+    times, groups, take = _block_family(samples)
+    i = np.arange(len(times))
+    j1 = np.minimum(i + 1, len(times) - 1)            # the difference quotient's samples
+    j0 = j1 - 1 if smoothing == "none" else np.maximum(i - 1, 0)
     gens, conds = [], []
-    for i in range(len(maps)):
-        if smoothing == "none" or i == 0:
-            j0, j1 = i, min(i + 1, len(maps) - 1)
-        elif i == len(maps) - 1:
-            j0, j1 = i - 1, i
-        else:
-            j0, j1 = i - 1, i + 1
-        if j0 == j1:
-            j0 = i - 1
-        dE = (maps[j1] - maps[j0]) / (times[j1] - times[j0])
-        try:
-            inv, cond = _guarded_inverse(maps[i], cond_threshold)
-        except SingularMapError as exc:
-            conds.append(exc.condition)
-            gens.append(None)
-            continue
-        conds.append(cond)
-        gens.append(dE @ inv)
+    for k in _chunks(len(times), groups):
+        cond, ok, inv = _guarded_inverse(take(k), cond_threshold)
+        j0k, j1k = j0[k[ok]], j1[k[ok]]
+        dt = (times[j1k] - times[j0k])[:, None, None, None]
+        dE_inv = [(S1 - S0) / dt @ Si for S1, S0, Si in zip(take(j1k), take(j0k), inv)]
+        gens += [_dense(groups, dE_inv, j) if good else None
+                 for good, j in zip(ok, np.cumsum(ok) - 1)]
+        conds.extend(cond)
     return ExtractedGenerator(times, gens, np.array(conds))
 
 

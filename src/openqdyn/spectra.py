@@ -284,6 +284,7 @@ def spohn_check(jumps, tol=1e-12):
     s = np.concatenate(s)                          # the n^2 singular values of M
     scale = max(s.max(), 1e-300)
     commutant_dim = int(np.sum(s <= 1e-10 * scale))
-    self_adjoint = all(any(np.abs(W - V.conj().T).max() <= tol * max(np.abs(V).max(), 1.0)
-                           for W in jumps) for V in jumps)
+    stack = np.array(jumps)                        # each V against every W at once
+    self_adjoint = all((np.abs(stack - V.conj().T).max(axis=(1, 2))
+                        <= tol * max(np.abs(V).max(), 1.0)).any() for V in stack)
     return SpohnReport(self_adjoint, commutant_dim, self_adjoint and commutant_dim == 1)

@@ -1,7 +1,8 @@
 """Exact-zero blocking of the Liouville algebra.
 
-``expm``, ``propagate_semigroup``, the guarded map inverse, ``is_cp`` and the
-routines of ``spectra`` work on the connected components of a matrix's exact
+``expm``, ``propagate_semigroup``, the guarded map inverse, ``is_cp``, the
+routines of ``spectra`` and the map-family routines (``divisibility_witness``,
+``tcl_from_family``) work on the connected components of a matrix's exact
 nonzero pattern.  The dense code they replace is kept here as the oracle:
 blocked and dense results agree within 1e-12 relative (eigenvalues within
 their conditioning), and a matrix that is one block gives bitwise the dense
@@ -9,6 +10,8 @@ result.  For ``expm`` the dense call is the package's own kernel
 ``liouville._pade_expm``; ``scipy.linalg.expm`` stays the 1e-12 oracle.
 """
 import itertools
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from openqdyn import gksl, maps, spectra
+from openqdyn import cli, gksl, maps, nonmarkov, spectra
 from openqdyn import liouville as lv
 from openqdyn import weakcoupling as wc
 from openqdyn.errors import DegenerateSpectrumError, SingularMapError
@@ -41,6 +44,29 @@ def dense_guarded_inverse(S, cond_threshold):
     if not np.isfinite(cond) or cond > cond_threshold:
         raise SingularMapError(cond, cond_threshold)
     return np.linalg.inv(S), cond
+
+
+def dense_witness(family, tol=1e-10, cond_threshold=maps.DEFAULT_COND_THRESHOLD):
+    """Per interval: the condition number of E1 and, unless it is singular,
+    ``is_cp(E2 @ inv(E1))`` on the dense maps."""
+    out = []
+    for (_, E1), (_, E2) in zip(family, family[1:]):
+        cond = float(np.linalg.cond(E1))
+        singular = not cond <= cond_threshold
+        out.append((cond, None if singular else maps.is_cp(E2 @ np.linalg.inv(E1), tol)))
+    return out
+
+
+def dense_tcl(family, cond_threshold=1e10):
+    """Central-difference local generators, one dense inverse per sample."""
+    times = [t for t, _ in family]
+    gens = []
+    for i, (_, E) in enumerate(family):
+        j0, j1 = max(i - 1, 0), min(i + 1, len(family) - 1)
+        dE = (family[j1][1] - family[j0][1]) / (times[j1] - times[j0])
+        cond = np.linalg.cond(E)
+        gens.append(dE @ np.linalg.inv(E) if cond <= cond_threshold else None)
+    return gens
 
 
 def dense_is_cp(S, tol=maps.DEFAULT_CP_TOL):
@@ -178,7 +204,7 @@ def test_one_block_is_bitwise_dense(zeros):
         M[np.triu_indices(9, 2)] = 0.0        # lower Hessenberg: connected
     assert len(lv._blocks(M)) == 1
     assert np.array_equal(lv.expm(M), lv._pade_expm(M))
-    inv, cond = maps._guarded_inverse(M, 1e10)
+    inv, cond, _ = maps.invert_map(M, 1e10)
     assert cond == np.linalg.cond(M)
     assert np.array_equal(inv, np.linalg.inv(M))
     C = maps.choi_of(M @ M.conj().T)
@@ -190,10 +216,10 @@ def test_one_block_is_bitwise_dense(zeros):
 def test_blocked_singular_map_reports_infinite_condition():
     S = np.diag([1.0, 2.0, 0.0, 3.0])
     with pytest.raises(SingularMapError) as exc:
-        maps._guarded_inverse(S, 1e10)
+        maps.invert_map(S, 1e10)
     assert exc.value.condition == np.inf
     with pytest.raises(SingularMapError) as exc:
-        maps._guarded_inverse(np.zeros((4, 4)), 1e10)
+        maps.invert_map(np.zeros((4, 4)), 1e10)
     assert exc.value.condition == np.inf
 
 
@@ -210,9 +236,9 @@ def _assert_inverse_matches(S):
         ref_inv, ref_cond = dense_guarded_inverse(S, 1e10)
     except SingularMapError:
         with pytest.raises(SingularMapError):
-            maps._guarded_inverse(S, 1e10)
+            maps.invert_map(S, 1e10)
         return
-    inv, cond = maps._guarded_inverse(S, 1e10)
+    inv, cond, _ = maps.invert_map(S, 1e10)
     # the dense SVD fixes the smallest singular value only to eps * sigma_max,
     # so on an ill-conditioned map the oracle itself is good to eps * cond
     rel = max(REL, np.finfo(float).eps * ref_cond)
@@ -518,3 +544,123 @@ def test_diagonalizable_is_the_cond_of_the_block_diagonal_eigenvectors():
     L = scipy.linalg.block_diag(A, B)
     assert len(lv._blocks(L)) == 2
     assert spectra.liouvillian_spectrum(L).diagonalizable is dense_spectrum(L)[0].diagonalizable is False
+
+
+# -- map families: the witness, invert_map and tcl_from_family ---------------------
+
+def _random_gksl_superop(rng, dim):
+    jumps = [(float(rng.uniform(0.05, 0.3)),
+              rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+             for _ in range(2)]
+    return gksl.superop_of_generator(gksl.GKSLGenerator(H=rand_hermitian(dim, rng), jumps=jumps))
+
+
+def _map_family(kind, seed, count):
+    """``count`` samples (t, E) from t = 0 (the identity):
+    - ``gksl``: a random GKSL semigroup, one block;
+    - ``davies``: a Davies semigroup of a diagonal-H model, many blocks;
+    - ``mixed``: that Davies family with its later half followed by a dense
+      map, so that the samples have different patterns;
+    - ``singular``: the Davies family with one later sample exactly singular
+      and one beyond the condition threshold;
+    - ``csv``: the Davies family written and read back in the CLI's
+      map-family format (12 significant digits).
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "gksl":
+        L = _random_gksl_superop(rng, int(rng.integers(2, 4)))
+    else:
+        L = _davies_superop(seed, float(seed % 2))
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.4, count - 1))])
+    family = [(t, lv.expm(t * L)) for t in times]
+    side = len(L)
+    if kind == "mixed":
+        D = lv.expm(_random_gksl_superop(rng, int(round(np.sqrt(side)))))
+        family[count // 2:] = [(t, D @ E) for t, E in family[count // 2:]]
+    elif kind == "singular":
+        # E followed by the Schur product with a real symmetric D, X -> D * X,
+        # which keeps the map Hermiticity-preserving; D is 1 but for one pair
+        # of entries, 0 (exactly singular) or 1e-13 (beyond the threshold)
+        n = int(round(np.sqrt(side)))
+        for k, scale in zip(rng.permutation(np.arange(1, count))[:2], (0.0, 1e-13)):
+            i, j = rng.integers(n, size=2)
+            d = np.ones(side)
+            d[j * n + i] = d[i * n + j] = scale
+            family[k] = (family[k][0], family[k][1] * d)
+    elif kind == "csv":
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "family.csv")
+            cli.write_map_family_csv(path, family)
+            family = cli.read_map_family_csv(path)
+    return family
+
+
+def _assert_witness_matches(family, tol=1e-10):
+    report = maps.divisibility_witness(family, tol=tol)
+    assert [(iv.t_start, iv.t_end) for iv in report.intervals] == \
+        [(float(t1), float(t2)) for (t1, _), (t2, _) in zip(family, family[1:])]
+    threshold = maps.DEFAULT_COND_THRESHOLD
+    for k, (iv, (cond, ref)) in enumerate(zip(report.intervals, dense_witness(family, tol))):
+        if abs(cond / threshold - 1) < 1e-4:
+            continue                             # at the threshold either flag is right
+        assert iv.singular == (ref is None)
+        if ref is None:
+            # an exactly singular map has a dense cond of about 1/eps, not inf
+            assert iv.cp is None and np.isnan(iv.min_choi_eigenvalue)
+            assert iv.condition > threshold
+            continue
+        # the dense SVD fixes the smallest singular value only to eps * sigma_max
+        assert abs(iv.condition - cond) <= max(1e-10, np.finfo(float).eps * cond) * cond
+        C = maps.choi_of(family[k + 1][1] @ np.linalg.inv(family[k][1]))
+        scale = max(np.abs(np.linalg.eigvalsh((C + C.conj().T) / 2)).max(), 1.0)
+        # an ill-conditioned E1 leaves rounding of eps * cond in C, which
+        # decides the Hermiticity test when it is within a decade of 1e-10
+        ratio = np.abs(C - C.conj().T).max() / (1e-10 * scale)
+        if 0.1 < ratio < 10:
+            continue
+        assert np.isnan(iv.min_choi_eigenvalue) == (not ref.hermiticity_preserving)
+        if ref.hermiticity_preserving:
+            assert abs(iv.min_choi_eigenvalue - ref.min_choi_eigenvalue) <= 1e-9 * scale
+        if abs(ref.min_choi_eigenvalue + tol * scale) > 1e-12 * scale:
+            assert iv.cp == ref.verdict
+
+
+@PROPERTY
+@given(st.sampled_from(["gksl", "davies", "mixed", "singular", "csv"]), SEEDS,
+       st.integers(2, 14))
+def test_blocked_map_families_match_dense(kind, seed, count):
+    family = _map_family(kind, seed, count)
+    _assert_witness_matches(family)
+    for (_, E), gen, ref in zip(family, nonmarkov.tcl_from_family(family).generators,
+                                dense_tcl(family)):
+        assert (gen is None) == (ref is None) or \
+            abs(np.linalg.cond(E) / 1e10 - 1) < 1e-4
+        if gen is not None and ref is not None:
+            rel = max(REL, np.finfo(float).eps * np.linalg.cond(E))
+            assert np.abs(gen - ref).max() <= rel * _scale(ref)
+    for _, E in family:
+        _assert_inverse_matches(E)
+
+
+def test_map_families_span_several_chunks_and_blocks():
+    """The oracle above compares the chunked, blocked witness with the dense
+    one; make sure its families do have several blocks and several chunks."""
+    spans = []
+    for seed in range(8):
+        family = _map_family("davies", seed, 14)
+        _, groups, _ = maps._block_family(family)
+        spans.append((sum(len(B) for B in groups), len(maps._chunks(len(family) - 1, groups))))
+    assert any(blocks > 1 and chunks > 1 for blocks, chunks in spans)
+
+
+def test_cli_semigroup_family_is_the_stepped_semigroup():
+    """``check markov`` builds its family as block stacks; densely, they are
+    the maps of ``propagate_semigroup``."""
+    L, _ = _davies(4, 1.0)
+    times = [0.0, 0.5, 1.0, 1.5, 2.5]
+    fam = maps._semigroup_family(L, times)
+    dense = lv.propagate_semigroup(L, times, np.eye(len(L), dtype=complex))
+    stacks = fam.take(np.arange(len(times)))
+    for k, E in enumerate(dense):
+        assert np.abs(maps._dense(fam.groups, stacks, k) - E).max() <= REL * _scale(E)
+    assert len(fam.groups) > 1

@@ -238,6 +238,26 @@ def test_check_markov_witness_matches_directly_exponentiated_family(tmp_path, pr
     assert abs(witness - direct) <= max(1e-9 * abs(direct), 1e-14)
 
 
+def test_check_markov_never_builds_the_dense_family(tmp_path):
+    """``check markov`` steps its semigroup on the blocks of L: for osc12 on 51
+    samples it allocates under a quarter of the 51 dense 144 x 144 maps."""
+    import tracemalloc
+
+    out = str(tmp_path / "check.csv")
+    text = QUBIT_CFG.format(alpha=0.05, T=1.0, t_final=10.0, steps=50, out=out)
+    text = text.replace("preset = damped_qubit", "preset = damped_oscillator\nn_levels = 12")
+    cfg = write_cfg(tmp_path, text + "\n[checks]\nrequested = markov\n")
+    tracemalloc.start()
+    try:
+        code = run_cli(["check", "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert open(out).read().splitlines()[1].startswith("markov,inconclusive,")
+    assert peak < 51 * 144**2 * 16 / 4
+
+
 def test_spectrum_and_steady_commands(tmp_path):
     out = str(tmp_path / "spectrum.csv")
     cfg = write_cfg(tmp_path, QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=1.0,

@@ -346,8 +346,9 @@ def test_propagate_semigroup_one_exponential_per_spacing(monkeypatch):
         assert len(calls) == expected
 
 
-@pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [-0.5, 1.0]],
-                         ids=["descending", "repeated", "negative"])
+@pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [-0.5, 1.0],
+                                   [0.0, float("nan"), 1.0], [0.0, float("inf")]],
+                         ids=["descending", "repeated", "negative", "nan", "inf"])
 def test_propagate_semigroup_rejects_bad_grid(times):
     with pytest.raises(ValueError):
         lv.propagate_semigroup(np.zeros((4, 4)), times, np.ones(4))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from openqdyn import maps
-from openqdyn.errors import NotCompletelyPositiveError, SingularMapError
+from openqdyn.errors import DimensionError, NotCompletelyPositiveError, SingularMapError
 from openqdyn.gksl import GKSLGenerator, dissipator_superop, superop_of_generator
 from openqdyn.liouville import apply_superop, conjugation_superop, expm
 from openqdyn.operators import (
@@ -292,6 +292,39 @@ def test_divisibility_single_sample_inconclusive():
 def test_divisibility_rejects_unordered_times():
     with pytest.raises(ValueError):
         maps.divisibility_witness([(0.0, np.eye(4)), (0.0, np.eye(4))])
+
+
+@pytest.mark.parametrize("times", [[0.0, float("nan"), 1.0], [0.0, float("inf"), 1.0],
+                                   [0.0, 1.0, 0.5]], ids=["nan", "inf", "descending"])
+def test_divisibility_rejects_bad_times(times):
+    """A NaN time used to pass the ordering test and give markovian=True."""
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        maps.divisibility_witness([(t, np.eye(4)) for t in times])
+
+
+def test_divisibility_rejects_mixed_sides():
+    family = [(0.0, np.eye(4)), (1.0, np.eye(9))]
+    with pytest.raises(DimensionError):
+        maps.divisibility_witness(family)
+    with pytest.raises(DimensionError):
+        maps.divisibility_witness([(0.0, np.ones((4, 2)))])
+
+
+def test_divisibility_empty_family_is_inconclusive():
+    report = maps.divisibility_witness([])
+    assert report.intervals == [] and report.markovian is None
+
+
+def test_divisibility_reports_condition_of_each_start_map():
+    L = superop_of_generator(GKSLGenerator(H=0.5 * sigma_z, jumps=[(0.4, sigma_z)]))
+    times = [0.0, 0.5, 1.0, 2.0]
+    family = [(t, expm(t * L)) for t in times]
+    family.append((3.0, np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)))
+    family.append((4.0, np.eye(4, dtype=complex)))
+    report = maps.divisibility_witness(family)
+    for iv, (_, E1) in zip(report.intervals[:-1], family):
+        assert iv.condition == pytest.approx(np.linalg.cond(E1), rel=1e-10)
+    assert report.intervals[-1].condition == np.inf and report.intervals[-1].singular
 
 
 def test_cptp_implies_contraction():

@@ -241,6 +241,25 @@ def test_tcl_from_family_singular_marker():
             assert g is None
 
 
+@pytest.mark.parametrize("times", [[0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 0.5, 1.5],
+                                   [0.0, float("nan"), 1.0], [0.0, 1.0, float("inf")]],
+                         ids=["duplicate", "descending", "nan", "inf"])
+def test_tcl_from_family_rejects_bad_times(times):
+    """Duplicate times used to divide by zero, descending ones to flip the sign
+    of the difference quotient."""
+    L = damped_qubit_L()
+    samples = [(t, expm((t if np.isfinite(t) else 1.0) * L)) for t in times]
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        nm.tcl_from_family(samples)
+
+
+def test_tcl_from_family_rejects_mixed_sides():
+    from openqdyn.errors import DimensionError
+
+    with pytest.raises(DimensionError):
+        nm.tcl_from_family([(0.0, np.eye(4)), (1.0, np.eye(9))])
+
+
 def test_tcl_from_family_forward_smoothing():
     L = damped_qubit_L()
     times = np.linspace(0.0, 1.0, 21)

@@ -166,6 +166,34 @@ def test_spohn_check_examples():
     assert rep3.commutant_dim == 4 and not rep3.relaxing_guaranteed
 
 
+def test_spohn_self_adjoint_flag_matches_pairwise_comparison():
+    """The stacked adjoint pairing gives the flag of comparing every jump with
+    every other, at the per-jump scale tol * max(|V|.max(), 1)."""
+    def pairwise(jumps, tol=1e-12):
+        return all(any(np.abs(W - V.conj().T).max() <= tol * max(np.abs(V).max(), 1.0)
+                       for W in jumps) for V in jumps)
+
+    assert not spectra.spohn_check([sigma_minus]).self_adjoint_set
+    rng = np.random.default_rng(57)
+    flags = []
+    for _ in range(40):
+        dim = int(rng.integers(2, 4))
+        jumps = []
+        for _ in range(int(rng.integers(1, 4))):
+            V = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) \
+                * 10.0 ** rng.integers(-2, 3)
+            jumps.append(V)
+            # the adjoint: missing, exact, or off by about the tolerance
+            kind = rng.integers(3)
+            if kind:
+                off = 1e-12 * max(np.abs(V).max(), 1.0) * (0.5 if kind == 1 else 2.0)
+                jumps.append(V.conj().T + off * (rng.random() < 0.5))
+        rng.shuffle(jumps)
+        flags.append(pairwise(jumps))
+        assert spectra.spohn_check(jumps).self_adjoint_set == flags[-1]
+    assert any(flags) and not all(flags)
+
+
 def test_spohn_soundness_on_random_self_adjoint_sets():
     rng = np.random.default_rng(54)
     count = 0

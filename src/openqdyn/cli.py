@@ -412,6 +412,13 @@ def _verdict(ok):
     return "inconclusive" if ok is None else ("pass" if ok else "fail")
 
 
+def _finite_min(values):
+    """The least finite value, nan when there is none; Python's ``min`` skips
+    a NaN only when it does not come first."""
+    finite = [v for v in values if np.isfinite(v)]
+    return min(finite) if finite else float("nan")
+
+
 def cmd_check(ctx):
     from .gksl import check_kossakowski_conditions, random_partitions
     from .liouville import expm
@@ -428,13 +435,13 @@ def cmd_check(ctx):
     all_pass = True
     for name in requested:
         if name == "cp":
-            witness = np.inf
-            ok = True
+            ok, eigs = True, []
             for tau in (0.01, 0.1, 1.0, 10.0):
                 E = expm(tau * L)
                 rep = is_cp(E, tol)
-                witness = min(witness, rep.min_choi_eigenvalue)
+                eigs.append(rep.min_choi_eigenvalue)
                 ok = ok and rep.verdict and is_trace_preserving(E)
+            witness = _finite_min(eigs)
         elif name == "markov":
             family_file = ctx.get("checks", "family_file")
             if family_file:
@@ -442,8 +449,7 @@ def cmd_check(ctx):
             else:
                 family = _semigroup_family(L, _from_zero(build_output_times(ctx.cfg)))
             report = divisibility_witness(family, tol=tol)
-            witness = min((iv.min_choi_eigenvalue for iv in report.intervals
-                           if iv.cp is not None), default=float("nan"))
+            witness = _finite_min(iv.min_choi_eigenvalue for iv in report.intervals)
             ok = report.markovian
             report_file = ctx.get("checks", "report_file")
             if report_file:

@@ -13,10 +13,14 @@ primitives below are the reference form of the convention.
 Exact-zero blocking: a matrix whose nonzero pattern splits, under a
 permutation, into disconnected diagonal blocks (a Davies generator of a
 diagonal H_S splits into its Bohr-frequency sectors, and so do its
-exponentials and their Choi matrices) is exponentiated, inverted and
+exponentials and their Choi matrices) is exponentiated, stepped, inverted and
 diagonalized block by block.  The blocks are the connected components of
-the exact nonzero pattern: no tolerance and no basis change, so a matrix that
-is one block takes the same dense kernel call as without blocking.
+the exact nonzero pattern (:func:`_blocks`): no tolerance and no basis
+change.  The one block format holds K matrices that share the blocks as,
+per block size m, the (K, g, m, m) stack of their g diagonal blocks of that
+size (:func:`_size_groups`, :func:`_take`, :func:`_dense`), so each kernel
+call runs once per block size; a matrix that is one block is a view of
+itself and takes the dense kernel call.
 
 Matrix exponentials run in numpy alone (:func:`_pade_expm`): every product
 goes through one BLAS, and importing the package loads no ``scipy.linalg``.
@@ -91,40 +95,56 @@ def _blocks(M):
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _diagonal_blocks(M, blocks):
-    """The blocks ``M[b, b]``; ``M`` itself when it is one block."""
-    return [M] if len(blocks) == 1 else [M[np.ix_(b, b)] for b in blocks]
+def _size_groups(blocks):
+    """The blocks of each size m as one (g, m) index array, by size: the block
+    format of the package (see the module docstring)."""
+    return [np.array([b for b in blocks if len(b) == m]) for m in sorted({len(b) for b in blocks})]
 
 
-def _block_diag(mats, blocks):
-    """Dense matrix with ``mats`` on the diagonal ``blocks`` and zeros elsewhere."""
-    if len(blocks) == 1:
-        return mats[0]
-    n = sum(len(b) for b in blocks)
-    out = np.zeros((n, n), dtype=np.result_type(*mats))
-    for b, B in zip(blocks, mats):
-        out[np.ix_(b, b)] = B
+def _one_block(groups):
+    return len(groups) == 1 and len(groups[0]) == 1
+
+
+def _take(groups, maps):
+    """Per block size, the stack (len(maps), g, m, m) of the diagonal blocks of
+    ``maps``, a sequence or an (K, n, n) array of square matrices that are
+    zero off the blocks of ``groups``; a view of one matrix, or of an array,
+    that is one block."""
+    if _one_block(groups) and len(maps):
+        return [maps[0][None, None] if len(maps) == 1 else np.asarray(maps)[:, None]]
+    stacks = [np.empty((len(maps),) + B.shape + B.shape[1:], dtype=complex) for B in groups]
+    for B, S in zip(groups, stacks):
+        for k, E in enumerate(maps):
+            S[k] = E[B[:, :, None], B[:, None, :]]
+    return stacks
+
+
+def _dense(groups, stacks, k, out=None):
+    """Matrix k of the block ``stacks`` (as from :func:`_take`) with zeros off
+    its blocks, written into ``out`` (zero off the blocks) when given; a view
+    of the stack when there is one block."""
+    if _one_block(groups):
+        return stacks[0][k, 0]
+    if out is None:
+        side = sum(B.size for B in groups)
+        out = np.zeros((side, side), dtype=complex)
+    for B, S in zip(groups, stacks):
+        out[B[:, :, None], B[:, None, :]] = S[k]
     return out
 
 
-def _block_cond(mats):
-    """2-norm condition number of the block-diagonal matrix of the square
-    ``mats``: the largest singular value over all blocks divided by the
-    smallest; inf when one is zero, as in ``np.linalg.cond``."""
-    sv = np.concatenate([np.linalg.svd(B, compute_uv=False) for B in mats])
-    with np.errstate(all="ignore"):
-        cond = float(sv.max() / sv.min())
-    return np.inf if np.isnan(cond) else cond        # 0/0
-
-
-def _block_rows(M, X, blocks):
-    """``M @ X`` for a matrix ``M`` that is zero off the diagonal ``blocks``."""
-    if len(blocks) == 1:
-        return M @ X
-    out = np.empty(X.shape, dtype=np.result_type(M, X))
-    for b in blocks:
-        out[b] = M[np.ix_(b, b)] @ X[b]
-    return out
+def _cond(stacks):
+    """2-norm condition number of each matrix of the block ``stacks`` (as from
+    :func:`_take`): its largest singular value over all blocks divided by its
+    smallest; inf when that is zero, as in ``np.linalg.cond``, and on 0/0.
+    One SVD call per block size."""
+    sv = [np.linalg.svd(S, compute_uv=False) for S in stacks]
+    top = np.max([s[..., 0].max(axis=-1) for s in sv], axis=0)
+    low = np.min([s[..., -1].min(axis=-1) for s in sv], axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = top / low
+    cond[np.isnan(cond)] = np.inf                 # 0/0
+    return cond
 
 
 def is_hermitian(M, tol=TOL_HERM):
@@ -260,15 +280,16 @@ def expm(M):
     M = _as_square(M)
     if not np.all(np.isfinite(M)):
         raise MagnitudeError("matrix exponential of non-finite input")
-    blocks = _blocks(M)
-    return _block_diag([_pade_expm(B) for B in _diagonal_blocks(M, blocks)], blocks)
+    groups = _size_groups(_blocks(M))
+    return _dense(groups, [_pade_expm(S) for S in _take(groups, [M])], 0)
 
 
-def _pade_expm(A):
+def _pade_expm(A, out=None):
     """e^A of a finite square matrix, or of each matrix of a stack (..., n, n)
-    one at a time, so that the transient memory is that of one matrix.
-    Raises :class:`MagnitudeError` when a result overflows."""
-    out = np.empty_like(A)
+    one at a time, so that the transient memory is that of one matrix; written
+    into ``out`` (which may be A itself) when given.  Raises
+    :class:`MagnitudeError` when a result overflows."""
+    out = np.empty_like(A) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is checked below
         for i in np.ndindex(A.shape[:-2]):
             out[i] = _pade_expm_one(A[i])
@@ -349,17 +370,37 @@ def propagate_semigroup(L, times, X):
     so each output is the step propagator e^{dt L} times the previous output
     (see :func:`_semigroup_steps`).  ``X`` is a vector or a matrix; ``t = 0``
     returns ``X`` itself.  Times must be finite, nonnegative and strictly
-    ascending (ValueError otherwise).  The step is block-diagonal over the exact-zero
-    blocks of L, and is applied one block row at a time.
+    ascending (ValueError otherwise).  The step is zero off the exact-zero
+    blocks of L, so X is stepped by its block rows (:func:`_semigroup_blocks`).
     """
     L = _as_square(L, "generator")
-    blocks = _blocks(L)
-    out = []
+    groups = _size_groups(_blocks(L))
+    X2 = np.asarray(X).reshape(len(L), -1)
+    rows, out = [X2[B] for B in groups], []
+    for Y in _semigroup_blocks(L, groups, times, rows):
+        if Y is rows:                      # t = 0
+            out.append(X)
+            continue
+        Z = np.empty(X2.shape, dtype=complex)
+        for B, Yb in zip(groups, Y):
+            Z[B] = Yb
+        out.append(Z.reshape(np.shape(X)))
+    return out
+
+
+def _semigroup_blocks(L, groups, times, X):
+    """Per time, e^{tL} X by the blocks ``groups`` of L (as from
+    :func:`_size_groups`); ``X`` itself where t = 0.  ``X`` and each result
+    hold, per block size, the (g, m, ...) stack of the blocks' rows of a
+    matrix, or of any slice of those rows; one product call per block size
+    and step."""
+    last = None
     for step in _semigroup_steps(L, times):
         if step is not None:
-            X = _block_rows(step, X, blocks)
-        out.append(X)
-    return out
+            if step is not last:
+                last, P = step, [S[0] for S in _take(groups, [step])]
+            X = [Pb @ Xb for Pb, Xb in zip(P, X)]
+        yield X
 
 
 def _semigroup_steps(L, times):
@@ -434,7 +475,7 @@ def _time_split(G, times, dt, X, ends):
     of a stack of generators, G[i] frozen over [times[i], times[i] + dt[i]].
 
     Every E_i is zero off the exact-zero blocks of the stack's union pattern,
-    so each block is exponentiated for the whole stack in one
+    so the blocks of each size are exponentiated for the whole stack in one
     :func:`_pade_expm` call, and the product is accumulated one block row at a
     time, (E X)[b] = E[b, b] X[b].
     Raises :class:`MagnitudeError` on a non-finite generator or an overflow.
@@ -442,18 +483,21 @@ def _time_split(G, times, dt, X, ends):
     finite = np.isfinite(G).all(axis=(1, 2))
     if not finite.all():
         raise MagnitudeError(f"generator non-finite at t={times[np.argmin(finite)]}")
-    blocks = _blocks((G != 0).any(axis=0))
-    dt = np.asarray(dt)[:, None, None]
-    steps = [_pade_expm(dt * (G if len(blocks) == 1 else G[:, b[:, None], b])) for b in blocks]
+    groups = _size_groups(_blocks((G != 0).any(axis=0)))
+    dt = np.asarray(dt)[:, None, None, None]
+    steps = [dt * S for S in _take(groups, G)]
+    for E in steps:
+        _pade_expm(E, out=E)              # in place: no third stack of the chunk
     out = np.zeros((len(ends),) + X.shape, dtype=complex)
-    for b, E in zip(blocks, steps):
-        cols = np.flatnonzero(X[b].any(axis=0))    # the other columns stay zero
-        Xb, k = X[np.ix_(b, cols)], 0
-        for j, Ej in enumerate(E):
-            Xb = Ej @ Xb
-            if j == ends[k]:
-                out[k][np.ix_(b, cols)] = Xb
-                k += 1
+    for B, E in zip(groups, steps):
+        for b, Eb in zip(B, E.swapaxes(0, 1)):
+            cols = np.flatnonzero(X[b].any(axis=0))    # the other columns stay zero
+            Xb, k = X[np.ix_(b, cols)], 0
+            for j, Ej in enumerate(Eb):
+                Xb = Ej @ Xb
+                if j == ends[k]:
+                    out[k][np.ix_(b, cols)] = Xb
+                    k += 1
     return out
 
 

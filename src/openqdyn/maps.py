@@ -8,6 +8,10 @@ them rather than assume validity.
 Choi convention (unnormalized): ``C = sum_ij |i><j| (x) E(|i><j|)``, so a
 trace-preserving map has Tr C = N and the identity map's Choi is N times the
 maximally entangled projector.
+
+The Choi spectrum, the guarded inverse and the divisibility witness hold
+their maps in the block format of :mod:`openqdyn.liouville`; a sampled map
+family is blocked once, on the union exact-zero pattern of its maps.
 """
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional
@@ -19,10 +23,13 @@ from .liouville import (
     _as_square,
     _blocks,
     _check_tol,
-    _diagonal_blocks,
+    _cond,
+    _dense,
     _operator_sum_superop,
     _reshuffle,
-    _semigroup_steps,
+    _semigroup_blocks,
+    _size_groups,
+    _take,
     _vec_columns,
     hs_basis,
     induced_trace_norm,
@@ -67,16 +74,18 @@ def is_cp(S, tol=DEFAULT_CP_TOL):
     verdict is True iff min eig(C) >= -tol * ||C||_op, with ||C||_op taken
     from the eigenvalues of the Hermitian part of C.  A map that is not
     Hermiticity-preserving (non-Hermitian Choi) is reported as such and fails.
-    The eigenvalues come from the exact-zero blocks of C, one block at a time.
-    ``tol`` must be finite and nonnegative (ValueError otherwise).
+    The eigenvalues come from the exact-zero blocks of C, one ``eigvalsh``
+    call per block size.  ``tol`` must be finite and nonnegative (ValueError
+    otherwise).
     """
     _check_tol(tol)
     C = choi_of(S)
-    subs = _diagonal_blocks(C, _blocks(C))
-    w = np.concatenate([np.linalg.eigvalsh((B + B.conj().T) / 2.0) for B in subs])
+    groups = _size_groups(_blocks(C))
+    subs = [(B, B.conj().swapaxes(-1, -2)) for B in _take(groups, [C])]
+    w = np.concatenate([np.linalg.eigvalsh((B + Bh) / 2.0).ravel() for B, Bh in subs])
     scale = max(np.abs(w).max(), 1e-300)
     # C is zero off its blocks, so it is Hermitian iff each block is
-    herm = max(np.abs(B - B.conj().T).max() for B in subs) <= 1e-10 * max(scale, 1.0)
+    herm = max(np.abs(B - Bh).max() for B, Bh in subs) <= 1e-10 * max(scale, 1.0)
     if not herm:
         return CPReport(False, float("nan"), False)
     wmin = float(w.min())
@@ -161,11 +170,6 @@ def is_unitary_conjugation(S, tol=1e-10):
     return np.abs(S @ S.conj().T - np.eye(n * n)).max() <= tol * n
 
 
-def _size_groups(blocks):
-    """The blocks of each size m as one (g, m) index array, by size."""
-    return [np.array([b for b in blocks if len(b) == m]) for m in sorted({len(b) for b in blocks})]
-
-
 def _chunks(count, groups):
     """The sample numbers ``0..count-1`` in batches of as many samples as the
     blocks of one dense map hold, so that a one-block family goes one sample
@@ -174,40 +178,10 @@ def _chunks(count, groups):
     return np.split(np.arange(count), np.arange(step, count, step))
 
 
-def _one_block(groups):
-    return len(groups) == 1 and len(groups[0]) == 1
-
-
-def _take(groups, maps):
-    """Per block size, the stack (len(maps), g, m, m) of the blocks of
-    ``maps``; a view of the map when it is one map of one block."""
-    if len(maps) == 1 and _one_block(groups):
-        return [maps[0][None, None]]
-    stacks = [np.empty((len(maps),) + B.shape + B.shape[1:], dtype=complex) for B in groups]
-    for B, S in zip(groups, stacks):
-        for k, E in enumerate(maps):
-            S[k] = E[B[:, :, None], B[:, None, :]]
-    return stacks
-
-
-def _dense(groups, stacks, k, out=None):
-    """Map k of the block ``stacks`` (as from :func:`_take`) with zeros off its
-    blocks, written into ``out`` (zero off the blocks) when given; a view of
-    the stack when there is one block."""
-    if _one_block(groups):
-        return stacks[0][k, 0]
-    if out is None:
-        side = sum(B.size for B in groups)
-        out = np.zeros((side, side), dtype=complex)
-    for B, S in zip(groups, stacks):
-        out[B[:, :, None], B[:, None, :]] = S[k]
-    return out
-
-
 class _BlockFamily(NamedTuple):
     """A sampled map family held by its exact-zero blocks: every map is zero
-    off the blocks of ``groups`` (as from :func:`_size_groups`), and
-    ``take(idx)`` gives, as :func:`_take` does, the blocks of the samples
+    off the blocks of ``groups`` (as from :func:`liouville._size_groups`), and
+    ``take(idx)`` gives, as :func:`liouville._take` does, the blocks of the samples
     numbered in the integer array ``idx``.  :func:`divisibility_witness`
     takes one in place of a list of ``(t, E)``."""
     times: np.ndarray
@@ -240,41 +214,29 @@ def _block_family(family):
 def _semigroup_family(L, times):
     """The family ``(t, e^{tL})`` over ``times`` (finite, nonnegative, strictly
     ascending) as a :class:`_BlockFamily` on the exact-zero blocks of L, built
-    without a dense map: E(t + dt)[b, b] = e^{dt L}[b, b] E(t)[b, b], with one
-    exponential per distinct spacing as in :func:`propagate_semigroup`."""
+    without a dense map by :func:`liouville._semigroup_blocks` from the
+    diagonal blocks of the identity."""
     L = _as_square(L, "generator")
-    steps = _semigroup_steps(L, times)
     groups = _size_groups(_blocks(L))
-    E = _take(groups, [np.eye(len(L), dtype=complex)])
-    stacks = [np.empty((len(steps),) + B.shape[1:], dtype=complex) for B in E]
-    last = None
-    for k, step in enumerate(steps):
-        if step is not None:
-            if step is not last:
-                last, P = step, _take(groups, [step])
-            E = [Pb @ Eb for Pb, Eb in zip(P, E)]
+    eye = [S[0] for S in _take(groups, [np.eye(len(L), dtype=complex)])]
+    stacks = [np.empty((len(times),) + I.shape, dtype=complex) for I in eye]
+    for k, E in enumerate(_semigroup_blocks(L, groups, times, eye)):
         for S, Eb in zip(stacks, E):
-            S[k] = Eb[0]
+            S[k] = Eb
     return _BlockFamily(np.array(times, dtype=float), groups, lambda idx: [S[idx] for S in stacks])
 
 
 def _guarded_inverse(stacks, cond_threshold):
     """Guarded inverses of a stack of maps held by their blocks (per group a
-    (K, g, m, m) stack, as from :func:`_take`): ``(cond, ok, inverses)``.
+    (K, g, m, m) stack, as from :func:`liouville._take`): ``(cond, ok,
+    inverses)``.
 
-    ``cond[k]`` is the 2-norm condition number of map k, its largest singular
-    value over all blocks divided by its smallest (inf when that is zero, as
-    in ``np.linalg.cond``); ``ok[k]`` tells whether it is at most
-    ``cond_threshold``; ``inverses`` holds the blocks of the inverses of the
-    maps with ``ok``, stacked like ``stacks``.  One SVD call and one inverse
-    call per group.
+    ``cond[k]`` is the 2-norm condition number of map k (:func:`liouville._cond`);
+    ``ok[k]`` tells whether it is at most ``cond_threshold``; ``inverses``
+    holds the blocks of the inverses of the maps with ``ok``, stacked like
+    ``stacks``.  One SVD call and one inverse call per group.
     """
-    sv = [np.linalg.svd(S, compute_uv=False) for S in stacks]
-    top = np.max([s[..., 0].max(axis=-1) for s in sv], axis=0)
-    low = np.min([s[..., -1].min(axis=-1) for s in sv], axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = top / low
-    cond[np.isnan(cond)] = np.inf                 # 0/0
+    cond = _cond(stacks)
     ok = cond <= cond_threshold
     return cond, ok, [np.linalg.inv(S if ok.all() else S[ok]) for S in stacks]  # no copy if all pass
 

@@ -30,6 +30,7 @@ from .errors import StepSizeError
 from .liouville import (
     _STACK_BYTES,
     _as_square,
+    _dense,
     _lindblad_superop,
     _time_split,
     apply_superop,
@@ -38,7 +39,7 @@ from .liouville import (
     propagate_semigroup,
     vectorize,
 )
-from .maps import _block_family, _chunks, _dense, _guarded_inverse, is_cp
+from .maps import _block_family, _chunks, _guarded_inverse, is_cp
 from .weakcoupling import (
     _bohr_blocks,
     _horizons,

@@ -2,15 +2,17 @@
 ergodic averages, and Spohn's commutant criterion.
 
 Jordan structure is never computed explicitly; the eigenvalues with their
-multiplicities are all the relaxing criterion needs.  Every routine works on
-the exact-zero blocks of its matrix (see :mod:`openqdyn.liouville`): one
-``eig`` or SVD per block, and a matrix that is one block takes the dense
-call.  A Davies generator of a diagonal H_S splits into its Bohr-frequency
-sectors (Albert & Jiang, PRA 89, 022118, 2014), its spectrum, kernel and
-zero eigenprojector with it.  Eigenvalues are sorted by real part on the
-zero-tolerance grid, then by imaginary part, so rounding noise does not order
-a conjugate pair, then by exact real part, so that the order of the blocks
-never orders the rows.
+multiplicities are all the relaxing criterion needs.  Every routine but
+``spohn_check`` holds its matrix in the block format of
+:mod:`openqdyn.liouville` (its exact-zero blocks, stacked by size) and makes
+one batched ``eig`` or SVD call per block size; a matrix that is one block
+takes the dense call.  A Davies generator of a diagonal H_S splits into its
+Bohr-frequency sectors (Albert & Jiang, PRA 89, 022118, 2014), its spectrum,
+kernel and zero eigenprojector with it.  ``spohn_check`` takes one SVD per
+column block of its rectangular commutator system.  Eigenvalues are sorted by
+real part on the zero-tolerance grid, then by imaginary part, so rounding
+noise does not order a conjugate pair, then by exact real part, so that the
+order of the blocks never orders the rows.
 """
 from dataclasses import dataclass, field
 from typing import List, NamedTuple
@@ -21,11 +23,12 @@ from .errors import DegenerateSpectrumError, DimensionError
 from .gksl import hamiltonian_superop
 from .liouville import (
     _as_square,
-    _block_cond,
-    _block_diag,
     _blocks,
     _check_tol,
-    _diagonal_blocks,
+    _cond,
+    _dense,
+    _size_groups,
+    _take,
     apply_superop,
     devectorize,
     trace_norm,
@@ -44,24 +47,10 @@ class SpectralReport:
     zero_tolerance: float
 
 
-def _superop_scale(subs):
-    """||L||_2 of a matrix from its diagonal blocks ``subs``: the largest
-    singular value over all blocks."""
-    return max(max(float(np.linalg.norm(B, 2)) for B in subs), 1e-300)
-
-
-def _block_eig(L):
-    """``(blocks, ||L||_2, [(w, V) per block])``: the exact-zero blocks of a
-    square L, its 2-norm, and the ``eig`` of each diagonal block."""
-    blocks = _blocks(L)
-    subs = _diagonal_blocks(L, blocks)
-    return blocks, _superop_scale(subs), [np.linalg.eig(B) for B in subs]
-
-
 def liouvillian_spectrum(L, tol=DEFAULT_ZERO_TOL):
     """Full spectrum of a Liouvillian with zero-cluster identification.
 
-    One ``eig`` call per exact-zero block of L; the zero cluster is
+    One ``eig`` call per block size of L; the zero cluster is
     ``|lambda| <= tol * ||L||_2``, with ||L||_2 the largest singular value
     over the blocks.  The sort key is the real part divided by that tolerance
     and rounded (the real part itself when the tolerance is zero), then the
@@ -75,9 +64,10 @@ def liouvillian_spectrum(L, tol=DEFAULT_ZERO_TOL):
     """
     _check_tol(tol)
     L = _as_square(L, "Liouvillian")
-    _, scale, eigs = _block_eig(L)
-    lam = np.concatenate([w for w, _ in eigs])
-    grid = tol * scale
+    subs = _take(_size_groups(_blocks(L)), [L])
+    eigs = [np.linalg.eig(S) for S in subs]
+    lam = np.concatenate([w.ravel() for w, _ in eigs])
+    grid = tol * max(max(float(np.linalg.norm(S, 2, axis=(-2, -1)).max()) for S in subs), 1e-300)
     re = np.round(lam.real / grid) if grid > 0 else lam.real
     lam = lam[np.lexsort((lam.real, lam.imag, re))]
     zero_mask = np.abs(lam) <= grid
@@ -88,7 +78,7 @@ def liouvillian_spectrum(L, tol=DEFAULT_ZERO_TOL):
         eigenvalues=lam,
         zero_multiplicity=zero_mult,
         spectral_gap=gap,
-        diagonalizable=bool(_block_cond([V for _, V in eigs]) < 1e10),
+        diagonalizable=bool(_cond([V for _, V in eigs])[0] < 1e10),
         zero_tolerance=grid,
     )
 
@@ -117,22 +107,25 @@ class SteadyStateResult:
     kernel_basis: List[np.ndarray] = field(default_factory=list)
 
 
-def _hermitian_kernel_basis(L, blocks, subs, zero_tol):
-    """Orthonormal Hermitian basis of ker L (closed under dagger for
-    Hermiticity-preserving generators).  ker L is the direct sum of the
-    kernels of the diagonal blocks ``subs`` of L: each block's right singular
-    vectors with singular value at most ``zero_tol``, embedded into vectors
-    of L's side."""
+def _hermitian_kernel_basis(L, tol):
+    """``(basis, kernel_dim, ||L||_2)``: an orthonormal Hermitian basis of
+    ker L (closed under dagger for Hermiticity-preserving generators), its
+    dimension, and the largest singular value of L.  ker L is the direct sum
+    of the kernels of the exact-zero blocks of L: one full SVD call per block
+    size, and each block's right singular vectors with singular value at most
+    ``tol * ||L||_2``, embedded into vectors of L's side and taken in the
+    order of the blocks (:func:`liouville._blocks`), not of their sizes."""
+    groups = _size_groups(_blocks(L))
+    svds = [np.linalg.svd(S[0]) for S in _take(groups, [L])]
+    scale = max(max(float(s.max()) for _, s, _ in svds), 1e-300)
     null = []
-    for b, B in zip(blocks, subs):
-        _, s, Vh = np.linalg.svd(B)
-        for i in np.flatnonzero(s <= zero_tol):
-            v = np.zeros(len(L), dtype=complex)
-            v[b] = Vh[i].conj()
-            null.append(v)
-    if not null:
-        return [], 0
-    kernel_dim = len(null)
+    for B, (_, s, Vh) in zip(groups, svds):
+        for b, sb, Vb in zip(B, s, Vh):
+            for i in np.flatnonzero(sb <= tol * scale):
+                v = np.zeros(len(L), dtype=complex)
+                v[b] = Vb[i].conj()
+                null.append((b[0], v))
+    null = [v for _, v in sorted(null, key=lambda e: e[0])]     # stable: keeps i order
     candidates = []
     for v in null:
         X = devectorize(v)
@@ -145,14 +138,14 @@ def _hermitian_kernel_basis(L, blocks, subs, zero_tol):
         norm = np.sqrt(np.trace(X.conj().T @ X).real)
         if norm > 1e-10:
             basis.append(X / norm)
-    return basis[:kernel_dim], kernel_dim
+    return basis[:len(null)], len(null), scale
 
 
 def steady_states(L, tol=DEFAULT_ZERO_TOL, rng=None):
     """Steady states from the kernel of a trace-preserving Liouvillian.
 
-    The kernel comes from one full SVD per exact-zero block of L: the null
-    vectors of the blocks at ``tol * ||L||_2``.  Returns normalized PSD
+    The kernel comes from one full SVD call per block size of L: the null
+    vectors of the exact-zero blocks at ``tol * ||L||_2``.  Returns normalized PSD
     kernel elements; for degenerate kernels a generic Hermitian kernel
     combination is eigendecomposed and its spectral projectors kept when they
     are themselves steady, which recovers the extreme points in the commuting
@@ -163,11 +156,8 @@ def steady_states(L, tol=DEFAULT_ZERO_TOL, rng=None):
     _check_tol(tol)
     L = _as_square(L, "Liouvillian")
     n = int(round(np.sqrt(L.shape[0])))
-    blocks = _blocks(L)
-    subs = _diagonal_blocks(L, blocks)
-    scale = _superop_scale(subs)
     rng = np.random.default_rng(7) if rng is None else rng
-    basis, kernel_dim = _hermitian_kernel_basis(L, blocks, subs, tol * scale)
+    basis, kernel_dim, scale = _hermitian_kernel_basis(L, tol)
     states = []
 
     def try_add(X):
@@ -207,26 +197,32 @@ def steady_states(L, tol=DEFAULT_ZERO_TOL, rng=None):
 def zero_eigenprojector(L, tol=DEFAULT_ZERO_TOL):
     """Spectral projector (as a superoperator) onto the zero-eigenvalue
     eigenspace of L, ``|lambda| <= tol * ||L||_2``.  Built from one ``eig``
-    and one inverse per exact-zero block of L; the projector is zero off
-    those blocks.  Raises :class:`DegenerateSpectrumError` when the zero
+    and one inverse call per block size of L; the projector is zero off the
+    exact-zero blocks.  Raises :class:`DegenerateSpectrumError` when the zero
     eigenspace is defective beyond tolerance.  ``tol`` must be finite and
     nonnegative (ValueError otherwise)."""
     _check_tol(tol)
     L = _as_square(L, "Liouvillian")
-    blocks, scale, eigs = _block_eig(L)
-    zero = [np.abs(w) <= tol * scale for w, _ in eigs]
+    groups = _size_groups(_blocks(L))
+    subs = _take(groups, [L])
+    eigs = [np.linalg.eig(S) for S in subs]
+    grid = tol * max(max(float(np.linalg.norm(S, 2, axis=(-2, -1)).max()) for S in subs), 1e-300)
+    zero = [np.abs(w) <= grid for w, _ in eigs]
     if not any(z.any() for z in zero):
         raise DegenerateSpectrumError("no zero eigenvalue found within tolerance")
-    cond = _block_cond([V for _, V in eigs])
+    cond = _cond([V for _, V in eigs])[0]
     if not np.isfinite(cond) or cond > 1e12:
         raise DegenerateSpectrumError(
             f"eigenvector matrix condition {cond:.2e}; zero eigenspace unresolved"
         )
-    Ps = [V[:, z] @ np.linalg.inv(V)[z, :] for (_, V), z in zip(eigs, zero)]
+    Ps = [np.linalg.inv(V) for _, V in eigs]
+    for (_, V), z, P in zip(eigs, zero, Ps):
+        for j in np.ndindex(z.shape[:-1]):          # P[j] is inv(V[j]) until here
+            P[j] = V[j][:, z[j]] @ P[j][z[j], :]
     # geometric multiplicity must match the clustered algebraic one
     if max(np.abs(P @ P - P).max() for P in Ps) > 1e-6:
         raise DegenerateSpectrumError("zero eigenprojector is not idempotent within tolerance")
-    return _block_diag(Ps, blocks)
+    return _dense(groups, Ps, 0)
 
 
 def ergodic_average(L, rho0, tol=DEFAULT_ZERO_TOL):

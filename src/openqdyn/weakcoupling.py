@@ -142,33 +142,22 @@ class BathModel:
         """Bath correlation function C(t) (single-coupling normalization).
 
         C(t) = int_0^wmax dw J(w) [ (nbar+1) e^{-iwt} + nbar e^{+iwt} ],
-        evaluated by adaptive quadrature with oscillatory weights to the
-        requested absolute accuracy.
+        summed on the frequency rule of :meth:`correlation_table` with the
+        node count of the finite-horizon rules at horizon |t|.  Raises
+        :class:`QuadratureError` when the rule with twice the nodes differs by
+        more than ``abs_tol``.
         """
         t = float(t)
-        pts = self._breakpoints()
-        T = self.temperature
-
-        def sym(w):
-            # J (2 nbar + 1) = J coth(w/2T), stable down to w -> 0
-            w = np.atleast_1d(np.maximum(w, 1e-300))
-            if T == 0:
-                return self.J(w)[0]
-            return (self.J(w) / np.tanh(w / (2.0 * T)))[0]
-
-        def plain(w):
-            w = np.atleast_1d(w)
-            return self.J(w)[0]
-
-        import scipy.integrate          # only here: it is slow to import
-
-        kw = dict(limit=400, epsabs=abs_tol / 4.0, epsrel=1e-10)
-        if t == 0.0:
-            re, _ = scipy.integrate.quad(sym, 0.0, self.omega_max, points=pts, **kw)
-            return complex(re, 0.0)
-        re, _ = scipy.integrate.quad(sym, 0.0, self.omega_max, weight="cos", wvar=t, **kw)
-        im, _ = scipy.integrate.quad(plain, 0.0, self.omega_max, weight="sin", wvar=t, **kw)
-        return complex(re, -im)
+        n = int(_node_counts(self, 0.0, abs(t)))
+        values = []
+        for nodes in (n, 2 * n):
+            nu, g_plus, g_minus = self.correlation_table(nodes)
+            phase = np.exp(-1j * nu * t)
+            values.append(complex(g_plus @ phase + g_minus @ phase.conj()))
+        if not abs(values[1] - values[0]) <= abs_tol:
+            raise QuadratureError(f"C({t}) unresolved: {n} and {2 * n} nodes differ by "
+                                  f"{abs(values[1] - values[0]):.2e} > {abs_tol:.2e}")
+        return values[0]
 
     def correlation_table(self, n_nodes):
         """The bath correlation as a frequency rule: composite Gauss-Legendre

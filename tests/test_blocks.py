@@ -270,6 +270,16 @@ def test_blocked_algebra_matches_dense_on_permuted_blocks(sizes, seed):
         C_b = C.copy()
         C_b[k, k] += 1e-3j
         _assert_cp_matches(maps.superop_from_choi(C_b))
+    # a vector, as the CLI's evolve passes, and a rectangular matrix
+    n, times = len(M), [0.0, 0.25, 0.5, 1.0]
+    for shape in [(n,), (n, 3)]:
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = lv.propagate_semigroup(M, times, X)
+        assert got[0] is X
+        for t_prev, t, G in zip(times, times[1:], got[1:]):
+            X = dense_expm((t - t_prev) * M) @ X
+            assert G.shape == shape
+            assert np.abs(G - X).max() <= REL * _scale(X)
 
 
 @PROPERTY
@@ -317,7 +327,12 @@ def dense_kernel_basis(L, tol=spectra.DEFAULT_ZERO_TOL):
     L = np.asarray(L, dtype=complex)
     scale = max(float(np.linalg.norm(L, 2)), 1e-300)
     _, s, Vh = np.linalg.svd(L)
-    null = [Vh[i].conj() for i in range(len(Vh)) if s[i] <= tol * scale]
+    return _hermitian_basis([Vh[i].conj() for i in range(len(Vh)) if s[i] <= tol * scale])
+
+
+def _hermitian_basis(null):
+    """The Hermitian kernel basis that ``steady_states`` builds from the null
+    vectors ``null``, in their order."""
     candidates = []
     for v in null:
         X = lv.devectorize(v)
@@ -519,6 +534,28 @@ def test_spectrum_rows_do_not_depend_on_block_order():
     assert np.array_equal(spectra_rows[0].real, [-3.0, -2.0, -2.0, -1.0 - 1e-12, -1.0, -1.0])
 
 
+def test_kernel_basis_takes_the_blocks_in_index_order():
+    """The null vectors come in the order of the blocks' smallest indices,
+    not of their sizes: the Hermitian basis, and with it the state list of a
+    degenerate kernel, depends on that order.  Here the block of index 0 is
+    the largest, and the first two basis elements come from its null vector."""
+    rng = np.random.default_rng(4)
+    L = np.zeros((9, 9), dtype=complex)
+    for b in ([0, 2, 4, 6], [1, 3, 5], [7, 8]):
+        B = _gaussian(rng)(len(b))
+        L[np.ix_(b, b)] = B - np.linalg.eigvals(B)[0] * np.eye(len(b)) if len(b) > 2 else B
+    assert [len(b) for b in lv._blocks(L)] == [4, 3, 2]
+    scale, null = np.linalg.norm(L, 2), []
+    for b in lv._blocks(L):
+        _, s, Vh = np.linalg.svd(L[np.ix_(b, b)])
+        for i in np.flatnonzero(s <= spectra.DEFAULT_ZERO_TOL * scale):
+            null.append(np.zeros(9, dtype=complex))
+            null[-1][b] = Vh[i].conj()
+    got, ref = spectra.steady_states(L).kernel_basis, _hermitian_basis(null)
+    assert len(got) == len(ref) == 2
+    assert all(np.abs(G - R).max() <= 1e-12 for G, R in zip(got, ref))
+
+
 def test_zero_tolerance_is_relative_to_the_whole_matrix():
     """A block of norm 2e-6 next to one of norm 2: its singular value and
     eigenvalue 5e-11 are below tol * ||L||_2 = 2e-9, though not below tol
@@ -662,5 +699,5 @@ def test_cli_semigroup_family_is_the_stepped_semigroup():
     dense = lv.propagate_semigroup(L, times, np.eye(len(L), dtype=complex))
     stacks = fam.take(np.arange(len(times)))
     for k, E in enumerate(dense):
-        assert np.abs(maps._dense(fam.groups, stacks, k) - E).max() <= REL * _scale(E)
+        assert np.abs(lv._dense(fam.groups, stacks, k) - E).max() <= REL * _scale(E)
     assert len(fam.groups) > 1

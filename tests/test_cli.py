@@ -258,6 +258,34 @@ def test_check_markov_never_builds_the_dense_family(tmp_path):
     assert peak < 51 * 144**2 * 16 / 4
 
 
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan_first", "nan_last"])
+def test_check_markov_witness_does_not_depend_on_interval_order(tmp_path, nan_first):
+    """One interval's intermediate map is rho -> A rho, which is not
+    Hermiticity-preserving (a nan witness), the other a dephasing map (Choi
+    eigenvalues 0, 0, 0.5 and 1.5, so a witness of 0).  The CLI's witness
+    is the least finite eigenvalue in either order."""
+    N = np.kron(np.eye(2), np.diag([1.0, 2.0])).astype(complex)   # rho -> A rho
+    D = np.diag([1.0, 0.5, 0.5, 1.0]).astype(complex)
+    first, second = (N, D) if nan_first else (D, N)
+    fam = str(tmp_path / "family.csv")
+    cli.write_map_family_csv(fam, [(0.0, np.eye(4, dtype=complex)), (1.0, first),
+                                   (2.0, second @ first)])
+    out, report = str(tmp_path / "check.csv"), str(tmp_path / "witness.csv")
+    text = QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=2.0, steps=2, out=out)
+    text += f"\n[checks]\nrequested = markov\nfamily_file = {fam}\nreport_file = {report}\n"
+    assert run_cli(["check", "--config", write_cfg(tmp_path, text)]) == 1
+    witnesses = [r.split(",")[2] for r in open(report).read().splitlines()[1:]]
+    assert ("nan" in witnesses[0]) == nan_first and ("nan" in witnesses[1]) != nan_first
+    assert open(out).read().splitlines()[1] == "markov,fail," + cli.fmt(0.0)
+
+
+def test_finite_min_skips_nan_wherever_it_stands():
+    for values in ([np.nan, -1.0, 2.0], [-1.0, 2.0, np.nan], [2.0, np.nan, -1.0]):
+        assert cli._finite_min(values) == -1.0
+    assert np.isnan(cli._finite_min([np.nan, np.nan]))
+    assert np.isnan(cli._finite_min([]))
+
+
 def test_spectrum_and_steady_commands(tmp_path):
     out = str(tmp_path / "spectrum.csv")
     cfg = write_cfg(tmp_path, QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=1.0,

@@ -26,6 +26,7 @@ Matrix exponentials run in numpy alone (:func:`_pade_expm`): every product
 goes through one BLAS, and importing the package loads no ``scipy.linalg``.
 """
 import math
+import numbers
 
 import numpy as np
 
@@ -64,6 +65,13 @@ def _check_tol(tol):
     negative, NaN or infinite tolerance would flip a verdict silently."""
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
+def _check_count(value, name):
+    """Raise ValueError unless ``value`` is a positive integer (a Python or
+    numpy integer); a float such as 2.0 is rejected, not truncated."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _blocks(M):
@@ -444,14 +452,14 @@ def propagate_time_dependent(gen, t0, t1, steps):
     Evaluates the ordered product ``prod_{j=n-1..0} expm(dt * gen(t_j))`` on a
     uniform grid with the generator frozen at the left endpoint of each step.
     Converges to the time-ordered propagator as ``steps`` grows; the leading
-    error is O(1/steps), so callers estimate accuracy by doubling ``steps``.
+    error is O(1/steps), so callers estimate accuracy by doubling ``steps``,
+    which must be a positive integer (ValueError otherwise).
     The generators are exponentiated and multiplied in stacks of at most
     ``_STACK_BYTES`` (see :func:`_time_split`).
     """
     if t1 < t0:
         raise ValueError(f"t1={t1} must not precede t0={t0}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _check_count(steps, "steps")
     if t1 == t0:
         dim = _as_square(gen(t0), "generator output").shape[0]
         return np.eye(dim, dtype=complex)

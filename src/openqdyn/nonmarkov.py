@@ -13,7 +13,11 @@ Both finite-horizon schemes, TCL2 and dynamical coarse graining, take their
 coefficients as one-sided Fourier transforms of the bath correlation: a
 closed-form kernel per bath frequency (the half-line integral for TCL2, the
 triangle integral for coarse graining) summed on the frequency rule of
-:meth:`BathModel.correlation_table`.
+:meth:`BathModel.correlation_table`.  Each rule is built once per node count
+and shared by every Bohr frequency of a call: TCL2 sums one phase table
+e^{-i nu t} against every frequency, and coarse graining takes the two
+triangle kernels of a pair (w, w') once for the pair and its mirror
+(-w, -w').
 
 Complete positivity of finite-order TCL propagation is *not* asserted; the
 solvers monitor trace and positivity of the trajectory (and the minimum Choi
@@ -30,6 +34,7 @@ from .errors import StepSizeError
 from .liouville import (
     _STACK_BYTES,
     _as_square,
+    _check_count,
     _dense,
     _lindblad_superop,
     _time_split,
@@ -42,12 +47,12 @@ from .liouville import (
 from .maps import _block_family, _chunks, _guarded_inverse, is_cp
 from .weakcoupling import (
     _bohr_blocks,
+    _gamma_stack,
     _horizons,
     _node_counts,
     _pattern_weights,
     _row_blocks,
     _triangle_kernel,
-    finite_time_gamma,
 )
 
 
@@ -137,11 +142,13 @@ def _kernel_evolve(L, kernel, rho0, t_grid, steps, augmented, history):
     the pair (rho, w): ``augmented(L, I, g)`` gives the 2 x 2 block matrix of
     its generator, whose semigroup applied to (vec rho0, 0) is exact for
     every L, defective ones included.  Any other kernel takes the history
-    quadrature of :func:`_volterra` with ``history(L, lags)``.
+    quadrature of :func:`_volterra` with ``history(L, lags)``.  ``steps``
+    must be a positive integer (ValueError otherwise).
     """
     L = _as_square(L, "generator")
     t = _check_grid(t_grid)
     rho0 = _as_square(rho0, "initial state")
+    _check_count(steps, "steps")
     n2 = L.shape[0]
     if getattr(kernel, "kind", "exponential") == "exponential":
         A = np.block(augmented(L, np.eye(n2), kernel.g))
@@ -263,9 +270,7 @@ def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     ts = np.atleast_1d(t)
     K = len(system.couplings)
     freqs, fi, ki, B = _bohr_stack(system, bin_tol)
-    gam = np.empty((len(ts), len(freqs), K, K), dtype=complex)
-    for i, w in enumerate(freqs):
-        gam[:, i] = finite_time_gamma(bath, w, ts, system.coupling_pattern, n_couplings=K)
+    gam = _gamma_stack(bath, freqs, ts, system.coupling_pattern, n_couplings=K)
     c = gam[:, fi[:, None], ki[None, :], ki[:, None]]
     Q = np.einsum("tab,bji,ajk->tik", c, B.conj(), B)
     alpha2 = float(alpha) ** 2
@@ -278,7 +283,8 @@ def tcl2_evolve(system, bath, rho0, t_grid, alpha=1.0, substeps=8, bin_tol=None)
 
     Each output interval is split into ``substeps`` equal steps with the
     generator frozen at the left endpoint of each, as in
-    :func:`propagate_time_dependent`.  The generators come from
+    :func:`propagate_time_dependent`; ``substeps`` must be a positive integer
+    (ValueError otherwise).  The generators come from
     :func:`tcl2_generator` on chunks of whole intervals whose stack fits
     ``_STACK_BYTES`` (at least one interval), so memory is bounded however
     long the grid.
@@ -289,8 +295,7 @@ def tcl2_evolve(system, bath, rho0, t_grid, alpha=1.0, substeps=8, bin_tol=None)
     """
     t = _check_grid(t_grid)
     rho0 = _as_square(rho0, "initial state")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    _check_count(substeps, "substeps")
     n2 = system.dim ** 2
     starts = np.concatenate([[0.0], t[:-1]])
     live = np.flatnonzero(t > starts)            # the output times that end an interval
@@ -374,21 +379,36 @@ def _cg_pair_integrals(table, taus, freqs):
     On the frequency rule ``table`` = (nu, g_plus, g_minus) of
     :meth:`BathModel.correlation_table`, c_plus(u) = sum g_plus e^{-i nu u}
     and c_minus(u) = sum g_minus e^{+i nu u}, so in difference coordinates
-    (u = t1 - t2, v = t2) every block is a nu-sum of the closed-form
-    I(w +- nu, w + w', tau) of :func:`_triangle_kernel`.
+    (u = t1 - t2, v = t2) every block is a nu-sum of the closed-form kernels
+    up = I(w + nu, w + w', tau) and down = I(w - nu, w + w', tau) of
+    :func:`_triangle_kernel`, taken in one call per pair on horizons whose
+    kernel has at most ``_GAMMA_BLOCK`` entries.  Since
+    I(a, s, tau) = conj I(-a, -s, tau), the mirror pair (-w, -w') has the
+    kernels conj(down) and conj(up), so its four sums are the conjugates of
+    the pair's own in the order [2, 3, 0, 1]; the kernels of a pair serve its
+    mirror too, when the mirror is among ``freqs``.
     """
     nu, g_plus, g_minus = table
     taus = np.asarray(taus, dtype=float)
+    index = {w: i for i, w in enumerate(freqs)}
+    pm = np.array([1.0, -1.0])[:, None, None]
     tri = np.empty((len(taus), 4, len(freqs), len(freqs)), dtype=complex)
     for r in _row_blocks(np.arange(len(taus)), nu.size):
         tr = taus[r, None]
+        done = set()
         for i, w in enumerate(freqs):
             for j, wp in enumerate(freqs):
-                up = _triangle_kernel(w + nu, w + wp, tr)       # e^{-i nu u} terms
-                down = _triangle_kernel(w - nu, w + wp, tr)     # e^{+i nu u} terms
-                for f, (g, I) in enumerate([(g_plus, up), (g_minus, down),
-                                            (g_plus, down), (g_minus, up)]):
-                    tri[r, f, i, j] = np.sum(g * I, axis=-1)
+                if (i, j) in done:
+                    continue
+                up, down = _triangle_kernel(w + pm * nu, w + wp, tr)    # e^{-+i nu u} terms
+                sums = np.stack([np.sum(g * I, axis=-1) for g, I in
+                                 [(g_plus, up), (g_minus, down), (g_plus, down), (g_minus, up)]],
+                                axis=-1)
+                tri[r, :, i, j] = sums
+                mirror = (index.get(-w), index.get(-wp))
+                if None not in mirror and mirror != (i, j):
+                    tri[r, :, mirror[0], mirror[1]] = sums[:, [2, 3, 0, 1]].conj()
+                    done.add(mirror)
     return tri
 
 

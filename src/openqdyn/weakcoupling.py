@@ -432,6 +432,10 @@ def _triangle_kernel(a, s, t):
 #: finite-horizon rules; bounds their temporaries for any number of horizons
 _GAMMA_BLOCK = 2 ** 16
 
+#: |(w -+ nu) t| below which, at the least horizon of a block, a node of the
+#: Gamma sums of _gamma_stack takes _halfline_kernel instead of the phase table
+_NEAR_POLE = 1e-2
+
 
 def _horizons(t):
     """A horizon or a 1-D array of horizons as a float array; each must be
@@ -458,31 +462,65 @@ def _row_blocks(rows, n):
     return np.array_split(rows, -(-rows.size * n // _GAMMA_BLOCK))
 
 
+def _gamma_stack(bath, omegas, t, coupling_pattern, n_couplings=None):
+    """Gamma^t(w) of :func:`finite_time_gamma` for every horizon of the 1-D
+    array ``t`` and every frequency w of ``omegas``: the (m, F, K, K) stack.
+
+    Since e^{i(w -+ nu)t} = e^{iwt} e^{-+i nu t}, the rule's sum of
+    f E_t(w -+ nu) is e^{iwt} sum g e^{-+i nu t} - sum g with
+    g = f / (i (w -+ nu)), so one phase table e^{-i nu t} per node count and
+    block of horizons serves every frequency and both signs.  Each frequency
+    keeps its own node counts (:func:`_node_counts`).
+
+    Near the pole w -+ nu = 0 the table loses more to rounding than the
+    quotient of :func:`_halfline_kernel` does: the difference cancels where
+    |(w -+ nu) t| is small, and the phase carries the rounding of
+    (|w| + nu) t instead of |w -+ nu| t.  The nodes with
+    |(w -+ nu) t| < _NEAR_POLE at the block's least horizon, or with
+    8 |w -+ nu| < |w| + nu, therefore take :func:`_halfline_kernel` (its
+    series where |(w -+ nu) t| < 1e-5).  A horizon 0 gives exactly 0.
+    """
+    w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
+    omegas = np.asarray(omegas, dtype=float)
+    nodes = _node_counts(bath, omegas[:, None], t)
+    sums = np.zeros((2, len(t), len(omegas)), dtype=complex)      # i_plus, i_minus
+    for n in np.unique(nodes[:, t > 0]):
+        x, f_plus, f_minus = bath.correlation_table(n)
+        for r in _row_blocks(np.flatnonzero((t > 0) & np.any(nodes == n, axis=0)), x.size):
+            xt = x * t[r, None]
+            table = np.empty(xt.shape, dtype=complex)
+            table.real, table.imag = np.cos(xt), -np.sin(xt)          # e^{-i nu t}
+            for i, w in enumerate(omegas):
+                own = nodes[i, r] == n
+                if not own.any():
+                    continue
+                E, tr = (table, t[r, None]) if own.all() else (table[own], t[r[own], None])
+                for k, (y, f) in enumerate(((w - x, f_plus), (w + x, f_minus))):
+                    near = np.abs(y) < np.maximum(_NEAR_POLE / tr.min(), (abs(w) + x) / 8.0)
+                    g = np.divide(f, 1j * y, out=np.zeros(y.shape, dtype=complex), where=~near)
+                    s = np.sum(E * g, axis=-1) if k == 0 else np.sum(E * g.conj(), axis=-1).conj()
+                    s = np.exp(1j * w * tr[:, 0]) * s - np.sum(g)
+                    if near.any():
+                        s += np.sum(f[near] * _halfline_kernel(y[near], tr), axis=-1)
+                    sums[k, r[own], i] = s
+    return sums[0, ..., None, None] * w_plus + sums[1, ..., None, None] * w_minus
+
+
 def finite_time_gamma(bath, omega, t, coupling_pattern="position_xy", n_couplings=None):
     """Finite-horizon one-sided Fourier transform Gamma^t(omega) of the bath
     correlations: int_0^t du e^{i omega u} C(u), as a coupling-space matrix.
 
     Converges to gamma(omega)/2 + i S(omega) as t -> infinity.  ``t`` is a
     horizon or a 1-D array of m horizons, which gives the (m, K, K) stack of
-    matrices; each slice equals the call at that horizon alone (the horizons
-    that share a node count share one rule of
-    :meth:`BathModel.correlation_table`).  A negative or non-finite horizon
-    raises ValueError.
+    matrices; each slice equals the call at that horizon alone up to rounding
+    (the horizons that share a node count share one rule of
+    :meth:`BathModel.correlation_table` and one phase table).  A negative or
+    non-finite horizon raises ValueError.  :func:`tcl2_generator` takes the
+    same sums for all Bohr frequencies at once.
     """
-    omega = float(omega)
     t = _horizons(t)
-    w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
-    ts = np.atleast_1d(t)
-    nodes = _node_counts(bath, omega, ts)
-    i_plus, i_minus = np.empty((2, len(ts)), dtype=complex)
-    for n in np.unique(nodes):
-        x, f_plus, f_minus = bath.correlation_table(n)
-        rows = np.flatnonzero(nodes == n)
-        for r in _row_blocks(rows, x.size):
-            tr = ts[r, None]
-            i_plus[r] = np.sum(f_plus * _halfline_kernel(omega - x, tr), axis=-1)
-            i_minus[r] = np.sum(f_minus * _halfline_kernel(omega + x, tr), axis=-1)
-    gam = i_plus[:, None, None] * w_plus + i_minus[:, None, None] * w_minus
+    gam = _gamma_stack(bath, [float(omega)], np.atleast_1d(t), coupling_pattern,
+                       n_couplings)[:, 0]
     return gam if t.ndim else gam[0]
 
 

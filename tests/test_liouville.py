@@ -302,6 +302,17 @@ def test_propagate_constant_generator():
         assert np.abs(P - lv.expm(2.0 * L)).max() < 1e-10
 
 
+def test_propagate_steps_must_be_a_positive_integer():
+    """A float step count is rejected, not truncated; numpy integers count."""
+    rng = np.random.default_rng(11)
+    L = rand_hermitian(3, rng) * 1j * 0.5
+    for steps in (2.5, 2.0, 0, -1):
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            lv.propagate_time_dependent(lambda t: L, 0.0, 2.0, steps)
+    P = lv.propagate_time_dependent(lambda t: L, 0.0, 2.0, np.int32(3))
+    assert np.array_equal(P, lv.propagate_time_dependent(lambda t: L, 0.0, 2.0, 3))
+
+
 def _random_liouvillian(dim, rng):
     from openqdyn.gksl import GKSLGenerator, superop_of_generator
 

@@ -641,6 +641,27 @@ def test_tcl2_generator_matches_term_loop(model, temperature, t):
         _assert_rel_close(L, _loop_tcl2_generator(system, bath, ti, alpha=0.7))
 
 
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_tcl2_generator_stack_is_assembled_from_finite_time_gamma(model):
+    """The one Gamma table of every Bohr frequency against one
+    finite_time_gamma call per frequency, through the same operator sum, on
+    horizons of two node counts."""
+    from openqdyn.liouville import _lindblad_superop
+
+    system = _oracle_model(model)
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
+    ts = np.array([0.0, 0.05, 0.3, 2.0, 40.0])
+    K = len(system.couplings)
+    freqs, fi, ki, B = nm._bohr_stack(system)
+    gam = np.stack([wc.finite_time_gamma(bath, w, ts, system.coupling_pattern, n_couplings=K)
+                    for w in freqs], axis=1)
+    c = gam[:, fi[:, None], ki[None, :], ki[:, None]]
+    Q = np.einsum("tab,bji,ajk->tik", c, B.conj(), B)
+    ref = _lindblad_superop(system.H, Q, B, c + c.conj().transpose(0, 2, 1))
+    for got, L in zip(nm.tcl2_generator(system, bath, ts), ref):
+        _assert_rel_close(got, L, rtol=1e-14)
+
+
 @pytest.mark.parametrize("tau", [0.3, 2.0, np.array([0.3, 2.0])],
                          ids=lambda t: "stack" if np.ndim(t) else str(t))
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
@@ -672,6 +693,73 @@ def test_coarse_grain_generator_stack_is_single_calls():
 #: Bohr frequencies with a zero, a degenerate pair sum w + w' = 0 and
 #: unrelated sums
 TRI_FREQS = [-2.3, -1.0, 0.0, 1.0, 1.7]
+
+
+def _cg_pair_integrals_per_pair(table, taus, freqs):
+    """The triangle integrals with both kernels of every pair (w, w')
+    evaluated on their own."""
+    nu, g_plus, g_minus = table
+    tr = np.asarray(taus, dtype=float)[:, None]
+    tri = np.empty((len(tr), 4, len(freqs), len(freqs)), dtype=complex)
+    for i, w in enumerate(freqs):
+        for j, wp in enumerate(freqs):
+            up = wc._triangle_kernel(w + nu, w + wp, tr)
+            down = wc._triangle_kernel(w - nu, w + wp, tr)
+            for f, (g, I) in enumerate([(g_plus, up), (g_minus, down),
+                                        (g_plus, down), (g_minus, up)]):
+                tri[:, f, i, j] = np.sum(g * I, axis=-1)
+    return tri
+
+
+@pytest.mark.parametrize("model", ["osc10", "random4", "partial"])
+def test_cg_pair_integrals_mirror_matches_per_pair_kernels(model):
+    """A pair and its mirror (-w, -w') share one evaluation of the two
+    kernels; the result equals that of every pair on its own (bitwise where
+    sin is odd to the bit).  The Bohr sets of osc10 and of the random 4-level
+    model are symmetric; in TRI_FREQS only -1, 0 and 1 have a mirror.  The
+    16 horizons of the smaller sets take two row blocks."""
+    if model == "partial":
+        freqs = TRI_FREQS
+    else:
+        system = wc.damped_oscillator(10, OMEGA0) if model == "osc10" else _oracle_model(model)
+        freqs = wc._bohr_blocks(system)[1]
+    assert len(freqs) == {"osc10": 2, "random4": 13, "partial": 5}[model]
+    table = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0).correlation_table(4096)
+    taus = np.array([0.3, 2.0, 20.0]) if model == "random4" else np.linspace(0.2, 20.0, 16)
+    assert len(wc._row_blocks(np.arange(len(taus)), table[0].size)) == (model != "random4") + 1
+    got = nm._cg_pair_integrals(table, taus, freqs)
+    ref = _cg_pair_integrals_per_pair(table, taus, freqs)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _custom8():
+    """A seeded 8-level model with a generic spectrum: 57 Bohr frequencies."""
+    rng = np.random.default_rng(8)
+    return wc.SystemModel(oq.operators.rand_hermitian(8, rng),
+                          [oq.operators.rand_hermitian(8, rng) for _ in range(2)], "single")
+
+
+def test_finite_horizon_rules_are_shared_across_frequencies(monkeypatch):
+    """Call counts, no timing: one tcl2_generator call builds the frequency
+    rule once per distinct node count, not once per Bohr frequency, and one
+    coarse-graining horizon (one row block) evaluates the triangle kernels
+    once per pair and its mirror."""
+    system = _custom8()
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
+    freqs = np.array(wc._bohr_blocks(system)[1])
+    F = len(freqs)
+    assert F == 57
+    ts = np.array([0.0, 0.5, 30.0, 31.0])
+    counts = set(wc._node_counts(bath, freqs[:, None], ts[ts > 0]).ravel())
+    assert len(counts) > 2
+    built, kernels = [], []
+    table, kernel = bath.correlation_table, nm._triangle_kernel
+    monkeypatch.setattr(bath, "correlation_table", lambda n: built.append(n) or table(n))
+    monkeypatch.setattr(nm, "_triangle_kernel", lambda *a: kernels.append(1) or kernel(*a))
+    nm.tcl2_generator(system, bath, ts)
+    assert sorted(built) == sorted(counts)
+    nm.coarse_grain_generator(system, bath, 2.0)
+    assert len(kernels) <= -(-F * F // 2) + F
 
 
 @pytest.mark.parametrize("tau", [0.3, 2.0, 20.0])
@@ -775,6 +863,36 @@ def test_tcl2_evolve_matches_per_interval_loop(model, temperature, grid, monkeyp
     for got, ref in zip(traj.states, states):
         _assert_rel_close(got, ref, rtol=1e-12)
     assert np.abs(np.array(traj.min_choi_eigenvalues) - witnesses).max() <= 1e-12 * system.dim
+
+
+def test_tcl2_evolve_substeps_must_be_a_positive_integer():
+    """A float substep count is rejected, not truncated; numpy integers count."""
+    system = wc.damped_qubit(OMEGA0)
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    t_grid = [0.0, 0.5, 1.0]
+    for substeps in (2.0, 2.5, 0, -2):
+        with pytest.raises(ValueError, match="substeps must be a positive integer"):
+            nm.tcl2_evolve(system, bath, rho0, t_grid, substeps=substeps)
+    got = nm.tcl2_evolve(system, bath, rho0, t_grid, substeps=np.int64(2))
+    ref = nm.tcl2_evolve(system, bath, rho0, t_grid, substeps=2)
+    assert all(np.array_equal(a, b) for a, b in zip(got.states, ref.states))
+
+
+@pytest.mark.parametrize("evolve", [nm.memory_kernel_evolve, nm.post_markovian_evolve])
+def test_kernel_schemes_steps_must_be_a_positive_integer(evolve):
+    """The tabulated-kernel quadrature would divide by zero at steps = 0 and
+    fail inside numpy at a float; both raise ValueError, numpy integers count."""
+    L = damped_qubit_L()
+    kernel = nm.TabulatedKernel(np.linspace(0.0, 2.0, 21), np.exp(-np.linspace(0.0, 2.0, 21)))
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    t_grid = np.array([0.0, 0.5])
+    for steps in (0, 2.5, 100.0):
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            evolve(L, kernel, rho0, t_grid, steps=steps)
+    got = evolve(L, kernel, rho0, t_grid, steps=np.int64(100))
+    ref = evolve(L, kernel, rho0, t_grid, steps=100)
+    assert all(np.array_equal(a, b) for a, b in zip(got.states, ref.states))
 
 
 def _osc10_tcl2(n_times):

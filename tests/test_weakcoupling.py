@@ -603,6 +603,39 @@ def test_finite_time_gamma_array_matches_scalar_calls(T):
             assert np.abs(Gt - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1e-300)
 
 
+def _gamma_by_node_sums(bath, w, t, pattern):
+    """Gamma^t(w) as the rule's sums of f E_t(w -+ nu), one half-line kernel
+    per node, on the node count of (w, t)."""
+    x, f_plus, f_minus = bath.correlation_table(int(wc._node_counts(bath, w, t)))
+    w_plus, w_minus = wc._pattern_weights(pattern)
+    return (np.sum(f_plus * wc._halfline_kernel(w - x, t)) * w_plus
+            + np.sum(f_minus * wc._halfline_kernel(w + x, t)) * w_minus)
+
+
+@pytest.mark.parametrize("pattern", ["single", "position_xy"])
+@pytest.mark.parametrize("T", [0.0, 1.0])
+def test_gamma_stack_matches_node_by_node_sums(T, pattern):
+    """The phase-table sums of all frequencies in one call, against the
+    half-line kernel summed node by node.  The horizons are 0, 1e-9 (every
+    node on the series), 0.3 and 40 (a node count per |w|); the last
+    frequency lies 5e-7 from a node of the 4096-node rule, so its term there
+    is on the series at t = 0.3."""
+    bath = ohmic(coupling=0.1, T=T)
+    ts = np.array([0.0, 1e-9, 0.3, 40.0])
+    x = bath.correlation_table(4096)[0]
+    near = x[np.argmin(np.abs(x - OMEGA0))] + 5e-7
+    omegas = np.array([0.0, -OMEGA0, OMEGA0, 2.5 * OMEGA0, near])
+    assert len(set(wc._node_counts(bath, omegas, 40.0))) >= 3
+    assert set(wc._node_counts(bath, omegas, 0.3)) == {4096}
+    got = wc._gamma_stack(bath, omegas, ts, pattern)
+    assert got.shape == (len(ts), len(omegas)) + wc._pattern_weights(pattern)[0].shape
+    assert np.all(got[0] == 0.0)
+    for i, w in enumerate(omegas):
+        for t, G in zip(ts[1:], got[1:, i]):
+            ref = _gamma_by_node_sums(bath, w, t, pattern)
+            assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max(), (w, t)
+
+
 def test_finite_time_gamma_rejects_negative_or_2d_horizons():
     bath = ohmic()
     for t in (-1.0, np.array([0.0, 1.0, -0.5]), np.ones((2, 2)), np.nan):

@@ -112,9 +112,12 @@ def _csv_rows(path, what):
         if not line or line.startswith("#"):
             continue
         try:
-            vals = _floats(line)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}")
+            vals = np.array(line.split(","), dtype=float)
+        except ValueError:              # token by token: skips empty cells, names a bad one
+            try:
+                vals = np.array(_floats(line))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}")
         yield lineno, vals
 
 
@@ -124,7 +127,7 @@ def read_matrix_csv(path):
     for lineno, vals in _csv_rows(path, "matrix file"):
         if len(vals) % 2 != 0:
             raise ConfigError(f"{path}:{lineno}: odd number of entries (need re,im pairs)")
-        rows.append(np.asarray(vals, dtype=float).view(complex))
+        rows.append(vals.view(complex))
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ConfigError(f"{path}: matrix is not square")
     return np.array(rows, dtype=complex)
@@ -147,9 +150,9 @@ def read_map_family_csv(path):
         if len(rest) % 2 != 0:
             raise ConfigError(f"{path}:{lineno}: odd entry count")
         side = int(round((len(rest) // 2) ** 0.5))
-        if not rest or 2 * side * side != len(rest):
+        if not len(rest) or 2 * side * side != len(rest):
             raise ConfigError(f"{path}:{lineno}: row does not hold a square matrix")
-        family.append((vals[0], np.asarray(rest, dtype=float).view(complex).reshape(side, side)))
+        family.append((float(vals[0]), rest.view(complex).reshape(side, side)))
     if len(family) < 2:
         raise ConfigError(f"{path}: family needs at least two samples")
     return family

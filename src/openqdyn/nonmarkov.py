@@ -46,7 +46,7 @@ from .liouville import (
 )
 from .maps import _block_family, _chunks, _guarded_inverse, is_cp
 from .weakcoupling import (
-    _bohr_blocks,
+    _bohr_stack,
     _gamma_stack,
     _horizons,
     _node_counts,
@@ -235,18 +235,6 @@ def post_markovian_evolve(L, kernel, rho0, t_grid, steps=2000):
 # TCL2
 # ---------------------------------------------------------------------------
 
-def _bohr_stack(system, bin_tol=None):
-    """The sorted Bohr frequencies, then the frequency index, the coupling
-    index and the operator A_k(w) of every block that exists, as arrays over
-    the blocks (frequency-major)."""
-    decs, freqs = _bohr_blocks(system, bin_tol)
-    pairs = [(i, k) for i, w in enumerate(freqs) for k, d in enumerate(decs) if w in d.blocks]
-    fi = np.array([i for i, _ in pairs], dtype=int)
-    ki = np.array([k for _, k in pairs], dtype=int)
-    B = np.array([decs[k].blocks[freqs[i]] for i, k in pairs], dtype=complex)
-    return freqs, fi, ki, B.reshape(len(pairs), system.dim, system.dim)
-
-
 def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     """Second-order time-convolutionless generator at memory horizon t.
 
@@ -269,7 +257,7 @@ def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     t = _horizons(t)
     ts = np.atleast_1d(t)
     K = len(system.couplings)
-    freqs, fi, ki, B = _bohr_stack(system, bin_tol)
+    freqs, fi, ki, B, _ = _bohr_stack(system.H, system.couplings, bin_tol)
     gam = _gamma_stack(bath, freqs, ts, system.coupling_pattern, n_couplings=K)
     c = gam[:, fi[:, None], ki[None, :], ki[:, None]]
     Q = np.einsum("tab,bji,ajk->tik", c, B.conj(), B)
@@ -442,7 +430,7 @@ def coarse_grain_generator(system, bath, tau, alpha=1.0, picture="schrodinger",
     if picture not in ("schrodinger", "interaction"):
         raise ValueError("picture must be 'schrodinger' or 'interaction'")
     taus = np.atleast_1d(tau)
-    freqs, fi, ki, B = _bohr_stack(system, bin_tol)
+    freqs, fi, ki, B, _ = _bohr_stack(system.H, system.couplings, bin_tol)
     nodes = _node_counts(bath, max((abs(w) for w in freqs), default=0.0), taus)
     tri = np.empty((len(taus), 4, len(freqs), len(freqs)), dtype=complex)
     for n in np.unique(nodes):

@@ -5,8 +5,6 @@ convention sigma_y = [[0, -1j], [1j, 0]].
 """
 import numpy as np
 
-from .errors import DimensionError
-
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -16,15 +14,6 @@ sigma_minus = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # lowers |0> ->
 
 def identity(dim):
     return np.eye(dim, dtype=complex)
-
-
-def basis_ket(dim, index):
-    """Computational-basis column vector |index>."""
-    if not 0 <= index < dim:
-        raise DimensionError(f"index {index} out of range for dimension {dim}")
-    ket = np.zeros(dim, dtype=complex)
-    ket[index] = 1.0
-    return ket
 
 
 def projector(psi):
@@ -78,7 +67,3 @@ def rand_density_matrix(dim, rng, rank=None):
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
-
-def rand_traceless_hermitian(dim, rng):
-    h = rand_hermitian(dim, rng)
-    return h - np.trace(h) / dim * np.eye(dim)

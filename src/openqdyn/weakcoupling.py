@@ -24,7 +24,7 @@ Two bath-coupling patterns are supported:
 """
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -57,9 +57,7 @@ def bose_occupation(omega, temperature):
     """Bose-Einstein occupation nbar = 1/(e^{omega/T} - 1); zero at T = 0."""
     if omega <= 0:
         raise ValueError(f"occupation needs omega > 0, got {omega}")
-    if temperature == 0:
-        return 0.0
-    return 1.0 / np.expm1(omega / temperature)
+    return float(_nbar(np.float64(omega), temperature))
 
 
 def _nbar(w, temperature):
@@ -76,7 +74,8 @@ class BathModel:
     temperature (k_B = 1) and the cutoff frequency.
 
     ``feature_scale`` guides quadrature panel placement (the ohmic cutoff
-    omega_c for the built-in family).
+    omega_c for the built-in family); ``kinks`` are further panel edges, the
+    frequencies where J is not smooth.
     """
 
     spectral_density: Callable[[np.ndarray], np.ndarray]
@@ -84,6 +83,7 @@ class BathModel:
     omega_max: float
     feature_scale: float
     label: str = "custom"
+    kinks: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -111,7 +111,8 @@ class BathModel:
 
     @classmethod
     def tabulated(cls, omegas, values, temperature, omega_max=None):
-        """Linear interpolation of a sampled spectral density (zero outside)."""
+        """Linear interpolation of a sampled spectral density (zero outside),
+        with kinks at the table nodes."""
         omegas = np.asarray(omegas, dtype=float)
         values = np.asarray(values, dtype=float)
         if omegas.ndim != 1 or omegas.shape != values.shape:
@@ -124,7 +125,7 @@ class BathModel:
             return np.interp(np.asarray(w, dtype=float), omegas, values, left=0.0, right=0.0)
 
         return cls(J, temperature, omega_max, max(omega_max / 10.0, omegas[1] - omegas[0]),
-                   label="tabulated")
+                   label="tabulated", kinks=tuple(omegas.tolist()))
 
     def J(self, w):
         return self.spectral_density(w)
@@ -132,7 +133,7 @@ class BathModel:
     # -- quadrature helpers -------------------------------------------------
 
     def _breakpoints(self):
-        pts = {self.feature_scale}
+        pts = {self.feature_scale, *self.kinks}
         if self.temperature > 0:
             pts.add(self.temperature)
             pts.add(5.0 * self.temperature)
@@ -268,6 +269,14 @@ def pv_integral(f, lo, hi, pole, n_nodes=2048, breakpoints=()):
     return total
 
 
+def _zero_frequency_probes(bath):
+    """(w, 2 pi J nbar, 2 pi J (nbar+1)) at w = eps, 2 eps and 4 eps above
+    zero frequency, eps = 1e-6 feature_scale, and last at feature_scale."""
+    w = bath.feature_scale * np.array([1e-6, 2e-6, 4e-6, 1.0])
+    j, nb = 2.0 * np.pi * bath.J(w), _nbar(w, bath.temperature)
+    return w, j * nb, j * (nb + 1.0)
+
+
 def _zero_frequency_rate(bath):
     """Two-sided limit of the scalar zero-frequency rate 2 pi J(|w|) nbar(|w|).
 
@@ -275,28 +284,15 @@ def _zero_frequency_rate(bath):
     :class:`ZeroFrequencyRateError` on divergence or >1% disagreement (the
     limit only exists for ohmic-like densities with J ~ w near zero).
     """
-    eps = 1e-6 * bath.feature_scale
-
-    def minus(e):
-        return 2.0 * np.pi * float(bath.J(np.array([e]))[0]) * (
-            _nbar(np.array([e]), bath.temperature)[0])
-
-    def plus(e):
-        return 2.0 * np.pi * float(bath.J(np.array([e]))[0]) * (
-            _nbar(np.array([e]), bath.temperature)[0] + 1.0)
-
+    _, minus, plus = _zero_frequency_probes(bath)
     for g in (minus, plus):
-        f1, f4 = abs(g(eps)), abs(g(4.0 * eps))
-        if f1 > 1.25 * f4 + 1e-300:
+        if abs(g[0]) > 1.25 * abs(g[2]) + 1e-300:
             raise ZeroFrequencyRateError(
                 "zero-frequency rate diverges; spectral density is not ohmic-like")
-    lim_minus = 2.0 * minus(eps) - minus(2.0 * eps)
-    lim_plus = 2.0 * plus(eps) - plus(2.0 * eps)
+    lim_minus, lim_plus = 2.0 * minus[0] - minus[1], 2.0 * plus[0] - plus[1]
     denom = max(abs(lim_minus), abs(lim_plus))
     # negligible against the bath's own rate scale counts as a vanishing limit
-    ref = 2.0 * np.pi * float(bath.J(np.array([bath.feature_scale]))[0]) * (
-        _nbar(np.array([bath.feature_scale]), bath.temperature)[0] + 1.0)
-    if denom <= 1e-9 * max(ref, 1e-300):
+    if denom <= 1e-9 * max(plus[3], 1e-300):
         return 0.0
     if abs(lim_plus - lim_minus) > 0.01 * denom:
         raise ZeroFrequencyRateError(
@@ -306,7 +302,8 @@ def _zero_frequency_rate(bath):
 
 
 def bath_rates(bath, omega, coupling_pattern="position_xy", n_couplings=None):
-    """Decay-rate matrix gamma(omega) of the thermal bath.
+    """Decay-rate matrix gamma(omega) of the thermal bath; a 1-D array of F
+    frequencies gives the (F, K, K) stack.
 
     Frequencies outside [-omega_max, omega_max] return the zero matrix.  At
     omega = 0 only the ``single`` pattern is defined (the quadrature pair's
@@ -314,38 +311,83 @@ def bath_rates(bath, omega, coupling_pattern="position_xy", n_couplings=None):
     ohmic-limit rate 2 pi lim J(|w|) nbar(|w|).
     """
     w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
-    omega = float(omega)
-    if abs(omega) > bath.omega_max:
-        return np.zeros_like(w_plus)
-    if omega == 0.0:
-        if coupling_pattern == "position_xy":
-            raise ZeroFrequencyRateError(
-                "zero-frequency block is ill-defined for the quadrature-pair pattern")
-        return _zero_frequency_rate(bath) * w_plus
-    j = float(bath.J(np.array([abs(omega)]))[0])
-    nb = bose_occupation(abs(omega), bath.temperature) if bath.temperature > 0 else 0.0
-    if omega > 0:
-        return 2.0 * np.pi * j * (nb + 1.0) * w_plus
-    return 2.0 * np.pi * j * nb * w_minus
+    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
+    zero = omegas == 0.0
+    if zero.any() and coupling_pattern == "position_xy":
+        raise ZeroFrequencyRateError(
+            "zero-frequency block is ill-defined for the quadrature-pair pattern")
+    a = np.abs(omegas)
+    band = (a > 0.0) & (a <= bath.omega_max)
+    a = np.where(band, a, bath.omega_max)
+    j, nb = 2.0 * np.pi * bath.J(a), _nbar(a, bath.temperature)
+    out = np.where((omegas > 0.0)[:, None, None], (j * (nb + 1.0))[:, None, None] * w_plus,
+                   (j * nb)[:, None, None] * w_minus)
+    out[~band] = 0.0
+    if zero.any():
+        out[zero] = _zero_frequency_rate(bath) * w_plus
+    return out if np.ndim(omega) else out[0]
 
 
-def _shift_scalars(bath, omega, n_nodes):
-    """The two principal-value integrals entering every shift matrix:
-    I_plus = PV int J(nbar+1)/(omega - w) dw and
-    I_minus = PV int J nbar /(omega + w) dw, both over (0, omega_max]."""
-    pts = bath._breakpoints()
-    T = bath.temperature
+def _infrared_limit(bath):
+    """lim_{w -> 0+} w J nbar from the probes of :func:`_zero_frequency_rate`:
+    its value at eps, or 0 where w J nbar falls by the factor 0.8 or more from
+    4 eps to eps (w^a with a > 0.16: T = 0, and ohmic-type densities, the
+    sub-ohmic ones included).  A nonzero limit makes J nbar ~ limit / w,
+    which no shift integral survives."""
+    w, minus, _ = _zero_frequency_probes(bath)
+    g = w * minus / (2.0 * np.pi)
+    return float(g[0]) if g[0] > 0.0 and g[0] >= 0.8 * g[2] else 0.0
 
-    def f_plus(w):
-        return bath.J(w) * (_nbar(w, T) + 1.0)
 
-    def f_minus(w):
-        return bath.J(w) * _nbar(w, T)
-
-    i_plus = pv_integral(f_plus, 0.0, bath.omega_max, omega, n_nodes, pts)
-    # PV int f/(omega + w) dw = -PV int f/((-omega) - w) dw
-    i_minus = -pv_integral(f_minus, 0.0, bath.omega_max, -omega, n_nodes, pts)
-    return i_plus, i_minus
+def _shift_stack(bath, omegas, coupling_pattern, n_nodes=2048, n_couplings=None):
+    """Shift matrices S(w) = I_plus W_plus + I_minus W_minus of
+    :func:`lamb_shift` for every frequency of ``omegas`` (the (F, K, K)
+    stack), with I_plus = PV int J (nbar+1)/(w - nu) and
+    I_minus = PV int J nbar/(w + nu) over (0, omega_max]: the principal values
+    PV int f/(p - nu) at the poles p = +-w.  On one composite Gauss-Legendre
+    rule (nodes nu, weights g), a pole inside the band takes the subtraction
+    sum g (f(nu) - f(p))/(p - nu) + f(p) ln(p / (omega_max - p)), any other
+    the direct sum, so all poles are the rows of one product, taken in row
+    blocks of _GAMMA_BLOCK entries.  At w = 0 (``single`` only) the combined
+    integrand -J/nu is pole-free.  Raises :class:`QuadratureError` for a pole
+    within 1e-12 omega_max of 0 or the cutoff, or on a node, and for a bath
+    whose J nbar is not integrable at 0+ (:func:`_infrared_limit`).
+    """
+    w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
+    omegas = np.asarray(omegas, dtype=float)
+    W, T = bath.omega_max, bath.temperature
+    zero = omegas == 0.0
+    if zero.any() and coupling_pattern == "position_xy":
+        raise ZeroFrequencyRateError(
+            "zero-frequency shift is ill-defined for the quadrature-pair pattern")
+    a = np.abs(omegas)
+    if np.any((np.abs(a - W) < 1e-12 * W) | ((a > 0.0) & (a < 1e-12 * W))):
+        raise QuadratureError("shift pole within 1e-12 omega_max of 0 or of the cutoff")
+    if omegas.size and (limit := _infrared_limit(bath)):
+        raise QuadratureError(
+            f"Lamb shift of the {bath.label} bath diverges: J nbar ~ {limit:.3g}/w "
+            "is not integrable at w -> 0+")
+    x, g = _panel_nodes(0.0, W, bath._breakpoints(), n_nodes)
+    jx, nbar = g * bath.J(x), _nbar(x, T)
+    sums = np.column_stack([jx * (nbar + 1.0), jx * nbar, g])
+    w = omegas[~zero]
+    poles, at = np.unique(np.concatenate([w, -w]), return_inverse=True)   # I_plus, I_minus
+    p, minus = poles[at], np.repeat([0, 1], w.size)
+    inside = (p > 0.0) & (p < W)
+    p = np.where(inside, p, 0.5 * W)
+    f_pole = inside * bath.J(p) * (_nbar(p, T) + 1 - minus)
+    rows = np.empty((poles.size, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):         # a pole on a node
+        for r in _row_blocks(np.arange(poles.size), x.size):
+            d = np.subtract.outer(poles[r], x)
+            rows[r] = np.divide(1.0, d, out=d) @ sums
+        pv = rows[at, minus] - f_pole * (rows[at, 2] - np.log(p / (W - p)))
+    if not np.all(np.isfinite(pv)):
+        raise QuadratureError("shift pole on a quadrature node")
+    i_plus, i_minus = np.zeros((2, omegas.size))
+    i_plus[~zero], i_minus[~zero] = pv[:w.size], -pv[w.size:]
+    i_plus[zero] = np.sum(g * (-bath.J(x) / x)) if zero.any() else 0.0
+    return i_plus[:, None, None] * w_plus + i_minus[:, None, None] * w_minus
 
 
 def lamb_shift(bath, omega, coupling_pattern="position_xy", n_nodes=2048, n_couplings=None):
@@ -354,23 +396,11 @@ def lamb_shift(bath, omega, coupling_pattern="position_xy", n_nodes=2048, n_coup
 
     For the quadrature pair the diagonal entry at +omega_0 is
     (1/4) PV int_0^wmax J(w') [ (nbar+1)/(w0-w') + nbar/(w0+w') ] dw'.
-    ``n_nodes`` controls the per-panel Gauss-Legendre resolution.
+    ``n_nodes`` sets the node count of the one frequency rule that serves
+    every frequency (:func:`_shift_stack`); a bath whose J nbar is not
+    integrable at 0+ (a flat density at T > 0) raises QuadratureError.
     """
-    w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
-    omega = float(omega)
-    if abs(omega) >= bath.omega_max and abs(abs(omega) - bath.omega_max) < 1e-12 * bath.omega_max:
-        raise QuadratureError("shift pole at the cutoff frequency")
-    if omega == 0.0:
-        if coupling_pattern == "position_xy":
-            raise ZeroFrequencyRateError(
-                "zero-frequency shift is ill-defined for the quadrature-pair pattern")
-        # combined integrand (J nbar - J(nbar+1))/w = -J/w is pole-free
-        pts = bath._breakpoints()
-        x, w = _panel_nodes(0.0, bath.omega_max, pts, n_nodes)
-        val = float(np.sum(w * (-bath.J(x) / x)))
-        return val * w_plus
-    i_plus, i_minus = _shift_scalars(bath, omega, n_nodes)
-    return i_plus * w_plus + i_minus * w_minus
+    return _shift_stack(bath, [float(omega)], coupling_pattern, n_nodes, n_couplings)[0]
 
 
 def _halfline_kernel(x, t):
@@ -459,7 +489,7 @@ def _node_counts(bath, omega, t):
 
 def _row_blocks(rows, n):
     """``rows`` split so that each block times ``n`` nodes fits _GAMMA_BLOCK."""
-    return np.array_split(rows, -(-rows.size * n // _GAMMA_BLOCK))
+    return np.array_split(rows, max(1, -(-rows.size * n // _GAMMA_BLOCK)))
 
 
 def _gamma_stack(bath, omegas, t, coupling_pattern, n_couplings=None):
@@ -570,18 +600,52 @@ class BohrDecomposition:
 
 
 def _bin_frequencies(diffs, bin_tol):
-    """Cluster nonnegative energy differences into bins of width bin_tol."""
+    """Cluster nonnegative energy differences into bins of width bin_tol: the
+    mean of each run of sorted differences with steps of at most bin_tol."""
     diffs = np.sort(diffs)
-    centers = []
-    current = [diffs[0]]
-    for d in diffs[1:]:
-        if d - current[-1] <= bin_tol:
-            current.append(d)
-        else:
-            centers.append(float(np.mean(current)))
-            current = [d]
-    centers.append(float(np.mean(current)))
-    return centers
+    runs = np.split(diffs, np.flatnonzero(np.diff(diffs) > bin_tol) + 1)
+    return [float(np.mean(run)) for run in runs]
+
+
+def _bohr_stack(H, couplings, bin_tol=None):
+    """Bohr decomposition of every coupling from one eigensolve of H, binned
+    as in :func:`bohr_decompose`: in the eigenbasis, A_k(w) is A_k masked to
+    the level pairs with e_j - e_i within max(bin_tol, 1e-12 ||H||) of the
+    bin center w; it exists where an entry exceeds 1e-12 max |A_k|.  Returns
+    the sorted frequencies with a block, the frequency index, coupling index
+    and operator of every block (frequency-major), and bin_tol.  The
+    invariants of the blocks are checked for all at once (ValueError).
+    """
+    eps, V = np.linalg.eigh(H)
+    scale = max(np.abs(eps).max(), 1e-300)                         # ||H||_2
+    bin_tol = 1e-9 * scale if bin_tol is None else float(bin_tol)
+    A = np.array(couplings, dtype=complex).reshape(len(couplings), *H.shape)
+    At = V.conj().T @ A @ V
+    levels = eps[None, :] - eps[:, None]
+    pos = [c for c in _bin_frequencies(np.abs(levels).ravel(), bin_tol) if c > bin_tol]
+    centers = np.array(sorted({0.0} | set(pos) | {-c for c in pos}))   # mirror: C - 1 - c
+    mask = np.abs(levels - centers[:, None, None]) <= max(bin_tol, 1e-12 * scale)
+    a_scale = np.maximum(np.abs(A).max(axis=(1, 2), initial=0.0), 1e-300)
+    present = (mask[:, None] & (np.abs(At) > 1e-12 * a_scale[:, None, None])).any(axis=(2, 3))
+    ci, ki = np.nonzero(present)                                   # (center, coupling)
+    B = V @ np.where(mask[ci], At[ki], 0.0) @ V.conj().T
+    total = (np.eye(len(A))[ki].T @ B.reshape(len(ki), H.size)).reshape(A.shape)
+    if np.any(np.abs(total - A).max(axis=(1, 2), initial=0.0) > 1e-10 * a_scale):
+        raise ValueError("eigenoperator blocks do not sum back to the coupling")
+    w, peak = centers[ci], np.abs(B).max(axis=(1, 2), initial=0.0)
+    comm = np.abs(H @ B - B @ H + w[:, None, None] * B).max(axis=(1, 2), initial=0.0)
+    bad = comm > 1e-10 * max(scale, 1.0) * np.maximum(peak, 1e-300) * 10
+    if bad.any():
+        raise ValueError(f"block at {w[bad][0]} is not an eigenoperator")
+    index = np.full(present.shape, -1)
+    index[ci, ki] = np.arange(len(ci))
+    mirror = index[len(centers) - 1 - ci, ki]
+    dev = np.abs(B[mirror] - B.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    bad = (mirror >= 0) & (dev > 1e-10 * a_scale[ki])
+    if bad.any():
+        raise ValueError(f"blocks at +-{w[bad][0]} are not adjoints")
+    keep = present.any(axis=1)
+    return centers[keep].tolist(), (np.cumsum(keep) - 1)[ci], ki, B, bin_tol
 
 
 def bohr_decompose(H, A, bin_tol=None):
@@ -589,51 +653,15 @@ def bohr_decompose(H, A, bin_tol=None):
 
     Eigendecomposes H, groups level differences into bins of width
     ``bin_tol`` (default 1e-9 ||H||) and emits one block per signed bin
-    center.  The invariants are checked on construction.
+    center.  The invariants are checked on construction.  The generators
+    decompose all couplings at once (:func:`_bohr_stack`).
     """
     H = _as_square(H, "Hamiltonian")
     A = _as_square(A, "coupling")
     if not is_hermitian(H, 1e-10):
         raise ValueError("Hamiltonian must be Hermitian")
-    scale = max(np.linalg.norm(H, 2), 1e-300)
-    bin_tol = 1e-9 * scale if bin_tol is None else float(bin_tol)
-    eps, V = np.linalg.eigh(H)
-    At = V.conj().T @ A @ V
-    diffs = np.abs(eps[None, :] - eps[:, None]).ravel()
-    pos_centers = [c for c in _bin_frequencies(diffs, bin_tol) if c > bin_tol]
-    centers = sorted({0.0} | {c for c in pos_centers} | {-c for c in pos_centers})
-    blocks = {}
-    for w in centers:
-        mask = np.abs((eps[None, :] - eps[:, None]) - w) <= max(bin_tol, 1e-12 * scale)
-        B = np.where(mask, At, 0.0)
-        if np.abs(B).max() > 1e-12 * max(np.abs(A).max(), 1e-300):
-            blocks[w] = V @ B @ V.conj().T
-    frequencies = sorted(blocks.keys())
-    dec = BohrDecomposition(frequencies, blocks, bin_tol)
-    _validate_bohr(H, A, dec)
-    return dec
-
-
-def _bohr_blocks(system, bin_tol=None):
-    """Bohr decomposition of every coupling and the sorted union of their
-    frequencies."""
-    decs = [bohr_decompose(system.H, A, bin_tol) for A in system.couplings]
-    return decs, sorted({w for d in decs for w in d.frequencies})
-
-
-def _validate_bohr(H, A, dec):
-    scale = max(np.abs(A).max(), 1e-300)
-    total = sum(dec.blocks.values())
-    if np.abs(total - A).max() > 1e-10 * scale:
-        raise ValueError("eigenoperator blocks do not sum back to the coupling")
-    hscale = max(np.linalg.norm(H, 2), 1.0)
-    for w, B in dec.blocks.items():
-        comm = H @ B - B @ H
-        if np.abs(comm + w * B).max() > 1e-10 * hscale * max(np.abs(B).max(), 1e-300) * 10:
-            raise ValueError(f"block at {w} is not an eigenoperator")
-        if -w in dec.blocks:
-            if np.abs(dec.blocks[-w] - B.conj().T).max() > 1e-10 * scale:
-                raise ValueError(f"blocks at +-{w} are not adjoints")
+    freqs, _, _, B, bin_tol = _bohr_stack(H, [A], bin_tol)
+    return BohrDecomposition(freqs, dict(zip(freqs, B)), bin_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -673,79 +701,73 @@ class DaviesGenerator:
         return superop_of_generator(self.base)
 
 
-def _canonical_jumps(gamma, operators, tol=1e-12):
-    """Diagonalize a PSD coupling-space rate matrix into (rate, jump) pairs
-    with unit Hilbert-Schmidt-norm jumps."""
-    w, U = np.linalg.eigh((gamma + gamma.conj().T) / 2.0)
-    scale = max(abs(w).max(), 1e-300)
-    if w.min() < -1e-9 * scale:
-        raise ValueError(f"rate matrix has negative eigenvalue {w.min():.3e}")
-    jumps = []
-    for m in range(len(w)):
-        if w[m] <= tol * scale:
-            continue
-        W = sum(np.conj(U[l, m]) * operators[l] for l in range(len(operators)))
-        norm = np.sqrt(np.trace(W.conj().T @ W).real)
-        if norm < 1e-14:
-            continue
-        jumps.append((float(w[m]) * norm**2, W / norm))
-    return jumps
+def _canonical_jumps(gamma, A, tol=1e-12):
+    """(rate, unit Hilbert-Schmidt-norm jump) pairs of the PSD rate matrices
+    gamma (F, K, K) of the operators A (F, K, n, n) from one batched
+    eigensolve, frequency-major; a coupling without a block at a frequency
+    has a zero operator and zero rows and columns there."""
+    w, U = np.linalg.eigh((gamma + gamma.conj().transpose(0, 2, 1)) / 2.0)
+    scale = np.maximum(np.abs(w).max(axis=1, initial=0.0), 1e-300)
+    low = w.min(axis=1, initial=0.0) < -1e-9 * scale
+    if low.any():
+        raise ValueError(f"rate matrix has negative eigenvalue {w[low][0].min():.3e}")
+    W = np.einsum("fkm,fkij->fmij", U.conj(), A)
+    norm = np.sqrt(np.einsum("fmij,fmij->fm", W.conj(), W).real)
+    keep = (w > tol * scale[:, None]) & (norm >= 1e-14)
+    return [(float(w[f, m]) * norm[f, m] ** 2, W[f, m] / norm[f, m])
+            for f, m in zip(*np.nonzero(keep))]
 
 
 def davies_generator(system, bath, alpha=1.0, bin_tol=None, n_nodes=2048,
                      shift=True):
     """Assemble the weak-coupling (Davies) generator of a system-bath model.
 
-    Builds the Bohr decomposition of every coupling, evaluates the rate and
-    shift matrices per frequency block, forms
+    Builds the Bohr decomposition of every coupling, the rate matrices of
+    every frequency block and their shift matrices (one frequency rule for
+    all frequencies, :func:`lamb_shift`), forms
     H = H_A + alpha^2 H_LS with H_LS = sum_w sum_kl S_kl(w) A_k(w)^dag A_l(w)
     and the dissipator alpha^2 sum_w sum_kl gamma_kl(w) [A_l(w) . A_k(w)^dag
     - (1/2){A_k(w)^dag A_l(w), .}], the latter returned in canonical
-    diagonalized form.  Near-colliding Bohr bins trigger a degeneracy warning
-    (the secular approximation is the caller's responsibility there).
+    diagonalized form.  Every rate comes before any shift, so a
+    zero-frequency rate error comes first.  Near-colliding Bohr bins trigger
+    a degeneracy warning (the secular approximation is the caller's
+    responsibility there).
     """
-    n = system.dim
-    pattern = system.coupling_pattern
-    decs, freqs = _bohr_blocks(system, bin_tol)
-    _warn_near_degenerate(freqs, decs[0].bin_tol if decs else 0.0)
+    n, K, pattern = system.dim, len(system.couplings), system.coupling_pattern
+    freqs, fi, ki, B, bin_tol = _bohr_stack(system.H, system.couplings, bin_tol)
+    _warn_near_degenerate(freqs, bin_tol)
     alpha2 = float(alpha) ** 2
-    H_LS = np.zeros((n, n), dtype=complex)
+    A = np.zeros((len(freqs), K, n, n), dtype=complex)
+    A[fi, ki] = B
+    present = A.any(axis=(2, 3))                 # a block that exists is nonzero
+    # a coupling without a block at w leaves the canonical jumps at w
+    gamma = bath_rates(bath, freqs, pattern, K) * (present[:, :, None] & present[:, None, :])
+    S = _shift_stack(bath, freqs, pattern, n_nodes, K) if shift else np.zeros_like(gamma)
     per_frequency = {}
-    jumps = []
-    for w in freqs:
-        idx = [k for k, d in enumerate(decs) if w in d.blocks]
-        ops = [decs[k].blocks[w] for k in idx]
-        gamma_full = bath_rates(bath, w, pattern, n_couplings=len(system.couplings))
-        gamma = gamma_full[np.ix_(idx, idx)]
-        if shift:
-            shift_full = lamb_shift(bath, w, pattern, n_nodes=n_nodes,
-                                    n_couplings=len(system.couplings))
-            S = shift_full[np.ix_(idx, idx)]
-        else:
-            S = np.zeros((len(idx), len(idx)), dtype=complex)
-        per_frequency[w] = FrequencyBlock(w, idx, ops, gamma, S)
-        for a, k in enumerate(idx):
-            for b, l in enumerate(idx):
-                H_LS += S[a, b] * ops[a].conj().T @ ops[b]
-        jumps.extend((alpha2 * g, V) for g, V in _canonical_jumps(gamma, ops))
+    for w, on, g, s, ops in zip(freqs, present, gamma, S, A):
+        idx = np.flatnonzero(on)
+        if idx.size < K:
+            g, s, ops = g[np.ix_(idx, idx)], s[np.ix_(idx, idx)], ops[idx]
+        per_frequency[w] = FrequencyBlock(w, idx.tolist(), list(ops), g, s)
+    H_LS = np.tensordot(A.conj(), np.einsum("fkl,fljm->fkjm", S, A), axes=([0, 1, 2],) * 2)
     H_LS = (H_LS + H_LS.conj().T) / 2.0
     hscale = max(np.linalg.norm(system.H, 2), 1.0)
     if np.abs(system.H @ H_LS - H_LS @ system.H).max() > 1e-8 * hscale * max(
             np.abs(H_LS).max(), 1e-300):
         raise ValueError("Lamb-shift Hamiltonian does not commute with H_A")
+    jumps = [(alpha2 * g, V) for g, V in _canonical_jumps(gamma, A)]
     base = GKSLGenerator(H=system.H + alpha2 * H_LS, jumps=jumps)
     return DaviesGenerator(base=base, lamb_shift=H_LS, per_frequency=per_frequency,
                            alpha=float(alpha), system=system, bath=bath)
 
 
 def _warn_near_degenerate(freqs, bin_tol):
-    for w1, w2 in zip(freqs, freqs[1:]):
-        gap = w2 - w1
-        if 0 < gap < 1e3 * max(bin_tol, 1e-300):
-            warnings.warn(
-                f"Bohr frequencies {w1:.6g} and {w2:.6g} nearly collide "
-                f"(gap {gap:.3e}); secular approximation may be invalid",
-                stacklevel=3)
+    gaps = np.diff(freqs)
+    for i in np.flatnonzero((gaps > 0) & (gaps < 1e3 * max(bin_tol, 1e-300))):
+        warnings.warn(
+            f"Bohr frequencies {freqs[i]:.6g} and {freqs[i + 1]:.6g} nearly collide "
+            f"(gap {gaps[i]:.3e}); secular approximation may be invalid",
+            stacklevel=3)
 
 
 # ---------------------------------------------------------------------------

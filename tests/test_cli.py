@@ -87,6 +87,17 @@ def test_csv_readers_return_the_written_doubles(tmp_path):
     assert np.array_equal(cli.read_matrix_csv(path), written(family[2][1]))
 
 
+def test_csv_readers_skip_empty_cells(tmp_path):
+    """A row converts in one numpy call; one with an empty cell (a trailing or
+    doubled comma) goes token by token and reads as before."""
+    path = tmp_path / "m.csv"
+    path.write_text("1.5,0,,0,0,\n-2, 0 ,0,0.25\n")
+    assert np.array_equal(cli.read_matrix_csv(str(path)), [[1.5, 0], [-2, 0.25j]])
+    path.write_text("0,1,0,,\n0.5,1,0,\n")
+    assert [(t, E.tolist()) for t, E in cli.read_map_family_csv(str(path))] == \
+        [(0.0, [[1.0]]), (0.5, [[1.0]])]
+
+
 def test_evolve_damped_qubit_fixed_point(tmp_path):
     # final <sigma_z> = -1/(2 nbar + 1) after ~10 relaxation times
     alpha, T = 0.1, 1.0

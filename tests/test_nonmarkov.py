@@ -528,13 +528,20 @@ def test_coarse_grain_brute_force_double_integral_oracle():
 # oracles: the term-by-term loop assemblies the operator sums replaced
 # ---------------------------------------------------------------------------
 
+def _bohr_blocks(system):
+    """The Bohr decomposition of each coupling on its own, and the sorted
+    union of their frequencies."""
+    decs = [wc.bohr_decompose(system.H, A) for A in system.couplings]
+    return decs, sorted({w for d in decs for w in d.frequencies})
+
+
 def _loop_tcl2_generator(system, bath, t, alpha):
     """TCL2 generator summed term by term over (w, w', k, l)."""
     from openqdyn.liouville import (
         conjugation_superop, left_multiply_superop, right_multiply_superop)
 
     alpha2 = float(alpha) ** 2
-    decs, freqs = wc._bohr_blocks(system)
+    decs, freqs = _bohr_blocks(system)
     L = hamiltonian_superop(system.H).astype(complex)
     K = len(system.couplings)
     gam = {w: wc.finite_time_gamma(bath, w, t, system.coupling_pattern, n_couplings=K)
@@ -572,7 +579,7 @@ def _loop_coarse_grain_parts(system, bath, tau, alpha):
     from openqdyn.liouville import (
         conjugation_superop, left_multiply_superop, right_multiply_superop)
 
-    decs, freqs = wc._bohr_blocks(system)
+    decs, freqs = _bohr_blocks(system)
     n = wc._node_counts(bath, max((abs(w) for w in freqs), default=0.0), tau)
     tri_all = nm._cg_pair_integrals(bath.correlation_table(int(n)), [tau], freqs)[0]
     tri = {(w, wp): tri_all[:, i, j]
@@ -652,7 +659,7 @@ def test_tcl2_generator_stack_is_assembled_from_finite_time_gamma(model):
     bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
     ts = np.array([0.0, 0.05, 0.3, 2.0, 40.0])
     K = len(system.couplings)
-    freqs, fi, ki, B = nm._bohr_stack(system)
+    freqs, fi, ki, B, _ = wc._bohr_stack(system.H, system.couplings)
     gam = np.stack([wc.finite_time_gamma(bath, w, ts, system.coupling_pattern, n_couplings=K)
                     for w in freqs], axis=1)
     c = gam[:, fi[:, None], ki[None, :], ki[:, None]]
@@ -722,7 +729,7 @@ def test_cg_pair_integrals_mirror_matches_per_pair_kernels(model):
         freqs = TRI_FREQS
     else:
         system = wc.damped_oscillator(10, OMEGA0) if model == "osc10" else _oracle_model(model)
-        freqs = wc._bohr_blocks(system)[1]
+        freqs = _bohr_blocks(system)[1]
     assert len(freqs) == {"osc10": 2, "random4": 13, "partial": 5}[model]
     table = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0).correlation_table(4096)
     taus = np.array([0.3, 2.0, 20.0]) if model == "random4" else np.linspace(0.2, 20.0, 16)
@@ -746,7 +753,7 @@ def test_finite_horizon_rules_are_shared_across_frequencies(monkeypatch):
     once per pair and its mirror."""
     system = _custom8()
     bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
-    freqs = np.array(wc._bohr_blocks(system)[1])
+    freqs = np.array(_bohr_blocks(system)[1])
     F = len(freqs)
     assert F == 57
     ts = np.array([0.0, 0.5, 30.0, 31.0])
@@ -924,15 +931,15 @@ def test_tcl2_evolve_memory_does_not_grow_with_the_grid():
 def test_tcl2_evolve_builds_generators_once_per_chunk(monkeypatch):
     """One tcl2_generator call per chunk: as many whole intervals of 8
     substeps as fit under the stack cap, each call with one Bohr
-    decomposition per coupling."""
+    decomposition of all couplings."""
     horizons, bohr = [], []
-    gen, decompose = nm.tcl2_generator, wc.bohr_decompose
+    gen, decompose = nm.tcl2_generator, nm._bohr_stack
     monkeypatch.setattr(nm, "tcl2_generator",
                         lambda system, bath, t, **k: horizons.append(len(t)) or
                         gen(system, bath, t, **k))
-    monkeypatch.setattr(wc, "bohr_decompose", lambda *a, **k: bohr.append(1) or decompose(*a, **k))
+    monkeypatch.setattr(nm, "_bohr_stack", lambda *a, **k: bohr.append(1) or decompose(*a, **k))
     _osc10_tcl2(21)
     per = nm._STACK_BYTES // (8 * 100 ** 2 * 16)          # intervals per chunk
     assert horizons == [8 * per] * (20 // per) + [8 * (20 % per)] * (20 % per > 0)
     assert len(horizons) >= 2
-    assert len(bohr) <= 2 * len(horizons) < 20 * 8
+    assert len(bohr) == len(horizons) < 20 * 8

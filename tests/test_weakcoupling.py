@@ -257,6 +257,12 @@ def _pv_quad_oracle(f, a, b, pole):
     return val
 
 
+def test_bohr_decompose_rejects_a_non_hermitian_coupling():
+    A = np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="not adjoints"):
+        wc.bohr_decompose(0.5 * OMEGA0 * sigma_z, A)
+
+
 def test_davies_damped_qubit_rates_and_shift():
     system = wc.damped_qubit(OMEGA0)
     bath = ohmic()
@@ -766,3 +772,182 @@ def test_larger_dimension_smoke():
 
     assert is_relaxing(L).verdict
     assert time.time() - t0 < 20.0
+
+
+# ---------------------------------------------------------------------------
+# one Davies assembly for every Bohr frequency
+# ---------------------------------------------------------------------------
+
+def _shift_scalars_by_pv_integral(bath, w, n_nodes=2048, breakpoints=None):
+    """I_plus = PV int J (nbar+1)/(w - nu) and I_minus = PV int J nbar/(w + nu)
+    over (0, omega_max], one folded pv_integral each."""
+    pts = bath._breakpoints() if breakpoints is None else breakpoints
+    T = bath.temperature
+    f_plus = lambda x: bath.J(x) * (wc._nbar(x, T) + 1.0)
+    f_minus = lambda x: bath.J(x) * wc._nbar(x, T)
+    return (wc.pv_integral(f_plus, 0.0, bath.omega_max, w, n_nodes, pts),
+            -wc.pv_integral(f_minus, 0.0, bath.omega_max, -w, n_nodes, pts))
+
+
+def _shift_scalars_of(S):
+    """(I_plus, I_minus) from a quadrature-pair shift matrix
+    I_plus W_plus + I_minus W_minus."""
+    return (2.0 * S[0, 0] - 2j * S[0, 1]).real, (2.0 * S[0, 0] + 2j * S[0, 1]).real
+
+
+@pytest.mark.parametrize("T", [0.0, 1.0])
+def test_shift_stack_matches_pv_integral_per_frequency(T):
+    """All frequencies from one rule against one folded pv_integral per
+    frequency and sign: +-w pairs, poles on the breakpoints omega_c = 3 and
+    T = 1, and frequencies beyond the cutoff omega_max = 120."""
+    bath = ohmic(coupling=0.1, T=T)
+    omegas = np.array([-130.0, -7.3, -3.0, -1.0, -0.37, 0.37, 1.0, 2.5, 3.0, 5.0, 17.2,
+                       119.0, 130.0])
+    got = wc._shift_stack(bath, omegas, "position_xy")
+    assert got.shape == (len(omegas), 2, 2)
+    ref = np.array([_shift_scalars_by_pv_integral(bath, w) for w in omegas])
+    scalars = np.array([_shift_scalars_of(S) for S in got])
+    assert np.abs(scalars - ref).max() <= 2e-13 * np.abs(ref).max()
+    for w, S in zip(omegas, got):          # the same rule; rows summed in other blocks
+        assert np.abs(wc.lamb_shift(bath, w, "position_xy") - S).max() <= 1e-14 * np.abs(got).max()
+
+
+def test_shift_stack_zero_frequency_is_the_pole_free_sum():
+    bath = ohmic(coupling=0.02, T=0.7)
+    got = wc._shift_stack(bath, [-1.0, 0.0, 1.0], "single")
+    x, g = wc._panel_nodes(0.0, bath.omega_max, bath._breakpoints(), 2048)
+    assert got[1, 0, 0] == np.sum(g * (-bath.J(x) / x))
+    assert np.array_equal(got[[0, 2]], wc._shift_stack(bath, [-1.0, 1.0], "single"))
+
+
+def test_shift_on_a_tabulated_bath_at_a_table_node():
+    """The table nodes are panel edges, so the subtraction at the node w = 1
+    sees no kink inside a panel: the shift matches a 65536-node folded
+    principal value to 1e-12."""
+    nodes = np.linspace(0.0, 6.0, 13)
+    bath = wc.BathModel.tabulated(nodes, 0.1 * nodes * np.exp(-nodes / 2.0), 0.7)
+    assert set(nodes[1:-1]) <= set(bath._breakpoints())
+    for w in (1.0, -1.0, 2.5):
+        ref = _shift_scalars_by_pv_integral(bath, w, 65536)
+        got = _shift_scalars_of(wc.lamb_shift(bath, w, "position_xy"))
+        assert np.abs(np.subtract(got, ref)).max() <= 1e-12 * np.abs(ref).max(), w
+
+
+def test_shift_pole_at_a_band_edge_or_on_a_quadrature_node_raises():
+    bath = ohmic()
+    x, _ = wc._panel_nodes(0.0, bath.omega_max, bath._breakpoints(), 2048)
+    with pytest.raises(QuadratureError, match="quadrature node"):
+        wc.lamb_shift(bath, x[100], "position_xy")
+    for w in (bath.omega_max, -bath.omega_max * (1.0 + 1e-13), 1e-14, -1e-14):
+        with pytest.raises(QuadratureError, match="of 0 or of the cutoff"):
+            wc.lamb_shift(bath, w, "position_xy")
+
+
+def test_shift_of_a_flat_bath_at_positive_temperature_raises():
+    """J nbar ~ j0 T / w is not integrable at 0+: the shift is an error, named
+    for the bath, and the zero-frequency rate error still comes first."""
+    hot = wc.BathModel.flat(0.05, 8.0, 0.5)
+    assert abs(wc._infrared_limit(hot) - 0.05 * 0.5) <= 1e-6 * 0.025
+    with pytest.raises(QuadratureError, match="flat bath diverges"):
+        wc.lamb_shift(hot, OMEGA0, "position_xy")
+    with pytest.raises(QuadratureError, match="flat bath diverges"):
+        wc.davies_generator(wc.damped_qubit(OMEGA0), hot)
+    with pytest.raises(ZeroFrequencyRateError):
+        wc.davies_generator(wc.pure_dephasing(OMEGA0), hot)
+    gen = wc.davies_generator(wc.damped_qubit(OMEGA0), hot, shift=False)
+    assert np.all(gen.lamb_shift == 0.0)
+
+
+def test_shift_of_integrable_infrared_baths_is_finite():
+    """Flat at T = 0 (the closed form) and sub-ohmic s = 0.5 at T > 0, whose
+    J nbar ~ w^{-1/2} is integrable, give numbers."""
+    cold = wc.BathModel.flat(0.5, 3.0, 0.0)
+    sub = wc.BathModel.ohmic(coupling=0.05, omega_c=2.0, temperature=0.3, s=0.5,
+                             omega_max=60.0)
+    for bath in (cold, sub, ohmic()):
+        assert wc._infrared_limit(bath) == 0.0
+    S = wc.lamb_shift(cold, 1.0, "position_xy")
+    assert abs(S[0, 0].real - 0.125 * np.log(0.5)) <= 1e-15
+    for bath in (cold, sub):
+        gen = wc.davies_generator(wc.damped_qubit(OMEGA0), bath)
+        assert np.all(np.isfinite(gen.lamb_shift)) and np.abs(gen.lamb_shift).max() > 0
+
+
+def _bohr_by_frequency_loop(H, A, bin_tol):
+    """One coupling's blocks, one mask and one product V B V^dag per bin
+    center, as {w: block}."""
+    eps, V = np.linalg.eigh(H)
+    At = V.conj().T @ A @ V
+    levels = eps[None, :] - eps[:, None]
+    pos = [c for c in wc._bin_frequencies(np.abs(levels).ravel(), bin_tol) if c > bin_tol]
+    blocks = {}
+    for w in sorted({0.0} | set(pos) | {-c for c in pos}):
+        B = np.where(np.abs(levels - w) <= bin_tol, At, 0.0)
+        if np.abs(B).max() > 1e-12 * np.abs(A).max():
+            blocks[w] = V @ B @ V.conj().T
+    return blocks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bohr_stack_matches_per_frequency_masks(seed):
+    """Degenerate levels in a random basis, two random couplings and one
+    diagonal in the eigenbasis (a block at w = 0 only): the batched
+    decomposition against a per-frequency mask loop per coupling, its blocks
+    summing back to each coupling and satisfying [H, A(w)] = -w A(w)."""
+    from openqdyn.operators import rand_hermitian, rand_unitary
+
+    rng = np.random.default_rng(seed)
+    U = rand_unitary(6, rng)
+    H = U @ np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 2.7]) @ U.conj().T
+    H = (H + H.conj().T) / 2.0
+    couplings = [rand_hermitian(6, rng), rand_hermitian(6, rng),
+                 U @ np.diag(rng.standard_normal(6)) @ U.conj().T]
+    freqs, fi, ki, B, bin_tol = wc._bohr_stack(H, couplings)
+    assert abs(bin_tol - 2.7e-9) <= 1e-23
+    assert freqs == sorted(freqs) and len(freqs) == 7
+    assert list(np.lexsort((ki, fi))) == list(range(len(fi)))       # frequency-major
+    for k, A in enumerate(couplings):
+        ref = _bohr_by_frequency_loop(H, A, bin_tol)
+        mine = {freqs[f]: Bk for f, kk, Bk in zip(fi, ki, B) if kk == k}
+        assert sorted(mine) == sorted(ref)
+        for w, Bk in mine.items():
+            assert np.abs(Bk - ref[w]).max() <= 1e-14 * np.abs(A).max()
+            assert np.abs(H @ Bk - Bk @ H + w * Bk).max() <= 1e-12 * np.abs(A).max()
+        assert np.abs(sum(mine.values()) - A).max() <= 1e-12 * np.abs(A).max()
+    assert [freqs[f] for f, k in zip(fi, ki) if k == 2] == [0.0]
+    dec = wc.bohr_decompose(H, couplings[0])
+    assert dec.frequencies == [freqs[f] for f, k in zip(fi, ki) if k == 0]
+
+
+@pytest.mark.parametrize("pattern", ["single", "position_xy"])
+def test_davies_assembly_matches_per_frequency_loop(pattern):
+    """H_LS from one contraction over the (F, K, K) shift stack and the jumps
+    from one batched eigensolve, against the per-frequency sums over the
+    blocks that exist.  The second coupling has no block at +-1, where the
+    quadrature pair's rate matrix would otherwise mix in its zero operator."""
+    H = np.diag([0.0, 1.0, 2.3, 3.1]).astype(complex)
+    A1 = np.zeros((4, 4), dtype=complex)
+    A1[0, 1] = A1[1, 2] = A1[0, 3] = 1.0
+    A2 = np.zeros((4, 4), dtype=complex)
+    A2[0, 2] = A2[1, 3] = 0.7j
+    system = wc.SystemModel(H, [A1 + A1.conj().T, A2 + A2.conj().T], pattern)
+    gen = wc.davies_generator(system, ohmic(T=0.8), alpha=0.6)
+    assert [b.coupling_indices for w, b in sorted(gen.per_frequency.items())
+            if abs(w) == 1.0] == [[0], [0]]
+    H_LS = np.zeros((4, 4), dtype=complex)
+    jumps = []
+    for w, block in sorted(gen.per_frequency.items()):
+        for a, Aa in enumerate(block.operators):
+            for b, Ab in enumerate(block.operators):
+                H_LS += block.shift[a, b] * Aa.conj().T @ Ab
+        rates, U = np.linalg.eigh(block.gamma)
+        for m, r in enumerate(rates):
+            if r > 1e-12 * np.abs(rates).max():
+                V = sum(np.conj(U[l, m]) * Al for l, Al in enumerate(block.operators))
+                norm2 = np.sum(np.abs(V) ** 2)
+                jumps.append((0.36 * r * norm2, V / np.sqrt(norm2)))
+    assert np.abs(gen.lamb_shift - (H_LS + H_LS.conj().T) / 2.0).max() <= 1e-15
+    assert len(gen.base.jumps) == len(jumps)
+    for (g, V), (g_ref, V_ref) in zip(gen.base.jumps, jumps):
+        assert abs(g - g_ref) <= 1e-14 * g_ref
+        assert np.abs(V - V_ref).max() <= 1e-14

@@ -424,8 +424,9 @@ def _finite_min(values):
 
 def cmd_check(ctx):
     from .gksl import check_kossakowski_conditions, random_partitions
-    from .liouville import expm
-    from .maps import _semigroup_family, divisibility_witness, is_cp, is_trace_preserving
+    from .liouville import _dense
+    from .maps import (_choi_blocks, _cp_reports, _exponential_family, _semigroup_family,
+                       divisibility_witness, is_trace_preserving)
     from .spectra import is_relaxing, spohn_check
 
     requested = [tok.strip() for tok in
@@ -438,13 +439,14 @@ def cmd_check(ctx):
     all_pass = True
     for name in requested:
         if name == "cp":
-            ok, eigs = True, []
-            for tau in (0.01, 0.1, 1.0, 10.0):
-                E = expm(tau * L)
-                rep = is_cp(E, tol)
-                eigs.append(rep.min_choi_eigenvalue)
-                ok = ok and rep.verdict and is_trace_preserving(E)
-            witness = _finite_min(eigs)
+            _, groups, take = _exponential_family(L, (0.01, 0.1, 1.0, 10.0))
+            stacks, E = take(np.arange(4)), None
+            reps = _cp_reports(_choi_blocks(groups), stacks, tol)
+            ok = all(rep.verdict for rep in reps)
+            for k in range(4):
+                E = _dense(groups, stacks, k, E)          # zero off the blocks
+                ok = ok and is_trace_preserving(E)
+            witness = _finite_min(rep.min_choi_eigenvalue for rep in reps)
         elif name == "markov":
             family_file = ctx.get("checks", "family_file")
             if family_file:

@@ -13,6 +13,7 @@ from .liouville import (
     TOL_PSD,
     _as_square,
     _check_tol,
+    _hs_coordinates,
     _lindblad_superop,
     _vec_columns,
     devectorize,
@@ -69,7 +70,7 @@ class GKSLGenerator:
         L = superop_of_generator(self)
         scale = max(np.abs(L).max(), 1.0)
         # Tr L(F_j) for every basis element F_j, as one row
-        drift = vectorize(np.eye(self.dim)) @ L @ _vec_columns(hs_basis(self.dim))
+        drift = _hs_coordinates(vectorize(np.eye(self.dim)) @ L)
         if np.abs(drift).max() > tol_trace * scale:
             raise ValueError("generator does not annihilate the trace")
         return self

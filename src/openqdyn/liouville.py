@@ -22,8 +22,10 @@ size (:func:`_size_groups`, :func:`_take`, :func:`_dense`), so each kernel
 call runs once per block size; a matrix that is one block is a view of
 itself and takes the dense kernel call.
 
-Matrix exponentials run in numpy alone (:func:`_pade_expm`): every product
-goes through one BLAS, and importing the package loads no ``scipy.linalg``.
+Matrix exponentials run in numpy alone (:func:`_taylor_expm`): Taylor
+polynomials by Paterson-Stockmeyer with scaling and squaring, so every step
+is a product through one BLAS and none is a linear solve; importing the
+package loads no ``scipy.linalg``.
 """
 import math
 import numbers
@@ -39,18 +41,16 @@ TOL_HERM = 1e-12
 TOL_PSD = 1e-10
 #: bytes of one stack of generators that :func:`_time_split` takes at once
 _STACK_BYTES = 8 * 2 ** 20
-#: degrees m of the diagonal Pade approximants r_m of e^A, each with the
-#: largest 1-norm theta_m of A at which r_m(A) = e^(A + dA) with
-#: ||dA|| <= 2^-53 ||A|| (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
-_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
-          (9, 2.097847961257068e0), (13, 5.371920351148152e0))
-#: coefficients b_j = (2m - j)! / (j! (m - j)!) of the numerator p_m(A) =
-#: sum_j b_j A^j of r_m = p_m(-A)^-1 p_m(A)
-_PADE = {m: [math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
-             for j in range(m + 1)] for m, _ in _THETA}
-#: theta_13 for the power bound max(||A^4||^(1/4), ||A^6||^(1/6)) in place of
-#: ||A||_1 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009)
-_THETA13_POWERS = 4.25
+#: Taylor degrees m, each with theta_m, the largest 1-norm of A at which the
+#: truncated series T_m(A) = sum_{k<=m} A^k / k! is e^(A + dA) with
+#: ||dA|| <= 2^-53 ||A|| (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488,
+#: 2011, Table 3.1), and the power q of A on which Paterson-Stockmeyer
+#: evaluates T_m: q - 1 products for A^2 ... A^q and m/q - 1 Horner steps
+_THETA = ((2, 2.5809568029717672e-8, 2), (4, 3.3971688399769619e-4, 2),
+          (6, 9.0656564075951024e-3, 3), (9, 8.9577602032233427e-2, 3),
+          (12, 2.9961589138115805e-1, 3), (16, 7.8028742566265743e-1, 4))
+#: bytes of the slices of a stack that the Taylor kernel evaluates at once
+_CHUNK_BYTES = 2 ** 19
 
 
 def _as_square(M, name="matrix"):
@@ -278,7 +278,7 @@ def trace_norm(M):
 
 
 def expm(M):
-    """Matrix exponential e^M (scaling-and-squaring with Pade approximants).
+    """Matrix exponential e^M (scaling and squaring of a Taylor polynomial).
 
     Accepts operators and superoperators alike.  Exponentiates each exact-zero
     block of M on its own (see the module docstring).  Raises
@@ -289,86 +289,111 @@ def expm(M):
     if not np.all(np.isfinite(M)):
         raise MagnitudeError("matrix exponential of non-finite input")
     groups = _size_groups(_blocks(M))
-    return _dense(groups, [_pade_expm(S) for S in _take(groups, [M])], 0)
+    return _dense(groups, [_taylor_expm(S) for S in _take(groups, [M])], 0)
 
 
-def _pade_expm(A, out=None):
-    """e^A of a finite square matrix, or of each matrix of a stack (..., n, n)
-    one at a time, so that the transient memory is that of one matrix; written
-    into ``out`` (which may be A itself) when given.  Raises
-    :class:`MagnitudeError` when a result overflows."""
+def _taylor_expm(A, out=None):
+    """e^A of a finite square matrix, or of each matrix of a stack (..., n, n);
+    written into ``out`` (which may be A itself) when given.  Raises
+    :class:`MagnitudeError` when a result overflows.
+
+    T_m(A) for the least degree m whose theta_m bounds ||A||_1, else
+    T_16(A / 2^s) squared s times, with the least s that brings the power
+    bound max(||A^3||^(1/3), ||A^4||^(1/4)) <= ||A||_1 under theta_16 (Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009): the 1-norm alone would
+    overscale a non-normal A and lose accuracy in the squarings.  T_m is
+    evaluated by Paterson-Stockmeyer, with products only and no linear solve
+    (Sastre et al., SIAM J. Sci. Comput. 37, A439, 2015); as a polynomial in A
+    it keeps a left null vector of A (the trace of a trace-preserving
+    generator) to rounding, and so do the squarings, which act on T - I
+    (:func:`_taylor_chunk`).  The slices of one degree are evaluated together,
+    in chunks of about ``_CHUNK_BYTES``, by operations that each act slice by
+    slice, so a slice's result does not depend on the rest of the stack.  A
+    diagonal slice gives the exponential of its diagonal exactly."""
     out = np.empty_like(A) if out is None else out
+    n = A.shape[-1]
+    flat, res = A.reshape(-1, n, n), out.reshape(-1, n, n)
+    K = len(flat)
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is checked below
-        for i in np.ndindex(A.shape[:-2]):
-            out[i] = _pade_expm_one(A[i])
-    if not np.all(np.isfinite(out)):
+        norm = np.abs(flat).sum(axis=1).max(axis=1)
+        degree = np.searchsorted([theta for _, theta, _ in _THETA], norm)
+        off = flat.reshape(K, n * n)[:, :-1].reshape(K, n - 1, n + 1)[:, :, 1:]
+        degree[~off.any(axis=(1, 2))] = -1            # diagonal: exp of the diagonal
+        degree[~np.isfinite(norm)] = -2               # overflowed
+        one_degree = degree.min() == degree.max()        # then no copy of the slices
+        step = max(1, _CHUNK_BYTES // flat[0].nbytes)
+        for k in [degree[0]] if one_degree else np.unique(degree):
+            idx = np.flatnonzero(degree == k)
+            for c in range(0, len(idx), step):
+                part = slice(c, c + step) if one_degree else idx[c:c + step]
+                if k == -1:
+                    E = np.zeros_like(flat[part])
+                    np.einsum("kii->ki", E)[:] = np.exp(np.diagonal(flat[part], axis1=1, axis2=2))
+                elif k == -2:
+                    E = np.inf
+                else:
+                    E = _taylor_chunk(flat[part], norm[part], *_THETA[min(k, len(_THETA) - 1)],
+                                      scale=k == len(_THETA))
+                res[part] = E
+    if not np.all(np.isfinite(res)):
         raise MagnitudeError("matrix exponential overflowed; norm too extreme")
     return out
 
 
-def _pade_expm_one(A):
-    """e^A by scaling and squaring (Higham 2005): r_m(A) for the least degree
-    m whose theta_m bounds ||A||_1, else r_13(A / 2^s) squared s times.  For
-    degree 13, s brings max(||A^4||^(1/4), ||A^6||^(1/6)) / 2^s under theta_13
-    and then takes the squarings of :func:`_pade13_extra_squarings` (Al-Mohy &
-    Higham 2009); the 1-norm alone would overscale a non-normal A and lose
-    accuracy in the squarings.  A diagonal matrix gives the exponential of its
-    diagonal exactly."""
-    d = np.diagonal(A)
-    if np.count_nonzero(A) == np.count_nonzero(d):
-        return np.diag(np.exp(d))
-    norm = np.abs(A).sum(axis=0).max()
-    if not np.isfinite(norm):
-        return np.full_like(A, np.inf)
-    m = next(m for m, theta in _THETA if norm <= theta or m == 13)
-    powers = [np.eye(len(A), dtype=A.dtype), A @ A]         # A^0, A^2, A^4, ...
-    while len(powers) < (4 if m == 13 else m // 2 + 1):
-        powers.append(powers[-1] @ powers[1])
-    b, s = _PADE[m], 0
-    if m == 13:
-        # eta <= ||A||_1; the min keeps s finite when A^6 overflows
-        eta = min(norm, max(np.abs(powers[2]).sum(axis=0).max() ** 0.25,
-                            np.abs(powers[3]).sum(axis=0).max() ** (1 / 6)))
-        s = max(0, math.ceil(math.log2(eta / _THETA13_POWERS))) if eta > 0 else 0
-        s += _pade13_extra_squarings(A * 2.0 ** -s)
-        A = A * 2.0 ** -s
-        powers = [P * 2.0 ** (-2 * k * s) for k, P in enumerate(powers)]
-        I, A2, A4, A6 = powers
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
-        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
-    else:
-        U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
-        V = sum(b[2 * k] * P for k, P in enumerate(powers))
-    # r_m = p_m(A) p_m(-A)^-1 solved row by row, so that a left null vector of A
-    # (the trace of a trace-preserving generator) is kept to rounding
-    R = np.linalg.solve((V - U).T, (V + U).T).T
-    for _ in range(s):
-        R = R @ R
-    return R
+def _taylor_chunk(A, norm, m, theta, q, scale):
+    """e^A for a stack A of matrices of 1-norms ``norm``: T_m(A) or, with
+    ``scale``, T_m(A / 2^s) squared s times with s per slice (q = 4).  T_m is
+    sum_j B_j (A^q)^j with B_j = sum_{i<q} A^i / (qj + i)!, by Horner in A^q,
+    and is accumulated as T_m - I."""
+    P = np.empty((q + 1,) + A.shape, dtype=A.dtype)       # I, A, ..., A^q
+    P[0], P[1] = np.eye(A.shape[-1]), A
+    for i in range(2, q + 1):
+        np.matmul(P[i - 1], A, out=P[i])
+    s = np.zeros(len(A), dtype=int)
+    if scale:
+        s = _squarings(P, norm, theta)
+        P *= (0.5 ** np.outer(np.arange(q + 1), s))[:, :, None, None]
+    r = m // q
+    coef = [[1.0 / math.factorial(q * j + i) if q * j + i else 0.0 for i in range(q)]
+            for j in range(r)]
+    B = np.einsum("ji,ikab->jkab", coef, P[:q])
+    X = P[q] * (1.0 / math.factorial(m)) + B[r - 1]       # X = T_m - I
+    for j in range(r - 2, -1, -1):
+        X = X @ P[q] + B[j]
+    T = _square(X, s, lambda X: X @ X + 2.0 * X) + P[0]
+    # (I + X)^2 = I + 2X + X^2 keeps the rounding of a result near I, and of the
+    # trace row of a generator, small; it loses accuracy only where I + X
+    # cancels to a small e^A (entries below 1/n, which a trace-preserving map's
+    # never all are), and such a slice is squared again as T
+    small = np.abs(T).max(axis=(1, 2)) * A.shape[-1] < 1.0
+    if small.any():
+        T[small] = _square(X[small] + P[0, small], s[small], lambda T: T @ T)
+    return T
 
 
-def _pade13_extra_squarings(B):
-    """ell(B, 13) of Al-Mohy & Higham (2009): the least k >= 0 such that
-    c ||(|B| / 2^k)^27||_1 / ||B / 2^k||_1 <= 2^-53, with c = 13!^2 / (26! 27!)
-    the leading coefficient of the backward error of r_13.  A power bound
-    below ||B||_1 can underscale a non-normal B; this restores the squarings
-    that the rounding of r_13(B) needs.  ||  |B|^27 ||_1 is the largest entry of
-    1^T |B|^27, taken in log2 one product at a time so that it cannot
-    overflow."""
-    absB = np.abs(B)
-    v, log_norm = np.ones(len(B)), 0.0
-    for _ in range(27):
-        v = v @ absB
-        top = v.max()
-        if top == 0:
-            return 0
-        log_norm += math.log2(top)
-        v /= top
-    log_c = math.log2(math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27)))
-    log_alpha = log_c + log_norm - math.log2(absB.sum(axis=0).max())
-    return max(0, math.ceil((log_alpha + 53) / 26))
+def _square(X, s, square):
+    """Each slice k of the stack X with ``square`` applied s[k] times."""
+    if np.all(s == s[0]):
+        for _ in range(s[0]):
+            X = square(X)
+        return X
+    order = np.argsort(s, kind="stable")              # ascending s: square X[lo:] while s > j
+    X, s = X[order], s[order]
+    for j in range(s[-1]):
+        lo = np.searchsorted(s, j, side="right")
+        X[lo:] = square(X[lo:])
+    X[order] = X.copy()
+    return X
+
+
+def _squarings(P, norm, theta):
+    """Per slice of the stacked powers P = (I, A, A^2, A^3, A^4, ...), the least
+    s >= 0 that brings alpha_3 = max(||A^3||^(1/3), ||A^4||^(1/4)) under theta
+    by A / 2^s; alpha_3 is at most ``norm`` = ||A||_1, which it stays at where a
+    power overflows (the fmin and fmax skip a NaN)."""
+    n34 = np.abs(P[3:5]).sum(axis=2).max(axis=2) ** np.array([[1 / 3], [0.25]])
+    alpha = np.fmin(norm, np.fmax(*n34))
+    return np.ceil(np.log2(np.maximum(alpha / theta, 1.0))).astype(int)
 
 
 def propagate_semigroup(L, times, X):
@@ -484,7 +509,7 @@ def _time_split(G, times, dt, X, ends):
 
     Every E_i is zero off the exact-zero blocks of the stack's union pattern,
     so the blocks of each size are exponentiated for the whole stack in one
-    :func:`_pade_expm` call, and the product is accumulated one block row at a
+    :func:`_taylor_expm` call, and the product is accumulated one block row at a
     time, (E X)[b] = E[b, b] X[b].
     Raises :class:`MagnitudeError` on a non-finite generator or an overflow.
     """
@@ -495,7 +520,7 @@ def _time_split(G, times, dt, X, ends):
     dt = np.asarray(dt)[:, None, None, None]
     steps = [dt * S for S in _take(groups, G)]
     for E in steps:
-        _pade_expm(E, out=E)              # in place: no third stack of the chunk
+        _taylor_expm(E, out=E)            # in place: no third stack of the chunk
     out = np.zeros((len(ends),) + X.shape, dtype=complex)
     for B, E in zip(groups, steps):
         for b, Eb in zip(B, E.swapaxes(0, 1)):
@@ -537,6 +562,21 @@ def hs_basis(dim):
         basis.append(F / np.sqrt(l * (l + 1)))
     basis.append(np.eye(dim, dtype=complex) / np.sqrt(dim))
     return basis
+
+
+def _hs_coordinates(v):
+    """``v @ _vec_columns(hs_basis(N))`` for a row v of length N^2 >= 1, in
+    closed form.  With V[i, j] = v[j*N + i], the coordinates are
+    (V_jk + V_kj) / sqrt 2 and i (V_kj - V_jk) / sqrt 2 over the pairs j < k,
+    (V_00 + ... + V_(l-1)(l-1) - l V_ll) / sqrt(l (l+1)) for l = 1 ... N-1 and
+    tr V / sqrt N, in the order of :func:`hs_basis`."""
+    n = int(round(np.sqrt(v.size)))
+    V = v.reshape(n, n).T
+    j, k = np.triu_indices(n, 1)
+    d, l = np.diagonal(V), np.arange(1, n)
+    return np.concatenate([(V[j, k] + V[k, j]) / np.sqrt(2), 1j * (V[k, j] - V[j, k]) / np.sqrt(2),
+                           (np.cumsum(d)[:-1] - l * d[1:]) / np.sqrt(l * (l + 1)),
+                           [d.sum() / np.sqrt(n)]])
 
 
 def partial_trace(rho, dims, keep):

@@ -25,13 +25,13 @@ from .liouville import (
     _check_tol,
     _cond,
     _dense,
+    _hs_coordinates,
     _operator_sum_superop,
     _reshuffle,
     _semigroup_blocks,
     _size_groups,
     _take,
-    _vec_columns,
-    hs_basis,
+    _taylor_expm,
     induced_trace_norm,
     vectorize,
 )
@@ -74,32 +74,67 @@ def is_cp(S, tol=DEFAULT_CP_TOL):
     verdict is True iff min eig(C) >= -tol * ||C||_op, with ||C||_op taken
     from the eigenvalues of the Hermitian part of C.  A map that is not
     Hermiticity-preserving (non-Hermitian Choi) is reported as such and fails.
-    The eigenvalues come from the exact-zero blocks of C, one ``eigvalsh``
-    call per block size.  ``tol`` must be finite and nonnegative (ValueError
-    otherwise).
+    The eigenvalues come from the exact-zero blocks of C, which follow from
+    those of S (:func:`_choi_blocks`), one ``eigvalsh`` call per block size.
+    ``tol`` must be finite and nonnegative (ValueError otherwise).
     """
     _check_tol(tol)
-    C = choi_of(S)
-    groups = _size_groups(_blocks(C))
-    subs = [(B, B.conj().swapaxes(-1, -2)) for B in _take(groups, [C])]
-    w = np.concatenate([np.linalg.eigvalsh((B + Bh) / 2.0).ravel() for B, Bh in subs])
-    scale = max(np.abs(w).max(), 1e-300)
+    S, _ = _map_dim(S)
+    groups = _size_groups(_blocks(S))
+    return _cp_reports(_choi_blocks(groups), _take(groups, [S]), tol)[0]
+
+
+def _choi_blocks(groups):
+    """The exact-zero blocks of the Choi matrix of any map that is zero off
+    the blocks ``groups`` (as from :func:`liouville._size_groups`), as
+    gather indices: per Choi block size, the (g, m, m) positions of the Choi
+    blocks' entries among the map's block entries (the stacks of
+    :func:`liouville._take`, each flattened, in group order), or their count
+    where the entry lies off the map's blocks.  The Choi blocks are those of
+    the reshuffled pattern of the map's blocks, found once for every map that
+    shares them."""
+    side = sum(B.size for B in groups)
+    pos, start = np.full((side, side), sum(B.size * B.shape[1] for B in groups)), 0
+    for B in groups:
+        pos[B[:, :, None], B[:, None, :]] = np.arange(start, start + B.size * B.shape[1]).reshape(
+            B.shape + B.shape[1:])
+        start += B.size * B.shape[1]
+    pos = _reshuffle(pos)                       # the map entry of each Choi entry
+    return [pos[G[:, :, None], G[:, None, :]] for G in _size_groups(_blocks(pos != start))]
+
+
+def _cp_reports(choi, stacks, tol):
+    """:func:`is_cp` of each map of the block ``stacks`` (per group a (K, g,
+    m, m) stack, as from :func:`liouville._take`), whose Choi blocks
+    ``choi`` come from :func:`_choi_blocks`: the K reports, from one
+    ``eigvalsh`` call per Choi block size."""
+    K = len(stacks[0])
+    if not K:
+        return []
+    entries = np.concatenate([S.reshape(K, -1) for S in stacks] + [np.zeros((K, 1))], axis=1)
+    w, dev = [], []
+    for idx in choi:
+        C = entries[:, idx]
+        Ch = C.conj().swapaxes(-1, -2)
+        dev.append(np.abs(C - Ch).max(axis=(1, 2, 3)))
+        w.append(np.linalg.eigvalsh((C + Ch) / 2.0).reshape(K, -1))
+    w = np.concatenate(w, axis=1)
+    scale = np.maximum(np.abs(w).max(axis=1), 1e-300)
     # C is zero off its blocks, so it is Hermitian iff each block is
-    herm = max(np.abs(B - Bh).max() for B, Bh in subs) <= 1e-10 * max(scale, 1.0)
-    if not herm:
-        return CPReport(False, float("nan"), False)
-    wmin = float(w.min())
-    return CPReport(wmin >= -tol * scale, wmin, True)
+    herm = np.max(dev, axis=0) <= 1e-10 * np.maximum(scale, 1.0)
+    wmin = w.min(axis=1)
+    return [CPReport(bool(v >= -tol * c), float(v), True) if h else
+            CPReport(False, float("nan"), False) for v, c, h in zip(wmin, scale, herm)]
 
 
 def is_trace_preserving(S, tol=1e-10):
     """True iff |Tr E(F_j) - Tr F_j| <= tol * max(max|S_ij|, 1) for every
-    Hilbert-Schmidt basis element F_j."""
+    Hilbert-Schmidt basis element F_j (:func:`liouville.hs_basis`), whose
+    coordinates come in closed form (:func:`liouville._hs_coordinates`)."""
     S, n = _map_dim(S)
     scale = max(np.abs(S).max(), 1.0)
     tr = vectorize(np.eye(n))                    # Tr X = tr . vec(X)
-    drift = (tr @ S - tr) @ _vec_columns(hs_basis(n))
-    return bool(np.abs(drift).max() <= tol * scale)
+    return bool(np.abs(_hs_coordinates(tr @ S - tr)).max() <= tol * scale)
 
 
 class ContractionReport(NamedTuple):
@@ -226,6 +261,20 @@ def _semigroup_family(L, times):
     return _BlockFamily(np.array(times, dtype=float), groups, lambda idx: [S[idx] for S in stacks])
 
 
+def _exponential_family(L, times):
+    """The family ``(t, e^{tL})`` over ``times`` as a :class:`_BlockFamily` on
+    the exact-zero blocks of L, each map exponentiated on its own (no
+    stepping): one :func:`liouville._taylor_expm` call per block size for
+    all times."""
+    L = _as_square(L, "generator")
+    groups = _size_groups(_blocks(L))
+    times = np.array(times, dtype=float)
+    stacks = [times[:, None, None, None] * S for S in _take(groups, [L])]
+    for E in stacks:
+        _taylor_expm(E, out=E)
+    return _BlockFamily(times, groups, lambda idx: [S[idx] for S in stacks])
+
+
 def _guarded_inverse(stacks, cond_threshold):
     """Guarded inverses of a stack of maps held by their blocks (per group a
     (K, g, m, m) stack, as from :func:`liouville._take`): ``(cond, ok,
@@ -304,23 +353,24 @@ def divisibility_witness(family, tol=1e-10, cond_threshold=DEFAULT_COND_THRESHOL
     Every map is zero off the exact-zero blocks of the family's union
     pattern, so the condition numbers, inverses and products are taken per
     block, batched over the blocks of one size and over as many samples as
-    fit the bytes of one dense map; each intermediate map is then judged
-    densely.
+    fit the bytes of one dense map, and each batch of intermediate maps is
+    judged on its Choi blocks (:func:`_cp_reports`) without a dense map.
     """
     _check_tol(tol)
     times, groups, take = _block_family(family)
-    report, buffer = DivisibilityReport(), None
+    report = DivisibilityReport()
     if len(times) < 2:
         return report
+    choi = _choi_blocks(groups)
     for k in _chunks(len(times) - 1, groups):
         cond, ok, inv = _guarded_inverse(take(k), cond_threshold)
         mids = [S @ Si for S, Si in zip(take(k[ok] + 1), inv)]
-        for i, c, good, j in zip(k, cond, ok, np.cumsum(ok) - 1):
+        cps = iter(_cp_reports(choi, mids, tol))
+        for i, c, good in zip(k, cond, ok):
             iv = IntervalWitness(float(times[i]), float(times[i + 1]), condition=float(c))
             if good:
-                buffer = _dense(groups, mids, j, buffer)     # zero off the blocks
-                cp = is_cp(buffer, tol)
-                iv.min_choi_eigenvalue, iv.cp = cp.min_choi_eigenvalue, bool(cp.verdict)
+                cp = next(cps)
+                iv.min_choi_eigenvalue, iv.cp = cp.min_choi_eigenvalue, cp.verdict
             else:
                 iv.singular, iv.label = True, "inconclusive (singular)"
             report.intervals.append(iv)

@@ -44,7 +44,8 @@ from .liouville import (
     propagate_semigroup,
     vectorize,
 )
-from .maps import _block_family, _chunks, _guarded_inverse, is_cp
+from .maps import (DEFAULT_CP_TOL, _block_family, _choi_blocks, _chunks, _cp_reports,
+                   _guarded_inverse)
 from .weakcoupling import (
     _bohr_stack,
     _gamma_stack,
@@ -292,12 +293,15 @@ def tcl2_evolve(system, bath, rho0, t_grid, alpha=1.0, substeps=8, bin_tol=None)
     P = np.eye(n2, dtype=complex)
     states, witnesses = [], []
 
-    def record(P):
-        states.append(apply_superop(P, rho0))
-        witnesses.append(float(is_cp(P).min_choi_eigenvalue))
+    def record(maps):                            # a (k, n2, n2) stack of maps
+        _, groups, take = _block_family(list(enumerate(maps)))
+        states.extend(apply_superop(P, rho0) for P in maps)
+        witnesses.extend(rep.min_choi_eigenvalue for rep in
+                         _cp_reports(_choi_blocks(groups), take(np.arange(len(maps))),
+                                     DEFAULT_CP_TOL))
 
     if len(live) < len(t):                       # t[0] = 0: the identity map
-        record(P)
+        record(P[None])
     for c in range(0, len(live), per):
         t0, dt = starts[live[c:c + per]], dts[c:c + per]
         times = (t0[:, None] + np.arange(substeps) * dt[:, None]).ravel()
@@ -305,8 +309,8 @@ def tcl2_evolve(system, bath, rho0, t_grid, alpha=1.0, substeps=8, bin_tol=None)
         stack = tcl2_generator(system, bath, times, alpha=alpha, bin_tol=bin_tol)
         maps = _time_split(stack, times, np.repeat(dt, substeps), P, ends)
         del stack                                # before the next chunk's stack is built
-        for P in maps:
-            record(P)
+        record(maps)
+        P = maps[-1]
     tr_err, min_eig = _monitor(states, t)
     return Trajectory(t, states, tr_err, min_eig, min_choi_eigenvalues=witnesses)
 

@@ -220,20 +220,40 @@ def _panel_nodes(lo, hi, breakpoints, n_total, max_rule=1024):
     Nodes are distributed proportionally to panel length (minimum 48 per
     panel); long panels are chunked so no single rule exceeds ``max_rule``.
     """
+    xs, ws = [], []
+    for x0, w0, edges in _panels(lo, hi, breakpoints, n_total, max_rule):
+        for aa, bb in zip(edges, edges[1:]):
+            xs.append(0.5 * (bb - aa) * x0 + 0.5 * (aa + bb))
+            ws.append(0.5 * (bb - aa) * w0)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def _panels(lo, hi, breakpoints, n_total, max_rule=1024):
+    """The panels of :func:`_panel_nodes`, in order: per panel its
+    Gauss-Legendre rule (x0, w0) on [-1, 1] and the edges of its sub-panels,
+    which share that rule and, up to rounding, one width."""
     edges = [lo] + [b for b in breakpoints if lo < b < hi] + [hi]
     span = hi - lo
-    xs, ws = [], []
     for a, b in zip(edges, edges[1:]):
         n_here = max(48, int(np.ceil(n_total * (b - a) / span)))
         n_sub = int(np.ceil(n_here / max_rule))
         n_rule = -(-n_here // n_sub)
         n_rule = 64 * (-(-n_rule // 64))     # round up; keeps the rule cache small
-        x0, w0 = _leggauss(n_rule)
-        sub_edges = np.linspace(a, b, n_sub + 1)
-        for aa, bb in zip(sub_edges, sub_edges[1:]):
-            xs.append(0.5 * (bb - aa) * x0 + 0.5 * (aa + bb))
-            ws.append(0.5 * (bb - aa) * w0)
-    return np.concatenate(xs), np.concatenate(ws)
+        yield _leggauss(n_rule) + (np.linspace(a, b, n_sub + 1),)
+
+
+def _phase_table(bath, n_nodes, t):
+    """e^{-i nu t} on the nodes nu of ``bath.correlation_table(n_nodes)`` for
+    each horizon of the 1-D array t: the (len(t), nodes) table.  A node of a
+    sub-panel of centre c and half-width h is nu = c + h xi, so the phase is
+    e^{-i c t} e^{-i h xi t}: the phases are taken once per panel rule and
+    width, and each sub-panel costs one complex product."""
+    blocks = []
+    for x0, _, edges in _panels(0.0, bath.omega_max, bath._breakpoints(), n_nodes):
+        h, c = 0.5 * (edges[-1] - edges[0]) / (len(edges) - 1), 0.5 * (edges[:-1] + edges[1:])
+        rule, shift = np.exp(-1j * h * x0 * t[:, None]), np.exp(-1j * c * t[:, None])
+        blocks.append((shift[:, :, None] * rule[:, None, :]).reshape(len(t), -1))
+    return np.concatenate(blocks, axis=1)
 
 
 def pv_integral(f, lo, hi, pole, n_nodes=2048, breakpoints=()):
@@ -517,9 +537,7 @@ def _gamma_stack(bath, omegas, t, coupling_pattern, n_couplings=None):
     for n in np.unique(nodes[:, t > 0]):
         x, f_plus, f_minus = bath.correlation_table(n)
         for r in _row_blocks(np.flatnonzero((t > 0) & np.any(nodes == n, axis=0)), x.size):
-            xt = x * t[r, None]
-            table = np.empty(xt.shape, dtype=complex)
-            table.real, table.imag = np.cos(xt), -np.sin(xt)          # e^{-i nu t}
+            table = _phase_table(bath, n, t[r])                     # e^{-i nu t}
             for i, w in enumerate(omegas):
                 own = nodes[i, r] == n
                 if not own.any():

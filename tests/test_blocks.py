@@ -7,7 +7,7 @@ nonzero pattern.  The dense code they replace is kept here as the oracle:
 blocked and dense results agree within 1e-12 relative (eigenvalues within
 their conditioning), and a matrix that is one block gives bitwise the dense
 result.  For ``expm`` the dense call is the package's own kernel
-``liouville._pade_expm``; ``scipy.linalg.expm`` stays the 1e-12 oracle.
+``liouville._taylor_expm``; ``scipy.linalg.expm`` stays the 1e-12 oracle.
 """
 import itertools
 import os
@@ -203,7 +203,7 @@ def test_one_block_is_bitwise_dense(zeros):
     if zeros:
         M[np.triu_indices(9, 2)] = 0.0        # lower Hessenberg: connected
     assert len(lv._blocks(M)) == 1
-    assert np.array_equal(lv.expm(M), lv._pade_expm(M))
+    assert np.array_equal(lv.expm(M), lv._taylor_expm(M))
     inv, cond, _ = maps.invert_map(M, 1e10)
     assert cond == np.linalg.cond(M)
     assert np.array_equal(inv, np.linalg.inv(M))
@@ -688,6 +688,106 @@ def test_map_families_span_several_chunks_and_blocks():
         _, groups, _ = maps._block_family(family)
         spans.append((sum(len(B) for B in groups), len(maps._chunks(len(family) - 1, groups))))
     assert any(blocks > 1 and chunks > 1 for blocks, chunks in spans)
+
+
+# -- complete positivity on the Choi blocks of a map family -----------------------
+
+def _assert_cp_reports_match(groups, stacks):
+    """``maps._cp_reports`` over the block stacks against the dense oracle and
+    the one-map ``is_cp`` of each dense map: the same Hermiticity flag and
+    verdict, and the witness within rounding (NaN where the map is not
+    Hermiticity-preserving)."""
+    reports = maps._cp_reports(maps._choi_blocks(groups), stacks, maps.DEFAULT_CP_TOL)
+    assert len(reports) == len(stacks[0])
+    for k, got in enumerate(reports):
+        S = lv._dense(groups, stacks, k).copy()
+        scale = _scale(maps.choi_of(S))
+        for ref in (dense_is_cp(S), maps.is_cp(S)):
+            assert got.hermiticity_preserving == ref.hermiticity_preserving
+            assert got.verdict == ref.verdict
+            if ref.hermiticity_preserving:
+                assert abs(got.min_choi_eigenvalue - ref.min_choi_eigenvalue) <= REL * scale
+            else:
+                assert np.isnan(got.min_choi_eigenvalue)
+
+
+@pytest.mark.parametrize("n_levels", [3, 6])
+def test_cp_reports_of_a_davies_semigroup_family(n_levels):
+    L, _ = _davies(n_levels, 1.0)
+    fam = maps._exponential_family(L, [0.0, 0.01, 0.3, 2.0, 40.0])
+    assert len(fam.groups) > 1 and len(maps._choi_blocks(fam.groups)) > 1
+    _assert_cp_reports_match(fam.groups, fam.take(np.arange(5)))
+
+
+@PROPERTY
+@given(SEEDS, st.integers(2, 4))
+def test_cp_reports_of_one_block_gksl_maps(seed, dim):
+    rng = np.random.default_rng(seed)
+    fam = maps._exponential_family(_random_gksl_superop(rng, dim), rng.uniform(0.01, 5.0, 3))
+    assert len(fam.groups) == 1 and len(fam.groups[0]) == 1
+    _assert_cp_reports_match(fam.groups, fam.take(np.arange(3)))
+
+
+def test_cp_reports_of_a_map_that_is_not_hermiticity_preserving():
+    """Choi blocks of a Davies map, one of them made non-Hermitian, next to
+    the map itself, a partially transposed (not CP) one and a small one whose
+    deviation is within the bound: NaN witness and no Hermiticity only where
+    it is broken."""
+    L, _ = _davies(4, 0.0)
+    E = lv.expm(0.5 * L)
+    n = 4
+    bad = E.copy()
+    bad[0, n + 1] += 1e-3j                           # |0><0| -> |1><1| gains an imaginary part
+    transposed = maps.superop_from_choi(maps.choi_of(E).reshape(n, n, n, n).transpose(
+        0, 3, 2, 1).reshape(n * n, n * n))
+    # a small map: the Hermiticity bound is 1e-10 max(||C||, 1), not 1e-10 ||C||
+    small = 1e-3 * E
+    small[0, n + 1] += 5e-11j
+    _, groups, take = maps._block_family(list(enumerate([E, bad, transposed, small])))
+    stacks = take(np.arange(4))
+    _assert_cp_reports_match(groups, stacks)
+    reports = maps._cp_reports(maps._choi_blocks(groups), stacks, maps.DEFAULT_CP_TOL)
+    assert [r.hermiticity_preserving for r in reports] == [True, False, True, True]
+    assert [r.verdict for r in reports] == [True, False, False, True]
+
+
+def test_cp_reports_of_a_one_sample_family():
+    L, _ = _davies(5, 1.0)
+    fam = maps._exponential_family(L, [0.7])
+    _assert_cp_reports_match(fam.groups, fam.take(np.arange(1)))
+    E = lv.expm(0.7 * L)
+    got = maps._cp_reports(maps._choi_blocks(fam.groups), fam.take(np.arange(1)), 1e-10)[0]
+    assert got.verdict and abs(got.min_choi_eigenvalue - maps.is_cp(E).min_choi_eigenvalue) \
+        <= REL * _scale(maps.choi_of(E))
+
+
+def test_exponential_family_is_the_blocked_exponential():
+    """``check cp`` exponentiates its maps on the generator's blocks in one
+    stack; each is bitwise the exponential of its block alone."""
+    L, _ = _davies(5, 1.0)
+    times = [0.01, 0.1, 1.0, 10.0]
+    fam = maps._exponential_family(L, times)
+    stacks = fam.take(np.arange(len(times)))
+    for k, t in enumerate(times):
+        assert np.array_equal(lv._dense(fam.groups, stacks, k), lv.expm(t * L))
+
+
+def test_witness_memory_stays_within_a_few_dense_maps():
+    """The witness on the osc20 semigroup family (400 x 400 maps) never holds
+    a stack of dense maps or Choi matrices: its peak allocation stays below
+    two dense maps."""
+    import tracemalloc
+
+    L, _ = _davies(20, 1.0)
+    fam = maps._semigroup_family(L, list(np.linspace(0.0, 10.0, 51)))
+    tracemalloc.start()
+    try:
+        report = maps.divisibility_witness(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.intervals) == 50
+    assert peak < 2 * L.nbytes
 
 
 def test_cli_semigroup_family_is_the_stepped_semigroup():

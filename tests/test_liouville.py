@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openqdyn import liouville as lv
 from openqdyn.errors import DimensionError, MagnitudeError
@@ -80,6 +82,8 @@ def test_expm_rejects_nonfinite():
 
 
 # -- the numpy scaling-and-squaring kernel, against scipy.linalg.expm ---------
+# (the ``test_pade_expm_*`` tests pin the kernel's contract and keep the ids
+# they had when the kernel used Pade approximants)
 
 def _decaying(rng, n, norm):
     """Random complex n x n matrix of 1-norm ``norm``, shifted so that every
@@ -89,17 +93,25 @@ def _decaying(rng, n, norm):
     return A - (np.linalg.eigvals(A).real.max() + 0.1 * norm) * np.eye(n)
 
 
+def _spy_squarings(monkeypatch):
+    """The per-slice squaring counts that the kernel takes, one array per
+    scaled chunk."""
+    seen, squarings = [], lv._squarings
+    monkeypatch.setattr(lv, "_squarings", lambda *args: seen.append(squarings(*args)) or seen[-1])
+    return seen
+
+
 @pytest.mark.parametrize("n", [2, 3, 7, 20, 50])
 def test_pade_expm_matches_scipy(n):
-    """Every Pade degree (the theta_m edges) and scaling up to 1-norm 1e3."""
+    """Every Taylor degree (the theta_m edges) and scaling up to 1-norm 1e3."""
     import scipy.linalg
 
     rng = np.random.default_rng(n)
-    edges = [theta * f for _, theta in lv._THETA for f in (0.99, 1.01)]
+    edges = [theta * f for _, theta, _ in lv._THETA for f in (0.99, 1.01)]
     for norm in list(np.logspace(-8, 3, 12)) + edges:
         A = _decaying(rng, n, norm)
         ref = scipy.linalg.expm(A)
-        assert np.abs(lv._pade_expm(A) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(lv._taylor_expm(A) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 100.0])
@@ -109,80 +121,146 @@ def test_pade_expm_jordan_block_closed_form(t):
 
     N = np.eye(6, k=1, dtype=complex)
     ref = np.exp(-t) * sum(np.linalg.matrix_power(t * N, k) / factorial(k) for k in range(6))
-    got = lv._pade_expm(t * (N - np.eye(6)))
+    got = lv._taylor_expm(t * (N - np.eye(6)))
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_pade_expm_non_normal_is_not_overscaled(monkeypatch):
     """[[a, c], [0, b]] with c = 1e6: e^a, e^b on the diagonal and
-    c e^b expm1(a - b) / (a - b) above it.  The power bound scales by 2^-4 and
-    the rounding guard adds no squaring; the 18 squarings that the 1-norm
-    alone asks for lose accuracy (2.8e-6 relative)."""
+    c e^b expm1(a - b) / (a - b) above it.  The power bound takes 8
+    squarings and stays within 1e-13; the 21 that the 1-norm alone asks for
+    lose accuracy (5.5e-11 relative)."""
     a, b, c = -1.0, -1.01, 1e6
     A = np.array([[a, c], [0.0, b]])
     ref = np.array([[math.exp(a), c * math.exp(b) * math.expm1(a - b) / (a - b)],
                     [0.0, math.exp(b)]])
-    assert lv._pade13_extra_squarings(A / 16) == 0
+    seen = _spy_squarings(monkeypatch)
     assert np.abs(lv.expm(A) - ref).max() <= 1e-13 * np.abs(ref).max()
-    monkeypatch.setattr(lv, "_pade13_extra_squarings", lambda B: 14)
-    assert np.abs(lv.expm(A) - ref).max() > 1e-8 * np.abs(ref).max()
+    assert [s.tolist() for s in seen] == [[8]]
+    s = math.ceil(math.log2(np.abs(A).sum(axis=0).max() / lv._THETA[-1][1]))
+    assert s == 21
+    E = lv._taylor_expm(A / 2 ** s)
+    for _ in range(s):
+        E = E @ E
+    assert np.abs(E - ref).max() > 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("x, s", [(2.2, 0), (4.2, 0), (4.5, 1), (8.4, 1), (8.6, 2)])
-def test_pade13_scaling_from_power_bound(monkeypatch, x, s):
-    """[[0, x], [x, 0]] squares to x^2 I, so the power bound is x and degree 13
-    (x > theta_9) runs on A / 2^s with the least s that brings x / 2^s under
-    4.25."""
+@pytest.mark.parametrize("x, s", [(0.5, None), (1.55, 1), (1.58, 2), (3.10, 2), (3.15, 3),
+                                  (100.0, 8)])
+def test_taylor_scaling_from_power_bound(monkeypatch, x, s):
+    """[[0, x], [x, 0]] squares to x^2 I, so the power bound is x: degree 16
+    on A / 2^s with the least s that brings x / 2^s under theta_16 = 0.780,
+    and no scaling at all where the 1-norm x is at most theta_16.  e^A is
+    cosh(x) I + sinh(x) [[0, 1], [1, 0]]."""
     A = np.array([[0.0, x], [x, 0.0]])
-    seen = []
-    monkeypatch.setattr(lv, "_pade13_extra_squarings", lambda B: seen.append(B) or 0)
-    lv.expm(A)
-    assert len(seen) == 1 and np.array_equal(seen[0], A / 2 ** s)
+    seen = _spy_squarings(monkeypatch)
+    E = lv.expm(A)
+    assert [t.tolist() for t in seen] == ([] if s is None else [[s]])
+    ref = np.array([[math.cosh(x), math.sinh(x)], [math.sinh(x), math.cosh(x)]])
+    assert np.abs(E - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("k, ell", [(10.0, 2), (100.0, 6)])
-def test_pade13_extra_squarings(k, ell):
-    """B = k [[1, -1], [1, -1]] has |B|^27 = k^27 2^26 J, so
-    ell = ceil(log2((2k)^26 2^53 13!^2 / (26! 27!)) / 26): ceil(1.88) = 2 at
-    k = 10, ceil(5.20) = 6 at k = 100.  B^2 = 0, so e^B = I + B."""
+def test_taylor_power_bound_takes_the_larger_root(monkeypatch):
+    """The weighted cyclic shift A = [[0, a, 0], [0, 0, 1], [1, 0, 0]] has
+    A^3 = a I and A^4 = a A, so ||A^4||^(1/4) = a^(1/2) = 10 exceeds
+    ||A^3||^(1/3) = a^(1/3) = 4.6 at a = 100: 4 squarings, not 3."""
+    import scipy.linalg
+
+    A = np.array([[0.0, 100.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    seen = _spy_squarings(monkeypatch)
+    E, ref = lv.expm(A), scipy.linalg.expm(A)
+    assert [s.tolist() for s in seen] == [[4]]
+    assert np.abs(E - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", [10.0, 100.0])
+def test_taylor_nilpotent_power_bound_takes_no_squaring(monkeypatch, k):
+    """B = k [[1, -1], [1, -1]] has 1-norm 2k but B^2 = 0, so the power bound
+    is 0: degree 16 on B itself with no squaring, and e^B = I + B."""
     B = k * np.array([[1.0, -1.0], [1.0, -1.0]])
-    assert lv._pade13_extra_squarings(B) == ell
+    seen = _spy_squarings(monkeypatch)
     assert np.abs(lv.expm(B) - (np.eye(2) + B)).max() <= 1e-12 * 2 * k
-    assert lv._pade13_extra_squarings(np.eye(3, k=1) * 1e3) == 0   # |B|^27 = 0
-    assert lv._pade13_extra_squarings(np.full((3, 3), 0.1)) == 0
+    assert [s.tolist() for s in seen] == [[0]]
 
 
 def test_pade_expm_stack_equals_its_slices():
     rng = np.random.default_rng(21)
     G = np.array([_decaying(rng, 9, norm) for norm in (1e-3, 0.5, 3.0, 40.0)])
     G[1] = np.diag(np.diag(G[1]))
-    E = lv._pade_expm(G.reshape(2, 2, 9, 9))
+    E = lv._taylor_expm(G.reshape(2, 2, 9, 9))
     for i, A in enumerate(G):
-        assert np.array_equal(E[divmod(i, 2)], lv._pade_expm(A))
+        assert np.array_equal(E[divmod(i, 2)], lv._taylor_expm(A))
+
+
+def test_taylor_expm_chunks_equal_their_slices():
+    """A stack of more slices than one chunk, with every degree, several
+    squaring counts within one chunk, diagonal slices and an in-place call:
+    each result is bitwise that of its slice alone."""
+    rng = np.random.default_rng(22)
+    n = 30
+    step = lv._CHUNK_BYTES // (16 * n * n)
+    norms = np.concatenate([[theta * 0.9 for _, theta, _ in lv._THETA],
+                            np.logspace(0, 3, 3 * step)])
+    G = np.array([_decaying(rng, n, norm) for norm in rng.permutation(norms)])
+    G[[3, 17]] = [np.diag(np.diag(A)) for A in G[[3, 17]]]
+    assert len(G) > 2 * step
+    E = lv._taylor_expm(G)
+    for A, got in zip(G, E):
+        assert np.array_equal(got, lv._taylor_expm(A))
+    lv._taylor_expm(G, out=G)
+    assert np.array_equal(G, E)
 
 
 def test_pade_expm_diagonal_is_exp_bitwise():
     d = np.array([-3.0 + 1j, 0.0, 2.5, -40.0 - 7j, 1e-9j])
-    assert np.array_equal(lv._pade_expm(np.diag(d)), np.diag(np.exp(d)))
+    assert np.array_equal(lv._taylor_expm(np.diag(d)), np.diag(np.exp(d)))
     assert np.array_equal(lv.expm(np.diag(d)), np.diag(np.exp(d)))
 
 
 def test_pade_expm_one_by_one_and_zero():
-    assert np.array_equal(lv._pade_expm(np.array([[2.0 - 1j]])), np.array([[np.exp(2.0 - 1j)]]))
-    assert np.array_equal(lv._pade_expm(np.zeros((4, 4), dtype=complex)), np.eye(4))
+    assert np.array_equal(lv._taylor_expm(np.array([[2.0 - 1j]])), np.array([[np.exp(2.0 - 1j)]]))
+    assert np.array_equal(lv._taylor_expm(np.zeros((4, 4), dtype=complex)), np.eye(4))
     assert np.array_equal(lv.expm(np.zeros((1, 1))), np.ones((1, 1)))
 
 
 def test_pade_expm_overflow_raises():
     big = np.array([[800.0, 1.0], [0.0, 1.0]], dtype=complex)
     for M in (big, np.diag([800.0, 1.0]), np.full((3, 3), 1e306), np.full((3, 3), 1e308),
-              np.array([[0.0, 1e60], [1e60, 0.0]])):          # A^6 overflows
+              np.array([[0.0, 1e60], [1e60, 0.0]])):          # A^4 overflows
         with pytest.raises(MagnitudeError, match="overflow"):
             lv.expm(M)
     with pytest.raises(MagnitudeError, match="overflow"):
-        lv._pade_expm(np.array([np.eye(2), big]))
+        lv._taylor_expm(np.array([np.eye(2), big]))
     with pytest.raises(MagnitudeError, match="non-finite"):
         lv.expm(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+
+def _random_gksl(rng, dim):
+    """Superoperator of a random GKSL generator: a Hermitian H and one to three
+    jumps of random rates."""
+    from openqdyn import gksl
+
+    jumps = [(float(rng.uniform(0.05, 1.0)),
+              rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+             for _ in range(int(rng.integers(1, 4)))]
+    return gksl.superop_of_generator(gksl.GKSLGenerator(H=rand_hermitian(dim, rng), jumps=jumps))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(-3.0, 2.0))
+def test_taylor_expm_of_gksl_generators(dim, seed, log_t):
+    """e^{tL} of random GKSL generators, t in [1e-3, 1e2]: within 1e-12 of
+    scipy relative to the largest entry, and the trace row tr = vec(I) of a
+    trace-preserving generator kept: |tr e^{tL} - tr| <= 1e-14 ||tL||_1."""
+    import scipy.linalg
+
+    rng = np.random.default_rng(seed)
+    tL = 10.0 ** log_t * _random_gksl(rng, dim)
+    E, ref = lv._taylor_expm(tL), scipy.linalg.expm(tL)
+    assert np.abs(E - ref).max() <= 1e-12 * np.abs(ref).max()
+    tr = np.eye(dim).reshape(-1)
+    scale = max(np.abs(tL).sum(axis=0).max(), 1.0)
+    assert np.abs(tr @ E - tr).max() <= 1e-14 * scale
 
 def test_trotter_commuting_exact():
     rng = np.random.default_rng(5)

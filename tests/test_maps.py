@@ -113,6 +113,52 @@ def test_is_trace_preserving():
     assert maps.is_trace_preserving(expm(superop_of_generator(gen)))
 
 
+def _basis_drift(S):
+    """The trace drift Tr E(F_j) - Tr F_j in the Hilbert-Schmidt basis, as the
+    product with the basis matrix."""
+    from openqdyn.liouville import _vec_columns, hs_basis, vectorize
+
+    n = int(round(np.sqrt(len(S))))
+    tr = vectorize(np.eye(n))
+    return (tr @ S - tr) @ _vec_columns(hs_basis(n))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_hs_coordinates_are_the_basis_products(dim):
+    from openqdyn.liouville import _hs_coordinates, _vec_columns, hs_basis
+
+    v = np.random.default_rng(dim).standard_normal((dim * dim, 2)) @ np.array([1.0, 1j])
+    if dim == 1:               # hs_basis needs dim >= 2: the identity alone
+        assert np.allclose(_hs_coordinates(v), v, rtol=0, atol=1e-15)
+        return
+    ref = v @ _vec_columns(hs_basis(dim))
+    assert np.abs(_hs_coordinates(v) - ref).max() <= 1e-15 * np.abs(v).sum()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_trace_preserving_verdict_matches_the_basis_products(dim):
+    """Random CPTP maps, TP to rounding, and the same maps with a trace drift
+    of 0.5, 0.99, 1.01 and 2 times the tolerance: Tr E(|j><k|) moved by
+    sqrt 2 that, which moves the pair coordinates of j < k by the factor
+    times the tolerance, or Tr E(|k><k|) moved, which spreads over the
+    diagonal ladder.  The verdict is that of the basis-product drift."""
+    rng = np.random.default_rng(30 + dim)
+    tol = 1e-10
+    for _ in range(4):
+        S = random_cptp(dim, rng)
+        assert maps.is_trace_preserving(S, tol)
+        scale = max(np.abs(S).max(), 1.0)
+        j, k = rng.choice(dim, 2, replace=False)
+        for factor in (0.5, 0.99, 1.01, 2.0):
+            for col, size in ((k * dim + j, np.sqrt(2)), (k * dim + k, 1.0)):
+                D = S.copy()
+                D[j * dim + j, col] += factor * tol * scale * size
+                ref = bool(np.abs(_basis_drift(D)).max() <= tol * max(np.abs(D).max(), 1.0))
+                assert maps.is_trace_preserving(D, tol) == ref
+                if col != k * dim + k:
+                    assert ref == (factor < 1)
+
+
 def test_contraction_check_cptp_and_amplified():
     rng = np.random.default_rng(26)
     gen = random_gksl(2, rng)

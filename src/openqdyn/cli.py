@@ -200,14 +200,19 @@ def build_bath(cfg):
         )
     if kind == "table":
         path = _get(cfg, "bath", "j_file", required=True)
+        rows = []
+        for lineno, vals in _csv_rows(path, "tabulated density"):
+            if len(vals) != 2:
+                raise ConfigError(f"{path}:{lineno}: expected 2 entries (omega,J), "
+                                  f"got {len(vals)}")
+            rows.append(vals)
+        data = np.array(rows).reshape(-1, 2)
+        omega_max = _get(cfg, "bath", "omega_max", default=None, cast=lambda v: float(v))
         try:
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
-        except Exception as exc:
-            raise ConfigError(f"cannot read tabulated density {path}: {exc}")
-        return BathModel.tabulated(
-            data[:, 0], data[:, 1], temperature=T,
-            omega_max=_get(cfg, "bath", "omega_max", default=None,
-                           cast=lambda v: float(v)))
+            return BathModel.tabulated(data[:, 0], data[:, 1], temperature=T,
+                                       omega_max=omega_max)
+        except ValueError as exc:
+            raise ConfigError(f"tabulated density {path}: {exc}")
     raise ConfigError(f"unknown bath type {kind!r}")
 
 
@@ -229,6 +234,11 @@ def build_system(cfg):
         files = _get(cfg, "model", "coupling_files", required=True)
         couplings = [read_matrix_csv(p.strip()) for p in files.split(",") if p.strip()]
         pattern = _get(cfg, "model", "coupling_pattern", default="single").lower()
+        if pattern not in ("single", "position_xy"):
+            raise ConfigError(f"unknown coupling pattern {pattern!r} in [model]")
+        if pattern == "position_xy" and len(couplings) != 2:
+            raise ConfigError(f"coupling_pattern = position_xy in [model] needs exactly two "
+                              f"coupling_files, got {len(couplings)}")
         return SystemModel(H=H, couplings=couplings, coupling_pattern=pattern)
     raise ConfigError(f"unknown model preset {preset!r}")
 
@@ -425,8 +435,8 @@ def _finite_min(values):
 def cmd_check(ctx):
     from .gksl import check_kossakowski_conditions, random_partitions
     from .liouville import _dense
-    from .maps import (_choi_blocks, _cp_reports, _exponential_family, _semigroup_family,
-                       divisibility_witness, is_trace_preserving)
+    from .maps import (_choi_blocks, _cp_reports, _generator_family, divisibility_witness,
+                       is_trace_preserving)
     from .spectra import is_relaxing, spohn_check
 
     requested = [tok.strip() for tok in
@@ -439,7 +449,7 @@ def cmd_check(ctx):
     all_pass = True
     for name in requested:
         if name == "cp":
-            _, groups, take = _exponential_family(L, (0.01, 0.1, 1.0, 10.0))
+            _, groups, take = _generator_family(L, (0.01, 0.1, 1.0, 10.0))
             stacks, E = take(np.arange(4)), None
             reps = _cp_reports(_choi_blocks(groups), stacks, tol)
             ok = all(rep.verdict for rep in reps)
@@ -452,7 +462,8 @@ def cmd_check(ctx):
             if family_file:
                 family = read_map_family_csv(family_file)
             else:
-                family = _semigroup_family(L, _from_zero(build_output_times(ctx.cfg)))
+                family = _generator_family(L, _from_zero(build_output_times(ctx.cfg)),
+                                           stepped=True)
             report = divisibility_witness(family, tol=tol)
             witness = _finite_min(iv.min_choi_eigenvalue for iv in report.intervals)
             ok = report.markovian

@@ -401,10 +401,10 @@ def propagate_semigroup(L, times, X):
 
     A time-independent generator gives a semigroup, e^{(t+s)L} = e^{tL} e^{sL},
     so each output is the step propagator e^{dt L} times the previous output
-    (see :func:`_semigroup_steps`).  ``X`` is a vector or a matrix; ``t = 0``
+    (see :func:`_semigroup_blocks`).  ``X`` is a vector or a matrix; ``t = 0``
     returns ``X`` itself.  Times must be finite, nonnegative and strictly
     ascending (ValueError otherwise).  The step is zero off the exact-zero
-    blocks of L, so X is stepped by its block rows (:func:`_semigroup_blocks`).
+    blocks of L, so X is stepped by its block rows.
     """
     L = _as_square(L, "generator")
     groups = _size_groups(_blocks(L))
@@ -426,33 +426,23 @@ def _semigroup_blocks(L, groups, times, X):
     :func:`_size_groups`); ``X`` itself where t = 0.  ``X`` and each result
     hold, per block size, the (g, m, ...) stack of the blocks' rows of a
     matrix, or of any slice of those rows; one product call per block size
-    and step."""
-    last = None
-    for step in _semigroup_steps(L, times):
-        if step is not None:
-            if step is not last:
-                last, P = step, [S[0] for S in _take(groups, [step])]
-            X = [Pb @ Xb for Pb, Xb in zip(P, X)]
-        yield X
-
-
-def _semigroup_steps(L, times):
-    """Per time, the step propagator e^{dt L} from the previous time (from 0
-    for the first), or None where dt = 0.  The exponential is computed once
-    per distinct spacing; a spacing within a few ulps of the current step's
-    (the rounding of a uniform grid) reuses the same array.  Times must be
-    finite, nonnegative and strictly ascending (ValueError otherwise)."""
+    and step.  The step e^{dt L} from the previous time (from 0 for the
+    first) is exponentiated once per distinct spacing; a spacing within a
+    few ulps of the current step's (the rounding of a uniform grid) reuses
+    it.  Times must be finite, nonnegative and strictly ascending
+    (ValueError otherwise)."""
     times = [float(t) for t in times]
     if any(not 0 <= t < np.inf for t in times) or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be finite, nonnegative and strictly ascending")
-    steps, t_prev, dt, step = [], 0.0, None, None
+    t_prev, dt = 0.0, None
     for t in times:
         d = t - t_prev
-        if d > 0 and (dt is None or abs(d - dt) > 4 * np.spacing(max(t, 1.0))):
-            dt, step = d, expm(d * L)
-        steps.append(step if d > 0 else None)
+        if d > 0:
+            if dt is None or abs(d - dt) > 4 * np.spacing(max(t, 1.0)):
+                dt, P = d, [S[0] for S in _take(groups, [expm(d * L)])]
+            X = [Pb @ Xb for Pb, Xb in zip(P, X)]
+        yield X
         t_prev = t
-    return steps
 
 
 def trotter_product(L1, L2, n):
@@ -507,30 +497,27 @@ def _time_split(G, times, dt, X, ends):
     one ``len(G) - 1``), with E_i = e^{dt[i] G[i]}: the time-splitting product
     of a stack of generators, G[i] frozen over [times[i], times[i] + dt[i]].
 
-    Every E_i is zero off the exact-zero blocks of the stack's union pattern,
-    so the blocks of each size are exponentiated for the whole stack in one
-    :func:`_taylor_expm` call, and the product is accumulated one block row at a
-    time, (E X)[b] = E[b, b] X[b].
+    Every E_i, and X, is zero off the exact-zero blocks of the union pattern
+    of the stack and X, so the blocks of each size are exponentiated for the
+    whole stack in one :func:`_taylor_expm` call, and X's diagonal blocks are
+    stepped with one product call per block size and step.
     Raises :class:`MagnitudeError` on a non-finite generator or an overflow.
     """
     finite = np.isfinite(G).all(axis=(1, 2))
     if not finite.all():
         raise MagnitudeError(f"generator non-finite at t={times[np.argmin(finite)]}")
-    groups = _size_groups(_blocks((G != 0).any(axis=0)))
+    groups = _size_groups(_blocks((G != 0).any(axis=0) | (X != 0)))
     dt = np.asarray(dt)[:, None, None, None]
     steps = [dt * S for S in _take(groups, G)]
     for E in steps:
         _taylor_expm(E, out=E)            # in place: no third stack of the chunk
+    Y, k = _take(groups, [X]), 0
     out = np.zeros((len(ends),) + X.shape, dtype=complex)
-    for B, E in zip(groups, steps):
-        for b, Eb in zip(B, E.swapaxes(0, 1)):
-            cols = np.flatnonzero(X[b].any(axis=0))    # the other columns stay zero
-            Xb, k = X[np.ix_(b, cols)], 0
-            for j, Ej in enumerate(Eb):
-                Xb = Ej @ Xb
-                if j == ends[k]:
-                    out[k][np.ix_(b, cols)] = Xb
-                    k += 1
+    for j in range(len(G)):
+        Y = [E[j] @ Yb for E, Yb in zip(steps, Y)]
+        if j == ends[k]:
+            out[k] = _dense(groups, Y, 0, out[k])     # one block: _dense gives Y's view
+            k += 1
     return out
 
 

@@ -246,32 +246,26 @@ def _block_family(family):
     return _BlockFamily(times, groups, lambda idx: _take(groups, [maps[k] for k in idx]))
 
 
-def _semigroup_family(L, times):
-    """The family ``(t, e^{tL})`` over ``times`` (finite, nonnegative, strictly
-    ascending) as a :class:`_BlockFamily` on the exact-zero blocks of L, built
-    without a dense map by :func:`liouville._semigroup_blocks` from the
-    diagonal blocks of the identity."""
-    L = _as_square(L, "generator")
-    groups = _size_groups(_blocks(L))
-    eye = [S[0] for S in _take(groups, [np.eye(len(L), dtype=complex)])]
-    stacks = [np.empty((len(times),) + I.shape, dtype=complex) for I in eye]
-    for k, E in enumerate(_semigroup_blocks(L, groups, times, eye)):
-        for S, Eb in zip(stacks, E):
-            S[k] = Eb
-    return _BlockFamily(np.array(times, dtype=float), groups, lambda idx: [S[idx] for S in stacks])
-
-
-def _exponential_family(L, times):
+def _generator_family(L, times, stepped=False):
     """The family ``(t, e^{tL})`` over ``times`` as a :class:`_BlockFamily` on
-    the exact-zero blocks of L, each map exponentiated on its own (no
-    stepping): one :func:`liouville._taylor_expm` call per block size for
-    all times."""
+    the exact-zero blocks of L, built without a dense map: with ``stepped``,
+    by :func:`liouville._semigroup_blocks` from the diagonal blocks of the
+    identity (times finite, nonnegative and strictly ascending); otherwise
+    each map exponentiated on its own, one :func:`liouville._taylor_expm`
+    call per block size for all times."""
     L = _as_square(L, "generator")
     groups = _size_groups(_blocks(L))
     times = np.array(times, dtype=float)
-    stacks = [times[:, None, None, None] * S for S in _take(groups, [L])]
-    for E in stacks:
-        _taylor_expm(E, out=E)
+    if stepped:
+        eye = [S[0] for S in _take(groups, [np.eye(len(L), dtype=complex)])]
+        stacks = [np.empty((len(times),) + I.shape, dtype=complex) for I in eye]
+        for k, E in enumerate(_semigroup_blocks(L, groups, times, eye)):
+            for S, Eb in zip(stacks, E):
+                S[k] = Eb
+    else:
+        stacks = [times[:, None, None, None] * S for S in _take(groups, [L])]
+        for E in stacks:
+            _taylor_expm(E, out=E)
     return _BlockFamily(times, groups, lambda idx: [S[idx] for S in stacks])
 
 
@@ -301,8 +295,8 @@ def invert_map(S, cond_threshold=DEFAULT_COND_THRESHOLD):
     the exact-zero blocks of S (see :func:`divisibility_witness`).
     """
     S, _ = _map_dim(S)
-    _, groups, take = _block_family([(0.0, S)])
-    cond, ok, inv = _guarded_inverse(take([0]), cond_threshold)
+    groups = _size_groups(_blocks(S))
+    cond, ok, inv = _guarded_inverse(_take(groups, [S]), cond_threshold)
     if not ok[0]:
         raise SingularMapError(cond[0], cond_threshold)
     return MapInverse(_dense(groups, inv, 0), float(cond[0]), is_unitary_conjugation(S))

@@ -47,6 +47,21 @@ class SpectralReport:
     zero_tolerance: float
 
 
+def _block_eig(L, tol):
+    """``(groups, eigs, grid)`` of a Liouvillian: its exact-zero blocks by
+    size (:func:`liouville._size_groups`), one ``eig`` pair (w, V) per block
+    size, and the zero-cluster radius ``tol * ||L||_2``, with ||L||_2 the
+    largest block 2-norm.  ``tol`` must be finite and nonnegative (ValueError
+    otherwise)."""
+    _check_tol(tol)
+    L = _as_square(L, "Liouvillian")
+    groups = _size_groups(_blocks(L))
+    subs = _take(groups, [L])
+    eigs = [np.linalg.eig(S) for S in subs]
+    grid = tol * max(max(float(np.linalg.norm(S, 2, axis=(-2, -1)).max()) for S in subs), 1e-300)
+    return groups, eigs, grid
+
+
 def liouvillian_spectrum(L, tol=DEFAULT_ZERO_TOL):
     """Full spectrum of a Liouvillian with zero-cluster identification.
 
@@ -62,12 +77,8 @@ def liouvillian_spectrum(L, tol=DEFAULT_ZERO_TOL):
     singular value over all blocks over the smallest, below 1e10.  ``tol``
     must be finite and nonnegative (ValueError otherwise).
     """
-    _check_tol(tol)
-    L = _as_square(L, "Liouvillian")
-    subs = _take(_size_groups(_blocks(L)), [L])
-    eigs = [np.linalg.eig(S) for S in subs]
+    _, eigs, grid = _block_eig(L, tol)
     lam = np.concatenate([w.ravel() for w, _ in eigs])
-    grid = tol * max(max(float(np.linalg.norm(S, 2, axis=(-2, -1)).max()) for S in subs), 1e-300)
     re = np.round(lam.real / grid) if grid > 0 else lam.real
     lam = lam[np.lexsort((lam.real, lam.imag, re))]
     zero_mask = np.abs(lam) <= grid
@@ -201,12 +212,7 @@ def zero_eigenprojector(L, tol=DEFAULT_ZERO_TOL):
     exact-zero blocks.  Raises :class:`DegenerateSpectrumError` when the zero
     eigenspace is defective beyond tolerance.  ``tol`` must be finite and
     nonnegative (ValueError otherwise)."""
-    _check_tol(tol)
-    L = _as_square(L, "Liouvillian")
-    groups = _size_groups(_blocks(L))
-    subs = _take(groups, [L])
-    eigs = [np.linalg.eig(S) for S in subs]
-    grid = tol * max(max(float(np.linalg.norm(S, 2, axis=(-2, -1)).max()) for S in subs), 1e-300)
+    groups, eigs, grid = _block_eig(L, tol)
     zero = [np.abs(w) <= grid for w, _ in eigs]
     if not any(z.any() for z in zero):
         raise DegenerateSpectrumError("no zero eigenvalue found within tolerance")

@@ -117,6 +117,10 @@ class BathModel:
         values = np.asarray(values, dtype=float)
         if omegas.ndim != 1 or omegas.shape != values.shape:
             raise ValueError("tabulated bath needs matching 1-D omega and J arrays")
+        if omegas.size < 2:
+            raise ValueError(f"tabulated bath needs at least two nodes, got {omegas.size}")
+        if not np.all(np.diff(omegas) > 0):
+            raise ValueError("tabulated bath needs strictly ascending omega")
         if np.any(values < 0):
             raise ValueError("spectral density must be nonnegative")
         omega_max = float(omegas[-1]) if omega_max is None else omega_max
@@ -424,20 +428,10 @@ def lamb_shift(bath, omega, coupling_pattern="position_xy", n_nodes=2048, n_coup
 
 
 def _halfline_kernel(x, t):
-    """E_t(x) = int_0^t e^{i x u} du, stable for small |x t|."""
-    x = np.asarray(x, dtype=float)
-    xt = x * t
-    small = np.abs(xt) < 1e-5
-    exact = ~small
-    out = np.empty(xt.shape, dtype=complex)
-    np.multiply(1j, xt, out=out, where=exact)
-    np.exp(out, out=out, where=exact)
-    np.subtract(out, 1.0, out=out, where=exact)
-    np.divide(out, 1j * x, out=out, where=exact)
-    if small.any():
-        xs = xt[small]
-        out[small] = np.broadcast_to(t, xt.shape)[small] * (1.0 + 0.5j * xs - xs**2 / 6.0)
-    return out
+    """E_t(x) = int_0^t e^{i x u} du = t e^{i x t/2} sinc(x t/2), accurate to
+    rounding for every x t."""
+    X = 0.5 * np.asarray(x, dtype=float) * t
+    return t * np.exp(1j * X) * np.sinc(X / np.pi)
 
 
 def _triangle_kernel(a, s, t):
@@ -446,8 +440,8 @@ def _triangle_kernel(a, s, t):
     By Hermite-Genocchi, I is the second divided difference of z -> e^{tz}
     at the nodes 0, -ia, -is.  It is the quotient of two first divided
     differences e^{t(p+q)/2} t sinc(t(p-q)/2i), each accurate to rounding
-    for every argument (the quotient form of :func:`_halfline_kernel` loses
-    eps/|x t|, which a difference of two kernels would expose), over the
+    for every argument (the quotient (e^{ixt} - 1)/(ix) loses eps/|x t|,
+    which a difference of two kernels would expose), over the
     larger of |s| and |a - s|; that is at least half the largest distance
     between the nodes.  When it is below 1/(2t), I is the Taylor series
     t^2 sum_k h_k(-iat, -ist)/(k+2)! in the complete homogeneous
@@ -522,13 +516,14 @@ def _gamma_stack(bath, omegas, t, coupling_pattern, n_couplings=None):
     block of horizons serves every frequency and both signs.  Each frequency
     keeps its own node counts (:func:`_node_counts`).
 
-    Near the pole w -+ nu = 0 the table loses more to rounding than the
-    quotient of :func:`_halfline_kernel` does: the difference cancels where
+    Near the pole w -+ nu = 0 the table loses more to rounding than
+    :func:`_halfline_kernel` does: the difference cancels where
     |(w -+ nu) t| is small, and the phase carries the rounding of
     (|w| + nu) t instead of |w -+ nu| t.  The nodes with
     |(w -+ nu) t| < _NEAR_POLE at the block's least horizon, or with
-    8 |w -+ nu| < |w| + nu, therefore take :func:`_halfline_kernel` (its
-    series where |(w -+ nu) t| < 1e-5).  A horizon 0 gives exactly 0.
+    8 |w -+ nu| < |w| + nu, therefore take :func:`_halfline_kernel`, whose
+    closed form is accurate to rounding for every argument.  A horizon 0
+    gives exactly 0.
     """
     w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
     omegas = np.asarray(omegas, dtype=float)

@@ -714,7 +714,7 @@ def _assert_cp_reports_match(groups, stacks):
 @pytest.mark.parametrize("n_levels", [3, 6])
 def test_cp_reports_of_a_davies_semigroup_family(n_levels):
     L, _ = _davies(n_levels, 1.0)
-    fam = maps._exponential_family(L, [0.0, 0.01, 0.3, 2.0, 40.0])
+    fam = maps._generator_family(L, [0.0, 0.01, 0.3, 2.0, 40.0])
     assert len(fam.groups) > 1 and len(maps._choi_blocks(fam.groups)) > 1
     _assert_cp_reports_match(fam.groups, fam.take(np.arange(5)))
 
@@ -723,7 +723,7 @@ def test_cp_reports_of_a_davies_semigroup_family(n_levels):
 @given(SEEDS, st.integers(2, 4))
 def test_cp_reports_of_one_block_gksl_maps(seed, dim):
     rng = np.random.default_rng(seed)
-    fam = maps._exponential_family(_random_gksl_superop(rng, dim), rng.uniform(0.01, 5.0, 3))
+    fam = maps._generator_family(_random_gksl_superop(rng, dim), rng.uniform(0.01, 5.0, 3))
     assert len(fam.groups) == 1 and len(fam.groups[0]) == 1
     _assert_cp_reports_match(fam.groups, fam.take(np.arange(3)))
 
@@ -753,7 +753,7 @@ def test_cp_reports_of_a_map_that_is_not_hermiticity_preserving():
 
 def test_cp_reports_of_a_one_sample_family():
     L, _ = _davies(5, 1.0)
-    fam = maps._exponential_family(L, [0.7])
+    fam = maps._generator_family(L, [0.7])
     _assert_cp_reports_match(fam.groups, fam.take(np.arange(1)))
     E = lv.expm(0.7 * L)
     got = maps._cp_reports(maps._choi_blocks(fam.groups), fam.take(np.arange(1)), 1e-10)[0]
@@ -766,7 +766,7 @@ def test_exponential_family_is_the_blocked_exponential():
     stack; each is bitwise the exponential of its block alone."""
     L, _ = _davies(5, 1.0)
     times = [0.01, 0.1, 1.0, 10.0]
-    fam = maps._exponential_family(L, times)
+    fam = maps._generator_family(L, times)
     stacks = fam.take(np.arange(len(times)))
     for k, t in enumerate(times):
         assert np.array_equal(lv._dense(fam.groups, stacks, k), lv.expm(t * L))
@@ -779,7 +779,7 @@ def test_witness_memory_stays_within_a_few_dense_maps():
     import tracemalloc
 
     L, _ = _davies(20, 1.0)
-    fam = maps._semigroup_family(L, list(np.linspace(0.0, 10.0, 51)))
+    fam = maps._generator_family(L, list(np.linspace(0.0, 10.0, 51)), stepped=True)
     tracemalloc.start()
     try:
         report = maps.divisibility_witness(fam)
@@ -795,7 +795,7 @@ def test_cli_semigroup_family_is_the_stepped_semigroup():
     the maps of ``propagate_semigroup``."""
     L, _ = _davies(4, 1.0)
     times = [0.0, 0.5, 1.0, 1.5, 2.5]
-    fam = maps._semigroup_family(L, times)
+    fam = maps._generator_family(L, times, stepped=True)
     dense = lv.propagate_semigroup(L, times, np.eye(len(L), dtype=complex))
     stacks = fam.take(np.arange(len(times)))
     for k, E in enumerate(dense):

@@ -507,8 +507,8 @@ def test_unknown_coupling_pattern_rejected_by_every_verb(tmp_path, capsys, verb,
     cfg = _custom_cfg(tmp_path, pattern="bogus",
                       solver=f"scheme = {scheme}\nt_final = 0.5\nsteps = 1")
     code, err = _run_capture([verb, "--config", cfg], capsys)
-    assert code == 3
-    assert "unknown coupling pattern 'bogus'" in err
+    assert code == 2
+    assert err == "config error: unknown coupling pattern 'bogus' in [model]\n"
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -13,7 +13,8 @@ checkout under ``src/``; committed goldens are never rewritten.
 golden line the checkout no longer reproduces, as ``file:line: old -> new``
 (and each moved ``status.json`` entry), then one summary line per moved
 file: the number of moved lines, the largest absolute change of a numeric
-cell, and whether any other cell changed; it writes nothing.
+cell, and whether any other cell changed; it writes nothing, and exits 1
+when anything moved, else 0 after the line ``no golden moved``.
 """
 import contextlib
 import io
@@ -145,7 +146,25 @@ def _cases():
         "err_tol_nan": (["spectrum", "--tol", "nan"], _config()),
         "err_generator_before_t0_row": (["evolve"], _config(
             "dephasing", "flat", solver="output_times = 0")),
+        "err_empty_key": (["derive"], "[model]\n= 1\n"),
+        "err_matrix_odd_entries": (["derive"], _config(
+            "preset = custom\nh_file = {inputs}/bad_matrix_odd.csv\n"
+            "coupling_files = {inputs}/a4.csv")),
+        "err_matrix_not_square": (["derive"], _config(
+            "preset = custom\nh_file = {inputs}/bad_matrix_not_square.csv\n"
+            "coupling_files = {inputs}/a4.csv")),
+        "err_family_odd_entries": (["check"], _config(
+            checks="requested = markov\nfamily_file = {inputs}/bad_family_odd.csv")),
+        "err_family_one_sample": (["check"], _config(
+            checks="requested = markov\nfamily_file = {inputs}/bad_family_one_sample.csv")),
+        "err_unknown_coupling_pattern": (["derive"], _config(
+            MODELS["custom4"].replace("= single", "= bogus"))),
+        "err_position_xy_one_coupling": (["derive"], _config(
+            MODELS["custom4"].replace("= single", "= position_xy"))),
     }
+    for table in ("one_column", "one_row", "unsorted", "negative"):
+        errors[f"err_j_file_{table}"] = (["derive"], _config(
+            bath=f"type = table\nj_file = {{inputs}}/bad_j_{table}.csv\ntemperature = 0.7"))
     cases.update(errors)
     return cases
 
@@ -294,18 +313,19 @@ def _write_new_goldens():
 def _diff_goldens():
     """Print each golden line that the checkout under ``src/`` no longer
     reproduces, as ``file:line: old -> new``, and each moved ``status.json``
-    entry; nothing is written."""
+    entry; nothing is written.  Returns whether anything moved."""
     import tempfile
 
     os.environ["COLUMNS"] = "80"
     with open(os.path.join(GOLDEN, "status.json"), encoding="utf-8") as fh:
         status = json.load(fh)
     show = lambda line: "(none)" if line is None else line.decode()
-    moved = {}
+    moved, status_moved = {}, False
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             got, files = run_case(name, tmp)
         if got != status.get(name):
+            status_moved = True
             print(f"status.json:{name}: {status.get(name)} -> {got}")
         for fname, data in files.items():
             path = os.path.join(GOLDEN, fname)
@@ -321,9 +341,12 @@ def _diff_goldens():
     for fname, (lines, largest, other) in moved.items():
         print(f"moved {fname}: {lines} lines, max numeric |change| {largest:.3g}, "
               f"non-numeric cells changed: {'yes' if other else 'no'}")
+    if not (moved or status_moved):
+        print("no golden moved")
+    return bool(moved or status_moved)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     _write_new_goldens()
 elif __name__ == "__main__" and sys.argv[1:] == ["--diff"]:
-    _diff_goldens()
+    sys.exit(1 if _diff_goldens() else 0)

@@ -484,6 +484,28 @@ def test_propagate_stacks_split_under_the_byte_cap(monkeypatch):
     assert np.abs(lv.propagate_time_dependent(gen, 0.3, 0.5, 1) - exact).max() < 1e-15
 
 
+def test_time_split_steps_maps_on_and_off_the_generator_blocks():
+    """The recorded products equal the step-by-step products of the
+    exponentials for an X that is zero off the generators' two blocks (and in
+    one column) and for a dense X, whose pattern joins the two blocks."""
+    rng = np.random.default_rng(15)
+    G = np.array([np.kron(np.eye(2), 1j * rand_hermitian(2, rng)) for _ in range(5)])
+    assert len(lv._blocks((G != 0).any(axis=0))) == 2
+    dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    blocked = np.kron(np.eye(2), np.ones((2, 2))) * dense
+    blocked[:, 1] = 0.0
+    dt = np.linspace(0.1, 0.5, 5)
+    for X in (blocked, dense):
+        got = lv._time_split(G, np.cumsum(dt) - dt, dt, X, [1, 4])
+        P, ref = X, []
+        for j in range(5):
+            P = lv.expm(dt[j] * G[j]) @ P
+            if j in (1, 4):
+                ref.append(P)
+        assert np.abs(got - np.array(ref)).max() < 1e-14 * np.abs(X).max()
+        assert np.array_equal(got == 0, np.array(ref) == 0)
+
+
 def test_propagate_rejects_non_finite_generator():
     with pytest.raises(MagnitudeError, match="t=0.5"):
         lv.propagate_time_dependent(lambda t: np.full((2, 2), np.nan if t > 0.4 else 0.0),

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -649,19 +650,33 @@ def test_finite_time_gamma_rejects_negative_or_2d_horizons():
             wc.finite_time_gamma(bath, OMEGA0, t, "position_xy")
 
 
-def test_halfline_kernel_is_the_masked_closed_form():
-    """The exact quotient is taken only where |x t| >= 1e-5 and the series
-    only elsewhere; the result is bitwise that of evaluating both everywhere
-    and selecting."""
-    x = np.concatenate([[0.0, 1e-9, -3e-6], OMEGA0 - np.linspace(0.0, 120.0, 997)])
+def _halfline_in_long_double(x, t):
+    """E_t(x) = int_0^t e^{ixu} du in extended precision: the quotient
+    (e^{ixt} - 1)/(ix) where |x t| >= 1, else t sum_k (ixt)^k/(k+1)! to 30
+    terms."""
+    x, t = np.asarray(x, dtype=np.longdouble), np.asarray(t, dtype=np.longdouble)
+    xt = x * t
+    z = 1j * xt.astype(np.clongdouble)
+    series = sum(z ** k / math.factorial(k + 1) for k in range(30))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = (np.exp(z) - 1) / (1j * x.astype(np.clongdouble))
+    return np.where(np.abs(xt) < 1, t * series, quotient)
+
+
+def test_halfline_kernel_matches_a_long_double_reference():
+    """Within 2 eps (1 + |x t|) |t| of the extended-precision kernel for x t
+    from 0 to about 5e3: the phase x t itself carries eps |x t|.  The
+    float64 quotient misses this bound by four orders near |x t| = 1e-5."""
+    if np.finfo(np.longdouble).eps >= 1e-18:
+        pytest.skip("long double is not extended precision on this platform")
+    x = np.concatenate([[0.0, 1e-9, -3e-6, 1e-4, 5e-3], OMEGA0 - np.linspace(0.0, 120.0, 997)])
     for t in (2.0, np.array([[0.0], [1e-7], [0.3], [40.0]])):
-        xt = x * t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            exact = (np.exp(1j * xt) - 1.0) / (1j * x)
-        ref = np.where(np.abs(xt) < 1e-5, t * (1.0 + 0.5j * xt - xt**2 / 6.0), exact)
         got = wc._halfline_kernel(x, t)
+        ref = _halfline_in_long_double(x, t)
         assert got.shape == ref.shape
-        assert np.array_equal(got.view(float), ref.view(float))
+        err = np.abs(got.astype(np.clongdouble) - ref).astype(float)
+        bound = 2 * np.finfo(float).eps * (1 + np.abs(x * t)) * np.abs(t)
+        assert np.all(err <= bound)
 
 
 def _triangle_by_quadrature(a, s, t, n=64):
@@ -818,6 +833,16 @@ def test_shift_stack_zero_frequency_is_the_pole_free_sum():
     x, g = wc._panel_nodes(0.0, bath.omega_max, bath._breakpoints(), 2048)
     assert got[1, 0, 0] == np.sum(g * (-bath.J(x) / x))
     assert np.array_equal(got[[0, 2]], wc._shift_stack(bath, [-1.0, 1.0], "single"))
+
+
+def test_tabulated_bath_needs_two_ascending_nodes():
+    """np.interp on jumbled nodes would return J(1.5) = 0.075 from [0, 2, 1, 3]
+    silently; a one-node table has no panel width."""
+    with pytest.raises(ValueError, match="at least two nodes"):
+        wc.BathModel.tabulated([1.0], [0.1], 0.5)
+    for nodes in ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 3.0]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            wc.BathModel.tabulated(nodes, [0.0, 0.1, 0.05, 0.0], 0.5)
 
 
 def test_shift_on_a_tabulated_bath_at_a_table_node():

@@ -20,6 +20,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -133,17 +134,35 @@ def read_matrix_csv(path):
     return np.array(rows, dtype=complex)
 
 
-def _re_im(values):
-    """One CSV row of alternating real and imaginary parts."""
-    return ",".join(f"{fmt(z.real)},{fmt(z.imag)}" for z in values)
+def _re_im_rows(M):
+    """The CSV rows of a 2-D complex array, real and imaginary parts
+    alternating, each number as :func:`fmt` writes it: one conversion of the
+    whole array and one format string per row."""
+    parts = np.ascontiguousarray(M, dtype=complex).view(float) + 0.0      # -0.0 -> 0.0
+    row = ",".join(["%.11e"] * parts.shape[1])
+    return [row % tuple(vals) for vals in parts.tolist()]
 
 
 def write_matrix_csv(path, M):
-    _atomic_write(path, (_re_im(row) for row in np.asarray(M, dtype=complex)))
+    _atomic_write(path, _re_im_rows(M))
 
 
 def read_map_family_csv(path):
-    """Map-family CSV: one row per sample, t then row-major re/im superop."""
+    """Map-family CSV: one row per sample, t then row-major re/im superop.
+
+    The whole file is parsed by ``np.loadtxt`` first.  A file it refuses, or
+    whose rows do not hold two or more square matrices, is read again line by
+    line (:func:`_csv_rows`), which alone words the config errors: only it
+    knows the file's line numbers."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # loadtxt warns on a file without rows
+            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError):
+        data = np.empty((0, 1))
+    side = int(round(((data.shape[1] - 1) // 2) ** 0.5))
+    if len(data) >= 2 and side and data.shape[1] == 2 * side * side + 1:
+        return [(float(row[0]), row[1:].view(complex).reshape(side, side)) for row in data]
     family = []
     for lineno, vals in _csv_rows(path, "map family file"):
         rest = vals[1:]
@@ -159,7 +178,7 @@ def read_map_family_csv(path):
 
 
 def write_map_family_csv(path, family):
-    _atomic_write(path, (f"{fmt(t)},{_re_im(E.reshape(-1))}" for t, E in family))
+    _atomic_write(path, (f"{fmt(t)},{_re_im_rows(E.reshape(1, -1))[0]}" for t, E in family))
 
 
 def _atomic_write(path, lines):
@@ -179,10 +198,10 @@ def build_bath(cfg):
     from .weakcoupling import BathModel
 
     kind = _get(cfg, "bath", "type", default="ohmic").lower()
-    if "temperature" in cfg.get("bath", {}):
-        T = _get(cfg, "bath", "temperature", cast=float)
-    else:
-        T = _get(cfg, "bath", "T", default=0.0, cast=float)
+    key = "temperature" if "temperature" in cfg.get("bath", {}) else "T"
+    T = _get(cfg, "bath", key, default=0.0, cast=float)
+    if not (np.isfinite(T) and T >= 0):
+        raise ConfigError(f"key {key!r} in [bath]: must be finite and nonnegative, got {T}")
     if kind == "ohmic":
         return BathModel.ohmic(
             coupling=_get(cfg, "bath", "alpha", default=0.1, cast=float),
@@ -405,14 +424,14 @@ def cmd_derive(ctx):
         lines.append(f"block,omega={fmt(w)},couplings="
                      + ";".join(str(k) for k in block.coupling_indices))
         for label, M in (("gamma", block.gamma), ("shift", block.shift)):
-            for i, row in enumerate(np.atleast_2d(M)):
-                lines.append(f"{label},{i},{_re_im(row)}")
+            lines.extend(f"{label},{i},{row}"
+                         for i, row in enumerate(_re_im_rows(np.atleast_2d(M))))
     lines.append("lamb_shift_matrix")
-    lines.extend(_re_im(row) for row in gen.lamb_shift)
+    lines.extend(_re_im_rows(gen.lamb_shift))
     lines.append("canonical_jumps")
     for k, (g, V) in enumerate(gen.base.jumps):
         lines.append(f"jump,{k},rate," + fmt(g))
-        lines.extend(f"jump,{k},{_re_im(row)}" for row in V)
+        lines.extend(f"jump,{k},{row}" for row in _re_im_rows(V))
     kms = kms_check(gen, tol=ctx.tol or 1e-8)
     lines.append("kms_max_relative_violation," + fmt(kms.max_relative_violation))
     lines.append("kms_vacuum_flags," + ",".join(
@@ -501,7 +520,7 @@ def cmd_steady(ctx):
              f"# n_states,{len(result.states)}"]
     for idx, rho in enumerate(result.states):
         lines.append(f"# state,{idx}")
-        lines.extend(_re_im(row) for row in rho)
+        lines.extend(_re_im_rows(rho))
     return lines, 0
 
 
@@ -513,7 +532,7 @@ def cmd_spectrum(ctx):
              f"# spectral_gap,{fmt(rep.spectral_gap)}",
              f"# diagonalizable,{int(rep.diagonalizable)}",
              "re,im"]
-    lines.extend(_re_im([lam]) for lam in rep.eigenvalues)
+    lines.extend(_re_im_rows(np.reshape(rep.eigenvalues, (-1, 1))))
     return lines, 0
 
 
@@ -530,7 +549,9 @@ VERBS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="openqdyn",
         description="Batch analysis of open-quantum-system dynamics")
@@ -541,7 +562,11 @@ def main(argv=None):
         p.add_argument("--out", default=None, help="output path (default from config)")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):

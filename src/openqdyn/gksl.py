@@ -12,9 +12,12 @@ from .liouville import (
     TOL_HERM,
     TOL_PSD,
     _as_square,
+    _blocks,
     _check_tol,
     _hs_coordinates,
     _lindblad_superop,
+    _size_groups,
+    _take,
     _vec_columns,
     devectorize,
     hs_basis,
@@ -204,13 +207,39 @@ class KossakowskiConditionsReport:
     matrices: List[np.ndarray]
 
 
-def _check_partition(P_list, dim, tol):
-    total = sum(P_list)
-    if np.abs(total - np.eye(dim)).max() > tol:
-        raise ValueError("projectors do not resolve the identity")
-    for i, P in enumerate(P_list):
-        if np.abs(P @ P - P).max() > 1e-8 or not is_hermitian(P, 1e-8):
-            raise ValueError(f"element {i} is not an orthogonal projector")
+def _check_partitions(partitions, dim, tol):
+    """Every projector of every partition, as one (count, dim, dim) array, and
+    the offsets of the partitions in it.  Raises ValueError for the first
+    partition, in order, that does not resolve the identity within ``tol``,
+    or else holds an element that is not an orthogonal projector."""
+    sizes = [len(P_list) for P_list in partitions]
+    bounds = np.cumsum([0] + sizes)
+    Ps = np.array([P for P_list in partitions for P in P_list], dtype=complex)
+    if not Ps.size:
+        Ps = Ps.reshape(0, dim, dim)
+    elif Ps.shape[1:] != (dim, dim):
+        raise DimensionError(f"projectors must be {dim} x {dim}, got shape {Ps.shape[1:]}")
+    totals = np.zeros((len(sizes), dim, dim), dtype=complex)
+    filled = np.flatnonzero(np.diff(bounds))
+    if filled.size:
+        totals[filled] = np.add.reduceat(Ps, bounds[filled], axis=0)
+    apart = np.abs(totals - np.eye(dim)).max(axis=(1, 2)) > tol
+    scale = np.maximum(np.abs(Ps).max(axis=(1, 2)), 1.0)
+    D = Ps @ Ps
+    D -= Ps
+    bad = np.abs(D).max(axis=(1, 2)) > 1e-8
+    np.conjugate(Ps.transpose(0, 2, 1), out=D)
+    D -= Ps                                               # |P^dag - P| = |P - P^dag|
+    bad |= ~(np.abs(D).max(axis=(1, 2)) <= 1e-8 * scale)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    failed = np.concatenate([np.flatnonzero(apart), owner[bad]])
+    if failed.size:
+        p = failed.min()
+        if apart[p]:
+            raise ValueError("projectors do not resolve the identity")
+        i = np.flatnonzero(bad[bounds[p]:bounds[p + 1]])[0]
+        raise ValueError(f"element {i} is not an orthogonal projector")
+    return Ps, bounds
 
 
 def check_kossakowski_conditions(L, partitions, tol=1e-10):
@@ -221,20 +250,40 @@ def check_kossakowski_conditions(L, partitions, tol=1e-10):
     column sums.  A sampled check: passing is evidence, a failure is a
     counterexample.  Reports the first violation found.  ``tol`` must be
     finite and nonnegative (ValueError otherwise).
+
+    L acts on every projector at once, block by block on its exact-zero
+    blocks; the partitions of each size k then take their k x k matrices A
+    in one batched product.
     """
     _check_tol(tol)
     L = _as_square(L, "generator")
     dim = int(round(np.sqrt(L.shape[0])))
     scale = max(np.abs(L).max(), 1.0)
-    matrices = []
+    X, bounds = _check_partitions(list(partitions), dim, 1e-8)
+    sizes = np.diff(bounds)
+    by_size = np.argsort(np.repeat(sizes, sizes), kind="stable")
+    X = X.transpose(2, 1, 0)[:, :, by_size].reshape(dim * dim, -1)      # vec columns
+    LX = np.empty_like(X)
+    groups = _size_groups(_blocks(L))
+    for B, S in zip(groups, _take(groups, [L])):
+        LX[B] = S[0] @ X[B]
+    np.conjugate(X, out=X)
+    matrices = [None] * len(sizes)
+    start = 0
+    for k in np.unique(sizes):
+        which = np.flatnonzero(sizes == k)
+        stop = start + which.size * k
+        Xk, LXk = (Y[:, start:stop].reshape(-1, which.size, k).transpose(1, 0, 2)
+                   for Y in (X, LX))
+        A = (Xk.transpose(0, 2, 1) @ LXk).real             # A_ij = Tr[P_i L(P_j)]
+        for p, Ap in zip(which, A):
+            matrices[p] = Ap
+        start = stop
     violation = None
-    for p_idx, P_list in enumerate(partitions):
-        _check_partition(P_list, dim, 1e-8)
-        P = _vec_columns(P_list)
-        A = (P.conj().T @ L @ P).real            # A_ij = Tr[P_i L(P_j)]
-        matrices.append(A)
-        if violation is None:
-            violation = _first_violation(p_idx, A, tol * scale)
+    for p_idx, A in enumerate(matrices):
+        violation = _first_violation(p_idx, A, tol * scale)
+        if violation is not None:
+            break
     return KossakowskiConditionsReport(violation is None, violation, matrices)
 
 

@@ -119,6 +119,8 @@ class BathModel:
             raise ValueError("tabulated bath needs matching 1-D omega and J arrays")
         if omegas.size < 2:
             raise ValueError(f"tabulated bath needs at least two nodes, got {omegas.size}")
+        if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(values))):
+            raise ValueError("tabulated bath needs finite omega and J")
         if not np.all(np.diff(omegas) > 0):
             raise ValueError("tabulated bath needs strictly ascending omega")
         if np.any(values < 0):

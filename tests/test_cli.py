@@ -566,3 +566,116 @@ def test_input_readers_close_their_files(tmp_path):
         cli.read_map_family_csv(str(tmp_path / "f.csv"))
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def _family_by_lines(path):
+    """Reference map-family reader: the row-by-row parse of ``cli._csv_rows``
+    with the structure checks of :func:`cli.read_map_family_csv`."""
+    family = []
+    for lineno, vals in cli._csv_rows(path, "map family file"):
+        rest = vals[1:]
+        if len(rest) % 2 != 0:
+            raise ConfigError(f"{path}:{lineno}: odd entry count")
+        side = int(round((len(rest) // 2) ** 0.5))
+        if not len(rest) or 2 * side * side != len(rest):
+            raise ConfigError(f"{path}:{lineno}: row does not hold a square matrix")
+        family.append((float(vals[0]), rest.view(complex).reshape(side, side)))
+    if len(family) < 2:
+        raise ConfigError(f"{path}: family needs at least two samples")
+    return family
+
+
+FAMILY_TEXTS = {
+    "plain": "0,1,0\n0.5,0.25,-0.5\n1,0.125,0\n",
+    "blank_lines": "\n0,1,0\n\n0.5,0.25,-0.5\n\n",
+    "whitespace_line": "0,1,0\n   \n0.5,0.25,-0.5\n",
+    "comment_line": "# t,re,im\n0,1,0\n0.5,0.25,-0.5\n",
+    "spaces": " 0 , 1 ,0\n0.5 ,0.25, -0.5 \n",
+    "tabs": "0,\t1,0\t\n\t0.5,0.25,-0.5\n",
+    "crlf": "0,1,0\r\n0.5,0.25,-0.5\r\n",
+    "nan_inf": "0,nan,inf\n0.5,-inf,-nan\n",
+    "overflow": "0,1e400,0\n0.5,-1e400,1e-400\n",
+    "hex": "0,0x1p3,0\n0.5,1,0\n",
+    "fortran_exponent": "0,1D3,0\n0.5,1,0\n",
+    "trailing_comma": "0,1,0,\n0.5,0.25,-0.5,\n",
+    "underscore": "0,1_0,0\n0.5,1,0\n",
+    "empty_cell": "0,1,,0\n0.5,0.25,-0.5\n",
+    "ragged_after_blank": "0,1,0\n\n0.5,0.25\n",
+    "not_square_after_blank": "\n0,1,0,2,0\n0.5,1,0,2,0\n",
+    "one_sample": "\n0,1,0\n",
+    "empty": "",
+    "time_only": "0\n1\n",
+    "two_by_two": ("0,1,0,0,0,-0,0,1,-0\n"
+                   "0.5,0.5,5e-324,1e308,0,0,0,0.5,-2.5e-1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_TEXTS))
+def test_map_family_reader_agrees_with_the_line_reader(tmp_path, name):
+    """The whole-file parse returns the line reader's family bit for bit, or
+    the line reader's config error with its file:line."""
+    path = tmp_path / "f.csv"
+    path.write_bytes(FAMILY_TEXTS[name].encode())
+    try:
+        expected = _family_by_lines(str(path))
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            cli.read_map_family_csv(str(path))
+        assert str(got.value) == str(exc)
+        return
+    family = cli.read_map_family_csv(str(path))
+    assert [t for t, _ in family] == [t for t, _ in expected]
+    for (_, E), (_, R) in zip(family, expected):
+        assert E.dtype == complex and E.shape == R.shape
+        assert np.array_equal(E.view(np.uint64), R.view(np.uint64))
+
+
+def test_map_family_reader_names_a_missing_file(tmp_path):
+    path = str(tmp_path / "absent.csv")
+    with pytest.raises(ConfigError, match="cannot read map family file"):
+        cli.read_map_family_csv(path)
+
+
+SPECIAL = np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1e308],
+                    [-5e-324, -1e308, 1.0 / 3.0]])
+SPECIAL = np.stack([SPECIAL, SPECIAL[::-1]], axis=-1).view(complex)[..., 0]
+
+
+@pytest.mark.parametrize("M", [
+    np.random.default_rng(82).standard_normal((400, 2)).view(complex),
+    np.random.default_rng(83).standard_normal((8, 16)).view(complex),
+    np.random.default_rng(84).standard_normal((400, 800)).view(complex),
+    SPECIAL,
+    np.full((2, 3), complex(-0.0, -0.0)),
+], ids=["400x1", "8x8", "400x400", "special", "negative_zero"])
+def test_matrix_rows_match_the_value_by_value_format(M):
+    rows = cli._re_im_rows(M)
+    assert rows == [",".join(f"{cli.fmt(z.real)},{cli.fmt(z.imag)}" for z in row)
+                    for row in M]
+
+
+def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    """The argument parser is built once per process; a later call, also after
+    a config error, writes the bytes and returns the exit code of a fresh
+    interpreter."""
+    runs = []
+    for k, (verb, text) in enumerate([
+            ("derive", QUBIT_CFG),
+            ("derive", QUBIT_CFG.replace("preset = damped_qubit", "preset = bogus")),
+            ("check", QUBIT_CFG + "\n[checks]\nrequested = cp,kossakowski\n")]):
+        out = str(tmp_path / f"out{k}.csv")
+        cfg = write_cfg(tmp_path, text.format(alpha=0.1, T=1.0, t_final=1.0, steps=2,
+                                              out=out), name=f"run{k}.cfg")
+        runs.append(([verb, "--config", cfg], out))
+    in_process = []
+    for argv, out in runs:
+        code, err = _run_capture(argv, capsys)
+        in_process.append((code, err, open(out, "rb").read() if os.path.exists(out) else None))
+        if os.path.exists(out):
+            os.remove(out)
+    for (argv, out), got in zip(runs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "openqdyn.cli", *argv],
+                              capture_output=True, text=True)
+        fresh = open(out, "rb").read() if os.path.exists(out) else None
+        assert got == (proc.returncode, proc.stderr, fresh)
+    assert [code for code, _, _ in in_process] == [0, 2, 0]

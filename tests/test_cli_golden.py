@@ -161,8 +161,14 @@ def _cases():
             MODELS["custom4"].replace("= single", "= bogus"))),
         "err_position_xy_one_coupling": (["derive"], _config(
             MODELS["custom4"].replace("= single", "= position_xy"))),
+        "err_temperature_negative": (["derive"], _config(
+            bath="type = ohmic\nalpha = 0.1\nomega_c = 3.0\ntemperature = -1")),
+        "err_temperature_nan": (["check"], _config(
+            bath="type = ohmic\nalpha = 0.1\nomega_c = 3.0\nT = nan")),
+        "err_temperature_table": (["derive"], _config(
+            bath="type = table\nj_file = {inputs}/jtable.csv\ntemperature = -0.5")),
     }
-    for table in ("one_column", "one_row", "unsorted", "negative"):
+    for table in ("one_column", "one_row", "unsorted", "negative", "nan"):
         errors[f"err_j_file_{table}"] = (["derive"], _config(
             bath=f"type = table\nj_file = {{inputs}}/bad_j_{table}.csv\ntemperature = 0.7"))
     cases.update(errors)

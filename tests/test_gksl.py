@@ -365,3 +365,104 @@ def test_kossakowski_conditions_reject_bad_tolerance(tol):
     parts = [[np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]]
     with pytest.raises(ValueError, match="tol"):
         gksl.check_kossakowski_conditions(L, parts, tol=tol)
+
+
+def _dense_kossakowski(L, partitions, tol):
+    """Reference for the blocked sums: A = P^dag L P with dense products, one
+    partition at a time, and the first violation in partition order."""
+    from openqdyn.liouville import _vec_columns
+
+    scale = max(np.abs(L).max(), 1.0)
+    matrices = [(_vec_columns(P).conj().T @ L @ _vec_columns(P)).real for P in partitions]
+    violations = (gksl._first_violation(p, A, tol * scale) for p, A in enumerate(matrices))
+    return matrices, next((v for v in violations if v is not None), None)
+
+
+def _davies_oscillator(n_levels=6):
+    from openqdyn.weakcoupling import BathModel, damped_oscillator, davies_generator
+
+    bath = BathModel.ohmic(coupling=0.05, omega_c=3.0, temperature=1.0)
+    return davies_generator(damped_oscillator(n_levels), bath).superoperator()
+
+
+def _coarse_partition(dim, rng):
+    """A random rank-2 projector and its complement, then rank-1 projectors."""
+    _, V = np.linalg.eigh(rand_hermitian(dim, rng))
+    head = V[:, :2] @ V[:, :2].conj().T
+    return [head] + [np.outer(V[:, k], V[:, k].conj()) for k in range(2, dim)]
+
+
+@pytest.mark.parametrize("case", ["random_one_block", "davies_many_blocks", "mixed_sizes"])
+def test_kossakowski_blocked_sums_match_dense_products(case):
+    from openqdyn.liouville import _blocks
+
+    rng = np.random.default_rng(46)
+    if case == "random_one_block":
+        L = gksl.superop_of_generator(random_valid_generator(4, rng, n_jumps=3))
+        parts = gksl.random_partitions(4, 6, rng)
+        assert len(_blocks(L)) == 1
+    else:
+        L = _davies_oscillator()
+        parts = gksl.random_partitions(6, 6, rng)
+        assert len(_blocks(L)) > 5
+        if case == "mixed_sizes":
+            parts = [_coarse_partition(6, rng), parts[1], _coarse_partition(6, rng), parts[0]]
+    rep = gksl.check_kossakowski_conditions(L, parts, tol=1e-9)
+    dense, violation = _dense_kossakowski(L, parts, 1e-9)
+    assert rep.passed and violation is None
+    assert [A.shape for A in rep.matrices] == [A.shape for A in dense]
+    scale = np.abs(L).max()
+    for A, R in zip(rep.matrices, dense):
+        assert np.abs(A - R).max() <= 1e-13 * scale
+
+
+def test_kossakowski_blocked_sums_report_the_planted_violation():
+    # a negative rate from population 1 to 3 breaks the off-diagonal condition
+    # on the computational partition only, which comes third
+    rng = np.random.default_rng(47)
+    n = 6
+    L = _davies_oscillator(n).copy()
+    L[3 * n + 3, 1 * n + 1] -= 0.02
+    L[1 * n + 1, 1 * n + 1] += 0.02
+    comp = [np.diag(row).astype(complex) for row in np.eye(n)]
+    parts = gksl.random_partitions(n, 3, rng, include_computational=False) + [comp]
+    rep = gksl.check_kossakowski_conditions(L, parts, tol=1e-9)
+    _, violation = _dense_kossakowski(L, parts, 1e-9)
+    assert not rep.passed
+    assert (violation.partition_index, violation.kind, violation.indices) == \
+        (3, "off-diagonal", (3, 1))
+    assert rep.first_violation == violation
+
+
+def _check_partitions_one_by_one(partitions, dim, tol):
+    """Reference for the batched partition validation: each partition in turn,
+    identity resolution first, then its elements in order."""
+    for P_list in partitions:
+        if np.abs(sum(P_list) - np.eye(dim)).max() > tol:
+            raise ValueError("projectors do not resolve the identity")
+        for i, P in enumerate(P_list):
+            if np.abs(P @ P - P).max() > 1e-8 or not gksl.is_hermitian(P, 1e-8):
+                raise ValueError(f"element {i} is not an orthogonal projector")
+
+
+PE, PG = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+HALF = np.diag([0.5, 0.0]).astype(complex)               # Hermitian, not idempotent
+SKEW = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)  # idempotent, not Hermitian
+
+
+@pytest.mark.parametrize("partitions", [
+    [[PE]],
+    [[PE, PG], [PE, PG, PG]],
+    [[PE, PG], [PG, HALF, np.eye(2) - HALF - PG]],
+    [[PE, PG], [SKEW, np.eye(2) - SKEW], [PE]],
+    [[PE, PG], [PE, PG], [HALF, np.eye(2) - HALF], [PE]],
+    [[np.eye(2)], []],
+], ids=["short", "extra_element", "not_idempotent", "not_hermitian", "first_bad_wins",
+        "empty_partition"])
+def test_kossakowski_rejects_a_bad_partition_with_the_same_message(partitions):
+    L = gksl.hamiltonian_superop(sigma_z.astype(complex))
+    with pytest.raises(ValueError) as expected:
+        _check_partitions_one_by_one(partitions, 2, 1e-8)
+    with pytest.raises(ValueError) as got:
+        gksl.check_kossakowski_conditions(L, partitions)
+    assert str(got.value) == str(expected.value)

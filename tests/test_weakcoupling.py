@@ -845,6 +845,19 @@ def test_tabulated_bath_needs_two_ascending_nodes():
             wc.BathModel.tabulated(nodes, [0.0, 0.1, 0.05, 0.0], 0.5)
 
 
+@pytest.mark.parametrize("omegas, values", [
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 0.0]),
+    ([0.0, 1.0, 2.0], [0.0, np.inf, 0.0]),
+    ([0.0, np.nan, 2.0], [0.0, 0.1, 0.0]),
+    ([0.0, 1.0, np.inf], [0.0, 0.1, 0.0]),
+])
+def test_tabulated_bath_needs_finite_nodes_and_values(omegas, values):
+    """A NaN J passes ``J < 0``, and the quadrature then fails far from the
+    table; the table itself is rejected."""
+    with pytest.raises(ValueError, match="finite omega and J"):
+        wc.BathModel.tabulated(omegas, values, 0.5)
+
+
 def test_shift_on_a_tabulated_bath_at_a_table_node():
     """The table nodes are panel edges, so the subtraction at the node w = 1
     sees no kink inside a panel: the shift matches a 65536-node folded

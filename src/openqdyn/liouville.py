@@ -120,6 +120,10 @@ def _take(groups, maps):
     that is one block."""
     if _one_block(groups) and len(maps):
         return [maps[0][None, None] if len(maps) == 1 else np.asarray(maps)[:, None]]
+    if isinstance(maps, np.ndarray):            # one gather per block size, C-contiguous
+        n = maps.shape[-1]
+        flat = maps.reshape(len(maps), n * n)
+        return [np.take(flat, B[:, :, None] * n + B[:, None, :], axis=1) for B in groups]
     stacks = [np.empty((len(maps),) + B.shape + B.shape[1:], dtype=complex) for B in groups]
     for B, S in zip(groups, stacks):
         for k, E in enumerate(maps):
@@ -309,7 +313,9 @@ def _taylor_expm(A, out=None):
     (:func:`_taylor_chunk`).  The slices of one degree are evaluated together,
     in chunks of about ``_CHUNK_BYTES``, by operations that each act slice by
     slice, so a slice's result does not depend on the rest of the stack.  A
-    diagonal slice gives the exponential of its diagonal exactly."""
+    diagonal slice gives the exponential of its diagonal exactly.  An ``out``
+    whose leading axes do not merge into one (a transposed view) takes the
+    results through a contiguous copy."""
     out = np.empty_like(A) if out is None else out
     n = A.shape[-1]
     flat, res = A.reshape(-1, n, n), out.reshape(-1, n, n)
@@ -337,6 +343,8 @@ def _taylor_expm(A, out=None):
                 res[part] = E
     if not np.all(np.isfinite(res)):
         raise MagnitudeError("matrix exponential overflowed; norm too extreme")
+    if not np.may_share_memory(res, out):            # the reshape of out was a copy
+        out[...] = res.reshape(out.shape)
     return out
 
 
@@ -354,12 +362,21 @@ def _taylor_chunk(A, norm, m, theta, q, scale):
         s = _squarings(P, norm, theta)
         P *= (0.5 ** np.outer(np.arange(q + 1), s))[:, :, None, None]
     r = m // q
-    coef = [[1.0 / math.factorial(q * j + i) if q * j + i else 0.0 for i in range(q)]
-            for j in range(r)]
-    B = np.einsum("ji,ikab->jkab", coef, P[:q])
-    X = P[q] * (1.0 / math.factorial(m)) + B[r - 1]       # X = T_m - I
-    for j in range(r - 2, -1, -1):
-        X = X @ P[q] + B[j]
+    B = np.empty_like(A)
+    diagonal = np.einsum("kii->ki", B)                    # a view of B's diagonals
+    X = P[q] * (1.0 / math.factorial(m))                  # X = T_m - I
+    for j in range(r - 1, -1, -1):
+        if j < r - 1:
+            X = X @ P[q]
+        # B = B_j with its terms added in the order i = 0, 1, ..., q - 1 (the
+        # identity's on the diagonal first), which fixes the rounding of T_m;
+        # B_0 has no identity term, X being T_m - I
+        np.multiply(P[1], 1.0 / math.factorial(q * j + 1), out=B)
+        if j:
+            diagonal += 1.0 / math.factorial(q * j)
+        for i in range(2, q):
+            B += P[i] * (1.0 / math.factorial(q * j + i))
+        X += B
     T = _square(X, s, lambda X: X @ X + 2.0 * X) + P[0]
     # (I + X)^2 = I + 2X + X^2 keeps the rounding of a result near I, and of the
     # trace row of a generator, small; it loses accuracy only where I + X

@@ -30,13 +30,17 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import StepSizeError
+from .errors import MagnitudeError, StepSizeError
 from .liouville import (
     _STACK_BYTES,
     _as_square,
+    _blocks,
     _check_count,
     _dense,
     _lindblad_superop,
+    _size_groups,
+    _take,
+    _taylor_expm,
     _time_split,
     apply_superop,
     devectorize,
@@ -52,6 +56,7 @@ from .weakcoupling import (
     _horizons,
     _node_counts,
     _pattern_weights,
+    _require_integrable,
     _row_blocks,
     _triangle_kernel,
 )
@@ -420,7 +425,8 @@ def coarse_grain_generator(system, bath, tau, alpha=1.0, picture="schrodinger",
     (m, N^2, N^2) stack of generators from one Bohr decomposition; the
     horizons that share a node count share one frequency rule, so each slice
     equals the generator at that horizon alone.  Every horizon must be
-    positive and finite (ValueError otherwise).
+    positive and finite (ValueError otherwise).  A bath whose J nbar is not
+    integrable at 0+ (a flat density at T > 0) raises QuadratureError.
 
     Over the blocks B_a = A_k(w), B_b = A_l(w'), each part is a pair sum
     sum_ab c_ab X_a Y_b whose coefficients weight the triangle integrals of
@@ -435,6 +441,8 @@ def coarse_grain_generator(system, bath, tau, alpha=1.0, picture="schrodinger",
         raise ValueError("picture must be 'schrodinger' or 'interaction'")
     taus = np.atleast_1d(tau)
     freqs, fi, ki, B, _ = _bohr_stack(system.H, system.couplings, bin_tol)
+    if len(freqs):
+        _require_integrable(bath, "coarse-grained generator")
     nodes = _node_counts(bath, max((abs(w) for w in freqs), default=0.0), taus)
     tri = np.empty((len(taus), 4, len(freqs), len(freqs)), dtype=complex)
     for n in np.unique(nodes):
@@ -470,8 +478,9 @@ def coarse_grain_evolve(system, bath, alpha, rho0, t_grid, bin_tol=None):
 
     Each output time is independent of the others; the generators come from
     :func:`coarse_grain_generator` on chunks of output times whose stack fits
-    ``_STACK_BYTES``.  Every state is validated as a density matrix through
-    the shared trajectory monitor.
+    ``_STACK_BYTES``, and each chunk is exponentiated on the exact-zero blocks
+    of its union pattern, one Taylor call per block size.  Every state is
+    validated as a density matrix through the shared trajectory monitor.
     """
     t = _check_grid(t_grid)
     rho0 = _as_square(rho0, "initial state")
@@ -482,8 +491,16 @@ def coarse_grain_evolve(system, bath, alpha, rho0, t_grid, bin_tol=None):
         times = live[c:c + per]
         stack = coarse_grain_generator(system, bath, times, alpha, picture="interaction",
                                        bin_tol=bin_tol)
-        for tt, L_int in zip(times, stack):
-            rho_int = apply_superop(expm(tt * L_int), rho0)
+        stack *= times[:, None, None]                # the exponents tau L-bar^tau
+        if not np.all(np.isfinite(stack)):
+            raise MagnitudeError("matrix exponential of non-finite input")
+        groups = _size_groups(_blocks((stack != 0).any(axis=0)))
+        blocks = _take(groups, stack)
+        del stack                                    # before the exponentials' temporaries
+        for E in blocks:
+            _taylor_expm(E, out=E)
+        for k, tt in enumerate(times):
+            rho_int = apply_superop(_dense(groups, blocks, k), rho0)
             U = expm(-1j * system.H * tt)
             states.append(U @ rho_int @ U.conj().T)
     tr_err, min_eig = _monitor(states, t)

@@ -365,6 +365,17 @@ def _infrared_limit(bath):
     return float(g[0]) if g[0] > 0.0 and g[0] >= 0.8 * g[2] else 0.0
 
 
+def _require_integrable(bath, what):
+    """Raise :class:`QuadratureError`, naming ``what`` and the bath, when J nbar
+    is not integrable at 0+ (:func:`_infrared_limit`): then the bath
+    correlation, and every quantity summed from it, diverges, and a
+    quadrature rule would give a finite number for it all the same."""
+    if limit := _infrared_limit(bath):
+        raise QuadratureError(
+            f"{what} of the {bath.label} bath diverges: J nbar ~ {limit:.3g}/w "
+            "is not integrable at w -> 0+")
+
+
 def _shift_stack(bath, omegas, coupling_pattern, n_nodes=2048, n_couplings=None):
     """Shift matrices S(w) = I_plus W_plus + I_minus W_minus of
     :func:`lamb_shift` for every frequency of ``omegas`` (the (F, K, K)
@@ -389,10 +400,8 @@ def _shift_stack(bath, omegas, coupling_pattern, n_nodes=2048, n_couplings=None)
     a = np.abs(omegas)
     if np.any((np.abs(a - W) < 1e-12 * W) | ((a > 0.0) & (a < 1e-12 * W))):
         raise QuadratureError("shift pole within 1e-12 omega_max of 0 or of the cutoff")
-    if omegas.size and (limit := _infrared_limit(bath)):
-        raise QuadratureError(
-            f"Lamb shift of the {bath.label} bath diverges: J nbar ~ {limit:.3g}/w "
-            "is not integrable at w -> 0+")
+    if omegas.size:
+        _require_integrable(bath, "Lamb shift")
     x, g = _panel_nodes(0.0, W, bath._breakpoints(), n_nodes)
     jx, nbar = g * bath.J(x), _nbar(x, T)
     sums = np.column_stack([jx * (nbar + 1.0), jx * nbar, g])
@@ -525,10 +534,13 @@ def _gamma_stack(bath, omegas, t, coupling_pattern, n_couplings=None):
     |(w -+ nu) t| < _NEAR_POLE at the block's least horizon, or with
     8 |w -+ nu| < |w| + nu, therefore take :func:`_halfline_kernel`, whose
     closed form is accurate to rounding for every argument.  A horizon 0
-    gives exactly 0.
+    gives exactly 0; a positive one raises :class:`QuadratureError` for a
+    bath whose J nbar is not integrable at 0+ (:func:`_require_integrable`).
     """
     w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
     omegas = np.asarray(omegas, dtype=float)
+    if omegas.size and np.any(t > 0):
+        _require_integrable(bath, "finite-horizon Gamma")
     nodes = _node_counts(bath, omegas[:, None], t)
     sums = np.zeros((2, len(t), len(omegas)), dtype=complex)      # i_plus, i_minus
     for n in np.unique(nodes[:, t > 0]):

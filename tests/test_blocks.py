@@ -194,6 +194,20 @@ def test_osc_generator_splits_into_sectors():
     assert all(len(b) <= 6 for b in lv._blocks(E))
 
 
+@pytest.mark.parametrize("sizes", [[3, 1, 4, 1, 2], [2, 2, 2], [6]],
+                         ids=["mixed", "one_size", "one_block"])
+def test_take_of_an_array_is_take_of_its_maps(sizes):
+    """An (K, n, n) array gives the stacks of its list of maps, bitwise, and
+    every stack is C-contiguous, so an in-place Taylor call reaches it."""
+    rng = np.random.default_rng(5)
+    M, _ = _permuted_blocks(sizes, rng, _gaussian(rng))
+    stack = np.array([M * (k + 1.5j) for k in range(4)])
+    groups = lv._size_groups(lv._blocks(M))
+    for got, ref in zip(lv._take(groups, stack), lv._take(groups, list(stack)), strict=True):
+        assert np.array_equal(got, ref)
+        assert got.flags.c_contiguous and ref.flags.c_contiguous
+
+
 # -- one block: bitwise the dense result -----------------------------------------
 
 @pytest.mark.parametrize("zeros", [False, True], ids=["no_zero", "connected_with_zeros"])

@@ -211,6 +211,72 @@ def test_taylor_expm_chunks_equal_their_slices():
     assert np.array_equal(G, E)
 
 
+def _einsum_taylor_chunk(A, norm, m, theta, q, scale):
+    """The Taylor step with every coefficient matrix B_j formed at once by one
+    einsum before Horner: the reference that pins the bits of
+    ``lv._taylor_chunk``."""
+    P = np.empty((q + 1,) + A.shape, dtype=A.dtype)
+    P[0], P[1] = np.eye(A.shape[-1]), A
+    for i in range(2, q + 1):
+        np.matmul(P[i - 1], A, out=P[i])
+    s = np.zeros(len(A), dtype=int)
+    if scale:
+        s = lv._squarings(P, norm, theta)
+        P *= (0.5 ** np.outer(np.arange(q + 1), s))[:, :, None, None]
+    r = m // q
+    coef = [[1.0 / math.factorial(q * j + i) if q * j + i else 0.0 for i in range(q)]
+            for j in range(r)]
+    B = np.einsum("ji,ikab->jkab", coef, P[:q])
+    X = P[q] * (1.0 / math.factorial(m)) + B[r - 1]
+    for j in range(r - 2, -1, -1):
+        X = X @ P[q] + B[j]
+    T = lv._square(X, s, lambda X: X @ X + 2.0 * X) + P[0]
+    small = np.abs(T).max(axis=(1, 2)) * A.shape[-1] < 1.0
+    if small.any():
+        T[small] = lv._square(X[small] + P[0, small], s[small], lambda T: T @ T)
+    return T
+
+
+@pytest.mark.parametrize("n", [2, 9, 50])
+def test_taylor_chunk_is_bitwise_the_einsum_step(n):
+    """Every degree of _THETA (q = 2, 3 and 4), unscaled and scaled, with a
+    diagonal slice in each stack."""
+    rng = np.random.default_rng(23)
+    for m, theta, q in lv._THETA:
+        for scale, norms in ((False, theta * np.array([0.1, 0.6, 0.99])),
+                             (True, np.array([0.5, 3.0, 40.0, 900.0]))):
+            if scale and m != lv._THETA[-1][0]:
+                continue
+            A = np.array([_decaying(rng, n, x) for x in norms])
+            A[1] = np.diag(np.diag(A[1]))
+            norm = np.abs(A).sum(axis=1).max(axis=1)
+            got = lv._taylor_chunk(A, norm, m, theta, q, scale)
+            assert np.array_equal(got, _einsum_taylor_chunk(A, norm, m, theta, q, scale))
+
+
+def test_taylor_expm_of_a_mixed_stack_is_bitwise_the_einsum_step(monkeypatch):
+    rng = np.random.default_rng(24)
+    norms = [theta * f for _, theta, _ in lv._THETA for f in (0.3, 0.95)] + [5.0, 200.0]
+    G = np.array([_decaying(rng, 12, x) for x in rng.permutation(norms)])
+    G[4] = np.diag(np.diag(G[4]))
+    got = lv._taylor_expm(G)
+    monkeypatch.setattr(lv, "_taylor_chunk", _einsum_taylor_chunk)
+    assert np.array_equal(got, lv._taylor_expm(G))
+
+
+def test_taylor_expm_out_through_a_transposed_view():
+    """A (K, g, m, m) view of a (g, m, m, K) array does not reshape to a view
+    of one stack axis: the results still land in ``out``, and in the result
+    of a call without ``out``."""
+    rng = np.random.default_rng(25)
+    G = np.array([[_decaying(rng, 3, x) for x in (0.2, 4.0)] for _ in range(5)])
+    E = np.moveaxis(np.moveaxis(G, 0, -1).copy(), -1, 0)    # (5, 2, 3, 3), K innermost
+    ref = np.array([[lv._taylor_expm(E[k, g].copy()) for g in range(2)] for k in range(5)])
+    assert np.array_equal(lv._taylor_expm(E), ref)
+    assert lv._taylor_expm(E, out=E) is E
+    assert np.array_equal(E, ref)
+
+
 def test_pade_expm_diagonal_is_exp_bitwise():
     d = np.array([-3.0 + 1j, 0.0, 2.5, -40.0 - 7j, 1e-9j])
     assert np.array_equal(lv._taylor_expm(np.diag(d)), np.diag(np.exp(d)))

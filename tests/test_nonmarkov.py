@@ -697,6 +697,33 @@ def test_coarse_grain_generator_stack_is_single_calls():
         assert np.array_equal(L, nm.coarse_grain_generator(system, bath, tau))
 
 
+def _loop_coarse_grain_evolve(system, bath, alpha, rho0, t_grid):
+    """The coarse-grained states with one expm call per output time."""
+    states = [rho0] if t_grid[0] == 0.0 else []
+    live = t_grid[t_grid > 0.0]
+    stack = nm.coarse_grain_generator(system, bath, live, alpha, picture="interaction")
+    for tt, L_int in zip(live, stack):
+        U = expm(-1j * system.H * tt)
+        states.append(U @ apply_superop(expm(tt * L_int), rho0) @ U.conj().T)
+    return states
+
+
+@pytest.mark.parametrize("model", ["osc6", "random4"])
+def test_coarse_grain_evolve_is_bitwise_the_per_time_loop(model):
+    """One blocked exponential call per chunk gives the states of one expm
+    call per output time, on a blocked generator (osc6) and on a non-diagonal
+    H (random4)."""
+    system = _oracle_model(model)
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
+    rho0 = rand_density_matrix(system.dim, np.random.default_rng(6))
+    t_grid = np.linspace(0.0, 1.0, 21)
+    traj = nm.coarse_grain_evolve(system, bath, 0.8, rho0, t_grid)
+    ref = _loop_coarse_grain_evolve(system, bath, 0.8, rho0, t_grid)
+    assert len(traj.states) == len(ref)
+    for got, want in zip(traj.states, ref):
+        assert np.array_equal(got, want)
+
+
 #: Bohr frequencies with a zero, a degenerate pair sum w + w' = 0 and
 #: unrelated sums
 TRI_FREQS = [-2.3, -1.0, 0.0, 1.0, 1.7]

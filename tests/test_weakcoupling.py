@@ -911,6 +911,26 @@ def test_shift_of_integrable_infrared_baths_is_finite():
         assert np.all(np.isfinite(gen.lamb_shift)) and np.abs(gen.lamb_shift).max() > 0
 
 
+def test_finite_horizon_schemes_of_a_flat_bath_at_positive_temperature_raise():
+    """The TCL2 and coarse-graining coefficients sum the bath correlation,
+    which diverges with J nbar ~ j0 T / w: an error named for the bath, not a
+    finite number from the rule.  Integrable baths still give numbers, and
+    a zero horizon still gives exactly 0."""
+    from openqdyn import nonmarkov as nm
+
+    hot = wc.BathModel.flat(0.05, 8.0, 0.5)
+    system = wc.damped_qubit(OMEGA0)
+    for scheme in (lambda b: nm.tcl2_generator(system, b, 5.0),
+                   lambda b: nm.coarse_grain_generator(system, b, 5.0),
+                   lambda b: wc.finite_time_gamma(b, OMEGA0, 5.0)):
+        with pytest.raises(QuadratureError, match="flat bath diverges"):
+            scheme(hot)
+        for bath in (wc.BathModel.flat(0.5, 3.0, 0.0), ohmic(T=0.0), ohmic()):
+            value = scheme(bath)
+            assert np.all(np.isfinite(value)) and np.abs(value).max() > 0
+    assert np.all(wc.finite_time_gamma(hot, OMEGA0, 0.0) == 0.0)
+
+
 def _bohr_by_frequency_loop(H, A, bin_tol):
     """One coupling's blocks, one mask and one product V B V^dag per bin
     center, as {w: block}."""

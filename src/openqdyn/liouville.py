@@ -33,7 +33,6 @@ import numbers
 import numpy as np
 
 from .errors import DimensionError, MagnitudeError
-from .operators import rand_density_matrix, rand_pure_state
 
 #: default tolerance for Hermiticity checks (relative)
 TOL_HERM = 1e-12
@@ -67,11 +66,13 @@ def _check_tol(tol):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def _check_count(value, name):
+def _check_count(value, name, zero_ok=False):
     """Raise ValueError unless ``value`` is a positive integer (a Python or
-    numpy integer); a float such as 2.0 is rejected, not truncated."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    numpy integer), or a nonnegative one with ``zero_ok``; a float such as 2.0
+    is rejected, not truncated."""
+    if not (isinstance(value, numbers.Integral) and value >= (0 if zero_ok else 1)):
+        kind = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def _blocks(M):
@@ -599,37 +600,92 @@ def partial_trace(rho, dims, keep):
     return np.einsum("ikjk->ij", r) if keep == 0 else np.einsum("kikj->ij", r)
 
 
-def sample_hermitian_directions(dim, samples, rng):
-    """Hermitian test operators used for sampled induced-norm estimates.
+def _draw_directions(dim, count, rng, pure):
+    """``count`` Hermitian directions of one kind as a (count, dim, dim)
+    stack: differences of two random density matrices, or with ``pure`` of
+    two pure-state projectors.  One ``standard_normal`` call draws the normals
+    that two :func:`operators.rand_density_matrix` (or
+    :func:`operators.rand_pure_state`) calls per direction would, in their
+    order: real part, imaginary part, first operand, second, direction by
+    direction."""
+    x = rng.standard_normal((count, 2, 2) + (dim,) * (1 if pure else 2))
+    g = np.empty(x.shape[:2] + x.shape[3:], dtype=complex)
+    g.real, g.imag = x[:, :, 0], x[:, :, 1]
+    del x
+    if pure:
+        # the norm as np.linalg.norm takes it (one dot of each strided part),
+        # so that the directions have the bits of the per-operand draws
+        re, im = g.real, g.imag
+        g /= np.sqrt(re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0]
+        P = g[..., :, None] * g.conj()[..., None, :]
+    else:
+        P = g @ g.conj().swapaxes(-1, -2)
+        P /= np.trace(P, axis1=-2, axis2=-1).real[..., None, None]
+    del g
+    return P[:, 0] - P[:, 1]
 
-    Mixes random density-matrix differences with pure-state projector
-    differences; every element has unit trace norm up to normalization by the
-    caller.
+
+def sample_hermitian_directions(dim, samples, rng):
+    """Hermitian test operators used for sampled induced-norm estimates, as
+    one (samples, dim, dim) array.
+
+    The first ``samples // 2`` are differences of random density matrices,
+    the rest differences of pure-state projectors; every element has unit
+    trace norm up to normalization by the caller.  ``rng`` advances exactly
+    as under one :func:`operators.rand_density_matrix` or
+    :func:`operators.rand_pure_state` call per operand.  ``samples`` must be
+    a nonnegative integer (ValueError otherwise).
     """
-    out = []
-    for _ in range(samples // 2):
-        out.append(rand_density_matrix(dim, rng) - rand_density_matrix(dim, rng))
-    while len(out) < samples:
-        p1 = rand_pure_state(dim, rng)
-        p2 = rand_pure_state(dim, rng)
-        out.append(np.outer(p1, p1.conj()) - np.outer(p2, p2.conj()))
-    return out
+    _check_count(samples, "samples", zero_ok=True)
+    return np.concatenate([_draw_directions(dim, samples // 2, rng, False),
+                           _draw_directions(dim, samples - samples // 2, rng, True)])
+
+
+def _max_ratio(S, sigma):
+    """max_k ||S(sigma_k)||_1 / ||sigma_k||_1 over a (K, n, n) stack, from
+    one batched SVD for the denominators and one for the images; directions
+    of trace norm below 1e-14 are skipped (0.0 when none is left)."""
+    denom = np.linalg.svd(sigma, compute_uv=False).sum(axis=-1)
+    keep = denom >= 1e-14
+    if not keep.any():
+        return 0.0
+    if not keep.all():
+        sigma, denom = sigma[keep], denom[keep]
+    K, n = sigma.shape[:2]
+    # column stacking: row k of vecs is vec(sigma_k), row k of vecs @ S.T is
+    # vec(S(sigma_k)), and that row reshaped by rows is the transposed image.
+    # Its singular values are the image's only up to rounding, so the SVD
+    # takes the image itself: the identity map then gives exactly 1.
+    vecs = sigma.swapaxes(-1, -2).reshape(K, n * n)
+    images = (vecs @ S.T).reshape(K, n, n).swapaxes(-1, -2)
+    return float((np.linalg.svd(images, compute_uv=False).sum(axis=-1) / denom).max())
 
 
 def induced_trace_norm(S, samples=1000, rng=None, extra=()):
     """Sampled lower estimate of the induced trace norm of a superoperator.
 
-    Maximizes ||S(sigma)||_1 / ||sigma||_1 over random Hermitian directions
-    plus any ``extra`` operators supplied by the caller.  A sampled bound:
-    values above 1 prove expansion, values at or below 1 are evidence only.
+    Maximizes ||S(sigma)||_1 / ||sigma||_1 over the random Hermitian
+    directions of :func:`sample_hermitian_directions` plus any ``extra``
+    operators supplied by the caller; an operator of trace norm below 1e-14
+    is skipped.  A sampled bound: values above 1 prove expansion, values at
+    or below 1 are evidence only.  ``samples`` must be a nonnegative integer
+    (ValueError otherwise); 0 estimates over ``extra`` alone.  The directions
+    are drawn and judged in stacks whose temporaries take about
+    ``_CHUNK_BYTES``.
     """
     S = _as_square(S, "superoperator")
+    _check_count(samples, "samples", zero_ok=True)
     dim = int(round(np.sqrt(S.shape[0])))
     rng = np.random.default_rng(0) if rng is None else rng
+    # a stack's complex draws, their conjugates and products: 96 dim^2 bytes
+    # per direction
+    step = max(1, _CHUNK_BYTES // (96 * dim * dim))
     best = 0.0
-    for sigma in list(sample_hermitian_directions(dim, samples, rng)) + list(extra):
-        denom = trace_norm(sigma)
-        if denom < 1e-14:
-            continue
-        best = max(best, trace_norm(apply_superop(S, sigma)) / denom)
+    for pure, count in ((False, samples // 2), (True, samples - samples // 2)):
+        for start in range(0, count, step):
+            sigma = _draw_directions(dim, min(step, count - start), rng, pure)
+            best = max(best, _max_ratio(S, sigma))
+    extra = [_as_square(X, "operator") for X in extra]
+    if extra:
+        best = max(best, _max_ratio(S, np.array(extra)))
     return best

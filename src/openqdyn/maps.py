@@ -22,6 +22,7 @@ from .errors import DimensionError, NotCompletelyPositiveError, SingularMapError
 from .liouville import (
     _as_square,
     _blocks,
+    _check_count,
     _check_tol,
     _cond,
     _dense,
@@ -130,7 +131,9 @@ def _cp_reports(choi, stacks, tol):
 def is_trace_preserving(S, tol=1e-10):
     """True iff |Tr E(F_j) - Tr F_j| <= tol * max(max|S_ij|, 1) for every
     Hilbert-Schmidt basis element F_j (:func:`liouville.hs_basis`), whose
-    coordinates come in closed form (:func:`liouville._hs_coordinates`)."""
+    coordinates come in closed form (:func:`liouville._hs_coordinates`).
+    ``tol`` must be finite and nonnegative (ValueError otherwise)."""
+    _check_tol(tol)
     S, n = _map_dim(S)
     scale = max(np.abs(S).max(), 1.0)
     tr = vectorize(np.eye(n))                    # Tr X = tr . vec(X)
@@ -148,9 +151,12 @@ def contraction_check(S, samples=200, rng=None, tol=1e-10):
     Maximizes ||E(sigma)||_1 / ||sigma||_1 over random Hermitian operators
     (density-matrix mixtures and pure-projector differences).  A ratio above
     1 proves the map is not a contraction; a ratio <= 1 is evidence only.
+    The directions are drawn and judged in batches
+    (:func:`liouville.induced_trace_norm`).  ``samples`` must be a positive
+    integer and ``tol`` finite and nonnegative (ValueError otherwise).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count(samples, "samples")
+    _check_tol(tol)
     S, _ = _map_dim(S)
     best = induced_trace_norm(S, samples, rng)
     return ContractionReport(best, best <= 1.0 + tol)
@@ -200,7 +206,9 @@ class MapInverse(NamedTuple):
 
 
 def is_unitary_conjugation(S, tol=1e-10):
-    """True iff the map is conjugation by a unitary (superoperator unitary)."""
+    """True iff the map is conjugation by a unitary (superoperator unitary).
+    ``tol`` must be finite and nonnegative (ValueError otherwise)."""
+    _check_tol(tol)
     S, n = _map_dim(S)
     return np.abs(S @ S.conj().T - np.eye(n * n)).max() <= tol * n
 

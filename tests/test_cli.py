@@ -679,3 +679,25 @@ def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
         fresh = open(out, "rb").read() if os.path.exists(out) else None
         assert got == (proc.returncode, proc.stderr, fresh)
     assert [code for code, _, _ in in_process] == [0, 2, 0]
+
+
+@pytest.mark.parametrize("case", ["tp_not_cp", "cp_not_tp"])
+def test_check_cp_fails_on_a_generator_that_is_not_cptp(tmp_path, case):
+    """``check cp`` fails, exit 1, for a trace-preserving generator whose maps
+    are not CP (a negative decay rate) and for a CP one whose maps lose trace."""
+    from openqdyn.gksl import GKSLGenerator, superop_of_generator
+    from openqdyn.operators import sigma_minus
+
+    out = str(tmp_path / "check.csv")
+    text = QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=1.0, steps=2, out=out)
+    ctx = cli.RunContext(cli.parse_config(write_cfg(tmp_path, text + "\n[checks]\nrequested = cp\n")),
+                         0, None)
+    if case == "tp_not_cp":
+        ctx.L = superop_of_generator(GKSLGenerator(H=np.zeros((2, 2)), jumps=[(-0.1, sigma_minus)]))
+    else:
+        ctx.L = -0.1 * np.eye(4, dtype=complex)
+    lines, code = cli.cmd_check(ctx)
+    assert lines[0] == "check,verdict,witness"
+    assert lines[1].startswith("cp,fail,") and code == 1
+    witness = float(lines[1].split(",")[2])
+    assert (witness < 0) if case == "tp_not_cp" else (witness >= -1e-12)    # the CP part

@@ -654,3 +654,108 @@ def test_expm_accuracy_at_large_norm():
     ref = (V * np.exp(w)) @ V.conj().T
     got = lv.expm(H)
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def _per_sample_directions(dim, samples, rng):
+    """The directions as drawn one operand at a time (the reference form)."""
+    out = []
+    for _ in range(samples // 2):
+        out.append(rand_density_matrix(dim, rng) - rand_density_matrix(dim, rng))
+    while len(out) < samples:
+        p1, p2 = rand_pure_state(dim, rng), rand_pure_state(dim, rng)
+        out.append(np.outer(p1, p1.conj()) - np.outer(p2, p2.conj()))
+    return out
+
+
+def _per_sample_trace_norm(S, samples, rng, extra=()):
+    """The induced-norm estimate one direction at a time (the reference form)."""
+    dim = int(round(np.sqrt(S.shape[0])))
+    best = 0.0
+    for sigma in _per_sample_directions(dim, samples, rng) + list(extra):
+        denom = lv.trace_norm(sigma)
+        if denom < 1e-14:
+            continue
+        best = max(best, lv.trace_norm(lv.apply_superop(S, sigma)) / denom)
+    return best
+
+
+def _test_maps(dim, rng):
+    """A CPTP map, 2 * identity, and a random map that is not
+    Hermiticity-preserving."""
+    H = rand_hermitian(dim, rng)
+    V = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    Q = 0.5 * V.conj().T @ V + 1j * H
+    L = np.kron(V.conj(), V) - np.kron(np.eye(dim), Q) - np.kron(Q.conj(), np.eye(dim))
+    G = rng.standard_normal((dim * dim,) * 2) + 1j * rng.standard_normal((dim * dim,) * 2)
+    return {"cptp": lv.expm(0.7 * L), "twice": 2.0 * np.eye(dim * dim), "random": G}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("samples", [0, 1, 2, 7, 40])
+def test_sample_hermitian_directions_are_the_per_sample_draws(dim, samples):
+    rng, ref_rng = np.random.default_rng(samples), np.random.default_rng(samples)
+    got = lv.sample_hermitian_directions(dim, samples, rng)
+    ref = _per_sample_directions(dim, samples, ref_rng)
+    assert isinstance(got, np.ndarray) and got.shape == (samples, dim, dim)
+    if samples:
+        assert np.abs(got - np.array(ref)).max() <= 1e-15
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("samples", [1, 7, 60])
+def test_induced_trace_norm_is_the_per_sample_estimate(dim, samples):
+    rng = np.random.default_rng(100 * dim + samples)
+    extra = [np.zeros((dim, dim)), rand_hermitian(dim, rng)]      # the zero one is skipped
+    for name, S in _test_maps(dim, rng).items():
+        for ops in ((), extra):
+            seed = int(rng.integers(2 ** 32))
+            new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = lv.induced_trace_norm(S, samples, new, extra=ops)
+            want = _per_sample_trace_norm(S, samples, ref, extra=ops)
+            assert abs(got - want) <= 1e-14 * want, (name, len(ops))
+            assert new.bit_generator.state == ref.bit_generator.state
+    assert abs(lv.induced_trace_norm(2.0 * np.eye(dim * dim), samples) - 2.0) <= 1e-14
+
+
+def test_induced_trace_norm_in_chunks_is_the_per_sample_estimate(monkeypatch):
+    """Stacks of three directions: 8 density-matrix and 9 pure-state pairs
+    take three draws each, in the order of the per-sample draws."""
+    monkeypatch.setattr(lv, "_CHUNK_BYTES", 96 * 4 * 3)
+    rng = np.random.default_rng(5)
+    for S in _test_maps(2, rng).values():
+        new, ref = np.random.default_rng(6), np.random.default_rng(6)
+        got = lv.induced_trace_norm(S, 17, new)
+        assert abs(got - _per_sample_trace_norm(S, 17, ref)) <= 1e-14 * got
+        assert new.bit_generator.state == ref.bit_generator.state
+
+
+def test_induced_trace_norm_on_a_shared_generator_is_the_per_sample_estimate():
+    """Three calls on one generator: each sees the draws the per-sample
+    estimate leaves it."""
+    maps_ = _test_maps(3, np.random.default_rng(7))
+    new, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for S, samples in zip(maps_.values(), (9, 1, 24)):
+        got = lv.induced_trace_norm(S, samples, new)
+        assert abs(got - _per_sample_trace_norm(S, samples, ref)) <= 1e-14 * got
+    assert new.bit_generator.state == ref.bit_generator.state
+
+
+def test_induced_trace_norm_of_no_samples_is_the_estimate_over_extra():
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    S = 2.0 * np.eye(4)
+    assert lv.induced_trace_norm(S, 0, rng) == 0.0
+    assert lv.induced_trace_norm(S, 0, rng, extra=[np.zeros((2, 2))]) == 0.0
+    assert lv.induced_trace_norm(S, 0, rng, extra=[sigma_x]) == 2.0
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("samples", [-5, -1, 3.0, 2.5, "3", None])
+def test_induced_trace_norm_rejects_a_bad_sample_count(samples):
+    """A negative count used to give 0.0, an estimate that reads as a
+    contraction."""
+    with pytest.raises(ValueError, match="samples must be a nonnegative integer"):
+        lv.induced_trace_norm(2.0 * np.eye(4), samples)
+    with pytest.raises(ValueError, match="samples must be a nonnegative integer"):
+        lv.sample_hermitian_directions(2, samples, np.random.default_rng(0))

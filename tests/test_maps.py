@@ -433,3 +433,27 @@ def test_divisibility_witness_rejects_bad_tolerance(tol):
         maps.divisibility_witness(family, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         maps.divisibility_witness(family[:1], tol=tol)     # no interval to test
+
+
+@BAD_TOLS
+@pytest.mark.parametrize("check", [maps.contraction_check, maps.is_trace_preserving,
+                                   maps.is_unitary_conjugation],
+                         ids=["contraction", "trace_preserving", "unitary_conjugation"])
+def test_map_checks_reject_bad_tolerance(check, tol):
+    """A negative or NaN tolerance used to fail the identity map silently."""
+    verdict = lambda rep: rep.verdict if isinstance(rep, maps.ContractionReport) else rep
+    assert verdict(check(np.eye(4)))
+    assert verdict(check(np.eye(4), tol=0.0))         # the identity's ratio is exactly 1
+    with pytest.raises(ValueError, match="tol"):
+        check(np.eye(4), tol=tol)
+
+
+@pytest.mark.parametrize("samples", [0, -5, 3.0, 2.5, "3", None])
+def test_contraction_check_rejects_a_bad_sample_count(samples):
+    with pytest.raises(ValueError, match="samples must be a positive integer"):
+        maps.contraction_check(np.eye(4), samples=samples)
+
+
+def test_contraction_check_takes_a_numpy_integer_count():
+    rep = maps.contraction_check(2.0 * np.eye(4), samples=np.int64(3))
+    assert not rep.verdict and abs(rep.max_ratio - 2.0) < 1e-12

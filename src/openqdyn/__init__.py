@@ -8,15 +8,30 @@ theory, and selected non-Markovian evolution schemes.
 Global convention: column-stacking vectorization; the superoperator of
 ``rho -> A rho B`` is ``kron(B.T, A)``.
 
-OQS_NUM_THREADS caps the linear-algebra thread pools.  It is applied here,
-before numpy loads, and has no effect once numpy is imported.
+OQS_NUM_THREADS, a positive integer, caps the linear-algebra thread pools.
+It is applied here twice: to the thread variables before numpy loads, and,
+in a process that imported numpy first, to the thread count of numpy's
+bundled OpenBLAS (a no-op with another BLAS).  Any other value is ignored
+with a RuntimeWarning.
 """
 import os as _os
 
-if _os.environ.get("OQS_NUM_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["OQS_NUM_THREADS"])
+_cap = _os.environ.get("OQS_NUM_THREADS")
+if _cap:
+    try:
+        _cap = int(_cap)
+    except ValueError:
+        _cap = 0
+    if _cap < 1:
+        import warnings as _warnings
+
+        _warnings.warn(f"OQS_NUM_THREADS={_os.environ['OQS_NUM_THREADS']!r} is not a positive "
+                       "integer; it is ignored", RuntimeWarning)
+        _cap = None
+    else:
+        for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "NUMEXPR_NUM_THREADS"):
+            _os.environ.setdefault(_var, str(_cap))
 
 from . import errors, gksl, liouville, maps, nonmarkov, operators, spectra, weakcoupling
 from .gksl import (
@@ -98,5 +113,8 @@ from .weakcoupling import (
     stationarity_check,
     thermal_state,
 )
+
+if _cap:
+    liouville._cap_blas_threads(_cap)
 
 __version__ = "0.1.0"

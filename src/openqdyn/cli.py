@@ -13,8 +13,10 @@ row-major re/im pairs of the N^2 x N^2 superoperator.
 All floating-point output uses 12 significant digits in scientific notation.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 config
-error, 3 numerical error.  The environment variable OQS_NUM_THREADS caps the
-linear-algebra thread pool; ``import openqdyn`` applies it before numpy loads.
+error, 3 numerical error.  The environment variable OQS_NUM_THREADS, a
+positive integer, caps the linear-algebra thread pool; ``import openqdyn``
+applies it before numpy loads and, where numpy came first, to numpy's bundled
+OpenBLAS at run time.
 """
 import argparse
 import functools

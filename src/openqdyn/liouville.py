@@ -27,8 +27,13 @@ polynomials by Paterson-Stockmeyer with scaling and squaring, so every step
 is a product through one BLAS and none is a linear solve; importing the
 package loads no ``scipy.linalg``.
 """
+import contextlib
+import ctypes
+import functools
 import math
 import numbers
+import os
+import threading
 
 import numpy as np
 
@@ -66,6 +71,14 @@ def _check_tol(tol):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
+def _check_cond_threshold(cond_threshold):
+    """Raise ValueError unless the condition-number threshold is a real number
+    >= 1 (inf allowed): no map has a condition number below 1, so a smaller or
+    NaN threshold would mark every map singular."""
+    if not (isinstance(cond_threshold, numbers.Real) and cond_threshold >= 1):
+        raise ValueError(f"cond_threshold must be a real number >= 1, got {cond_threshold!r}")
+
+
 def _check_count(value, name, zero_ok=False):
     """Raise ValueError unless ``value`` is a positive integer (a Python or
     numpy integer), or a nonnegative one with ``zero_ok``; a float such as 2.0
@@ -73,6 +86,65 @@ def _check_count(value, name, zero_ok=False):
     if not (isinstance(value, numbers.Integral) and value >= (0 if zero_ok else 1)):
         kind = "nonnegative" if zero_ok else "positive"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS bundled with numpy's
+    wheels (``libscipy_openblas64_*.so`` in ``numpy.libs``), through ctypes;
+    None when there is no such library or it lacks the symbols.  Looked up
+    on first use only, so that ``import openqdyn`` loads no ``glob``."""
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        return get, put
+    return None
+
+
+_BLAS_LOCK = threading.Lock()
+_blas_depth, _blas_saved = 0, None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the enclosed block with numpy's OpenBLAS on one thread, restoring
+    the previous count on exit, also on an exception.  On a 2-CPU host two
+    threads make the small batched SVD, inverse and product calls of a map
+    family slower.  The count is process-global: the first of overlapping or
+    nested scopes (in any thread) saves and lowers it, the last to leave
+    restores it.  A no-op without the OpenBLAS setter or at one thread."""
+    global _blas_depth, _blas_saved
+    with _BLAS_LOCK:
+        if not _blas_depth:
+            blas = _openblas_threads()
+            _blas_saved = blas[0]() if blas else 1
+            if _blas_saved > 1:
+                blas[1](1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_depth -= 1
+            if not _blas_depth and _blas_saved > 1:
+                _openblas_threads()[1](_blas_saved)
+
+
+def _cap_blas_threads(cap):
+    """Lower numpy's OpenBLAS thread count to ``cap`` where it is higher; a
+    no-op without the setter."""
+    with _BLAS_LOCK:
+        blas = _openblas_threads()
+        if blas and blas[0]() > cap:
+            blas[1](cap)
 
 
 def _blocks(M):

@@ -22,11 +22,13 @@ from .errors import DimensionError, NotCompletelyPositiveError, SingularMapError
 from .liouville import (
     _as_square,
     _blocks,
+    _check_cond_threshold,
     _check_count,
     _check_tol,
     _cond,
     _dense,
     _hs_coordinates,
+    _one_blas_thread,
     _operator_sum_superop,
     _reshuffle,
     _semigroup_blocks,
@@ -168,11 +170,14 @@ def kraus_from_choi(C, tol=DEFAULT_CP_TOL):
     Operators are sorted by descending weight and truncated below 1e-12 so the
     output is deterministic; at most N^2 operators are returned.  A Choi
     eigenvalue below ``-tol * ||C||_op`` raises
-    :class:`NotCompletelyPositiveError` carrying the witness.
+    :class:`NotCompletelyPositiveError` carrying the witness.  The norm and
+    the eigendecomposition run on one BLAS thread
+    (:func:`liouville._one_blas_thread`).
     """
     C, n = _map_dim(C)
-    scale = max(np.linalg.norm(C, 2), 1e-300)
-    w, V = np.linalg.eigh((C + C.conj().T) / 2.0)
+    with _one_blas_thread():
+        scale = max(np.linalg.norm(C, 2), 1e-300)
+        w, V = np.linalg.eigh((C + C.conj().T) / 2.0)
     if w.min() < -tol * scale:
         raise NotCompletelyPositiveError(w.min())
     kraus = []
@@ -301,7 +306,9 @@ def invert_map(S, cond_threshold=DEFAULT_COND_THRESHOLD):
     finite or exceeds the threshold, where any divisibility verdict would be
     numerically meaningless.  The condition number and the inverse come from
     the exact-zero blocks of S (see :func:`divisibility_witness`).
+    ``cond_threshold`` must be a real number >= 1 (ValueError otherwise).
     """
+    _check_cond_threshold(cond_threshold)
     S, _ = _map_dim(S)
     groups = _size_groups(_blocks(S))
     cond, ok, inv = _guarded_inverse(_take(groups, [S]), cond_threshold)
@@ -349,31 +356,35 @@ def divisibility_witness(family, tol=1e-10, cond_threshold=DEFAULT_COND_THRESHOL
     ``E_i``; the family is Markovian on the sampled grid iff every
     intermediate map is CP.  An ``E_i`` whose condition number is not finite
     or exceeds ``cond_threshold`` marks its interval inconclusive instead of
-    failing the whole run.  ``tol`` must be finite and nonnegative
-    (ValueError otherwise).
+    failing the whole run.  ``tol`` must be finite and nonnegative and
+    ``cond_threshold`` a real number >= 1 (ValueError otherwise).
 
     Every map is zero off the exact-zero blocks of the family's union
     pattern, so the condition numbers, inverses and products are taken per
     block, batched over the blocks of one size and over as many samples as
     fit the bytes of one dense map, and each batch of intermediate maps is
     judged on its Choi blocks (:func:`_cp_reports`) without a dense map.
+    These small batched kernels run on one BLAS thread
+    (:func:`liouville._one_blas_thread`).
     """
     _check_tol(tol)
+    _check_cond_threshold(cond_threshold)
     times, groups, take = _block_family(family)
     report = DivisibilityReport()
     if len(times) < 2:
         return report
     choi = _choi_blocks(groups)
-    for k in _chunks(len(times) - 1, groups):
-        cond, ok, inv = _guarded_inverse(take(k), cond_threshold)
-        mids = [S @ Si for S, Si in zip(take(k[ok] + 1), inv)]
-        cps = iter(_cp_reports(choi, mids, tol))
-        for i, c, good in zip(k, cond, ok):
-            iv = IntervalWitness(float(times[i]), float(times[i + 1]), condition=float(c))
-            if good:
-                cp = next(cps)
-                iv.min_choi_eigenvalue, iv.cp = cp.min_choi_eigenvalue, cp.verdict
-            else:
-                iv.singular, iv.label = True, "inconclusive (singular)"
-            report.intervals.append(iv)
+    with _one_blas_thread():
+        for k in _chunks(len(times) - 1, groups):
+            cond, ok, inv = _guarded_inverse(take(k), cond_threshold)
+            mids = [S @ Si for S, Si in zip(take(k[ok] + 1), inv)]
+            cps = iter(_cp_reports(choi, mids, tol))
+            for i, c, good in zip(k, cond, ok):
+                iv = IntervalWitness(float(times[i]), float(times[i + 1]), condition=float(c))
+                if good:
+                    cp = next(cps)
+                    iv.min_choi_eigenvalue, iv.cp = cp.min_choi_eigenvalue, cp.verdict
+                else:
+                    iv.singular, iv.label = True, "inconclusive (singular)"
+                report.intervals.append(iv)
     return report

@@ -35,9 +35,11 @@ from .liouville import (
     _STACK_BYTES,
     _as_square,
     _blocks,
+    _check_cond_threshold,
     _check_count,
     _dense,
     _lindblad_superop,
+    _one_blas_thread,
     _size_groups,
     _take,
     _taylor_expm,
@@ -341,8 +343,11 @@ def tcl_from_family(samples, smoothing="central-difference", cond_threshold=1e10
     2-norm condition number above the threshold are marked None: the local
     generator may still exist, but this grid cannot resolve it.  As in
     :func:`divisibility_witness`, inverses and products are taken on the
-    exact-zero blocks of the family, batched over samples.
+    exact-zero blocks of the family, batched over samples, on one BLAS
+    thread.  ``cond_threshold`` must be a real number >= 1 (ValueError
+    otherwise).
     """
+    _check_cond_threshold(cond_threshold)
     if smoothing not in ("none", "central-difference"):
         raise ValueError("smoothing must be 'none' or 'central-difference'")
     if len(samples) < 2:
@@ -352,14 +357,15 @@ def tcl_from_family(samples, smoothing="central-difference", cond_threshold=1e10
     j1 = np.minimum(i + 1, len(times) - 1)            # the difference quotient's samples
     j0 = j1 - 1 if smoothing == "none" else np.maximum(i - 1, 0)
     gens, conds = [], []
-    for k in _chunks(len(times), groups):
-        cond, ok, inv = _guarded_inverse(take(k), cond_threshold)
-        j0k, j1k = j0[k[ok]], j1[k[ok]]
-        dt = (times[j1k] - times[j0k])[:, None, None, None]
-        dE_inv = [(S1 - S0) / dt @ Si for S1, S0, Si in zip(take(j1k), take(j0k), inv)]
-        gens += [_dense(groups, dE_inv, j) if good else None
-                 for good, j in zip(ok, np.cumsum(ok) - 1)]
-        conds.extend(cond)
+    with _one_blas_thread():
+        for k in _chunks(len(times), groups):
+            cond, ok, inv = _guarded_inverse(take(k), cond_threshold)
+            j0k, j1k = j0[k[ok]], j1[k[ok]]
+            dt = (times[j1k] - times[j0k])[:, None, None, None]
+            dE_inv = [(S1 - S0) / dt @ Si for S1, S0, Si in zip(take(j1k), take(j0k), inv)]
+            gens += [_dense(groups, dE_inv, j) if good else None
+                     for good, j in zip(ok, np.cumsum(ok) - 1)]
+            conds.extend(cond)
     return ExtractedGenerator(times, gens, np.array(conds))
 
 

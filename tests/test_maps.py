@@ -435,6 +435,41 @@ def test_divisibility_witness_rejects_bad_tolerance(tol):
         maps.divisibility_witness(family[:1], tol=tol)     # no interval to test
 
 
+def _damped_qubit_family(times):
+    L = superop_of_generator(GKSLGenerator(H=0.5 * sigma_z,
+                                           jumps=[(0.3, np.array([[0, 1], [0, 0]]))]))
+    return [(t, expm(t * L)) for t in times]
+
+
+@pytest.mark.parametrize("cond_threshold", [float("nan"), -1.0, 0.5, "1e10", None])
+def test_map_inversions_reject_a_bad_cond_threshold(cond_threshold):
+    """A NaN or sub-unit threshold used to mark every map singular, and a
+    string to raise a numpy UFuncTypeError."""
+    from openqdyn.nonmarkov import tcl_from_family
+
+    family = _damped_qubit_family([0.5, 1.0])
+    for run in (lambda fam: maps.divisibility_witness(fam, cond_threshold=cond_threshold),
+                lambda fam: tcl_from_family(fam, cond_threshold=cond_threshold),
+                lambda fam: maps.invert_map(fam[-1][1], cond_threshold=cond_threshold)):
+        with pytest.raises(ValueError, match="cond_threshold must be a real number >= 1"):
+            run(family)
+    with pytest.raises(ValueError, match="cond_threshold"):          # no interval to test
+        maps.divisibility_witness(family[:1], cond_threshold=cond_threshold)
+
+
+@pytest.mark.parametrize("cond_threshold", [1, np.float64(10.0), float("inf")])
+def test_map_inversions_take_any_cond_threshold_from_one_to_inf(cond_threshold):
+    from openqdyn.nonmarkov import tcl_from_family
+
+    family = _damped_qubit_family([0.5, 1.0])
+    cond = maps.invert_map(family[-1][1]).condition
+    assert 1.0 < cond < 10.0
+    report = maps.divisibility_witness(family, cond_threshold=cond_threshold)
+    gens = tcl_from_family(family, cond_threshold=cond_threshold).generators
+    assert report.markovian is (None if cond_threshold == 1 else True)
+    assert all((G is None) == (cond_threshold == 1) for G in gens)
+
+
 @BAD_TOLS
 @pytest.mark.parametrize("check", [maps.contraction_check, maps.is_trace_preserving,
                                    maps.is_unitary_conjugation],

@@ -71,6 +71,17 @@ def _check_tol(tol):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
+def _check_alpha(alpha):
+    """alpha^2; ValueError unless the coupling strength alpha is a real number,
+    not a bool or a string, whose square is finite (no generator entry is)."""
+    with contextlib.suppress(OverflowError):              # alpha or alpha^2 out of range
+        if isinstance(alpha, numbers.Real) and not isinstance(alpha, bool) and math.isfinite(
+                float(alpha) ** 2):
+            return float(alpha) ** 2
+    raise ValueError(f"coupling strength alpha must be a real number with a finite square, "
+                     f"got {alpha!r}")
+
+
 def _check_cond_threshold(cond_threshold):
     """Raise ValueError unless the condition-number threshold is a real number
     >= 1 (inf allowed): no map has a condition number below 1, so a smaller or
@@ -82,8 +93,9 @@ def _check_cond_threshold(cond_threshold):
 def _check_count(value, name, zero_ok=False):
     """Raise ValueError unless ``value`` is a positive integer (a Python or
     numpy integer), or a nonnegative one with ``zero_ok``; a float such as 2.0
-    is rejected, not truncated."""
-    if not (isinstance(value, numbers.Integral) and value >= (0 if zero_ok else 1)):
+    or a bool such as True is rejected, not truncated or counted as 1."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= (0 if zero_ok else 1)):
         kind = "nonnegative" if zero_ok else "positive"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 

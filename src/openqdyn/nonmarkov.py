@@ -19,6 +19,11 @@ e^{-i nu t} against every frequency, and coarse graining takes the two
 triangle kernels of a pair (w, w') once for the pair and its mirror
 (-w, -w').
 
+Both sum their operators over the channels of the factored coupling
+pattern (:func:`_channels`), so the terms that the pattern weights cancel
+are never formed: a damped oscillator's generators keep the exact zeros
+between their Bohr sectors at every temperature.
+
 Complete positivity of finite-order TCL propagation is *not* asserted; the
 solvers monitor trace and positivity of the trajectory (and the minimum Choi
 eigenvalue of the accumulated map where requested) and report violations
@@ -35,6 +40,7 @@ from .liouville import (
     _STACK_BYTES,
     _as_square,
     _blocks,
+    _check_alpha,
     _check_cond_threshold,
     _check_count,
     _dense,
@@ -54,10 +60,10 @@ from .maps import (DEFAULT_CP_TOL, _block_family, _choi_blocks, _chunks, _cp_rep
                    _guarded_inverse)
 from .weakcoupling import (
     _bohr_stack,
-    _gamma_stack,
+    _gamma_sums,
     _horizons,
     _node_counts,
-    _pattern_weights,
+    _pattern_factors,
     _require_integrable,
     _row_blocks,
     _triangle_kernel,
@@ -243,6 +249,34 @@ def post_markovian_evolve(L, kernel, rho0, t_grid, steps=2000):
 # TCL2
 # ---------------------------------------------------------------------------
 
+def _channels(system, bin_tol):
+    """The sorted Bohr frequencies w, the weights E of :func:`_pattern_factors`
+    and the (C, F, N, N) channel blocks D_j(w) = sum_k conj(R_kj) A_k(w) and
+    D~_j(w) = sum_k R_kj A_k(w).  With W = R diag(e) R^dag, a sum
+    sum_kl W_kl X_k^dag Y_l is sum_j e_j X_j^dag Y_j on the channel blocks;
+    for the quadrature pair of a damped oscillator they are a and a^dag at
+    one frequency each, and exactly 0 at the other."""
+    freqs, fi, ki, B, _ = _bohr_stack(system.H, system.couplings, bin_tol)
+    R, E = _pattern_factors(system.coupling_pattern, len(system.couplings))
+    A = np.zeros((len(R), len(freqs)) + system.H.shape, dtype=complex)
+    A[ki, fi] = B
+    return freqs, E, np.einsum("kj,kfab->jfab", R.conj(), A), np.einsum("kj,kfab->jfab", R, A)
+
+
+def _channel_diag(c):
+    """Per-channel coefficients (m, C, F, F) as block-diagonal (m, CF, CF)
+    matrices over the channel-major blocks: channels do not mix."""
+    m, C, F, _ = c.shape
+    return (c[:, :, :, None] * np.eye(C)[:, None, :, None]).reshape(m, C * F, C * F)
+
+
+def _pair_sums(c, P):
+    """sum_x c[t, x] P[x] over a stack P of N x N products, one product call
+    per horizon t, so that a slice of a stack equals its horizon alone."""
+    n = P.shape[-1]
+    return np.matmul(c.reshape(len(c), 1, -1), P.reshape(-1, n * n)).reshape(-1, n, n)
+
+
 def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     """Second-order time-convolutionless generator at memory horizon t.
 
@@ -251,26 +285,27 @@ def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     Gamma^t_kl(w) = int_0^t du e^{iwu} C_kl(u).  Returned in the Schrodinger
     picture, where the oscillating prefactors cancel exactly and only the
     coefficients carry the time dependence.  At t = 0 the dissipative part
-    vanishes.
+    vanishes.  ``alpha`` must be a real number with a finite square
+    (ValueError otherwise).
 
     ``t`` is a horizon or a 1-D array of m horizons, which gives the
     (m, N^2, N^2) stack of generators from one Bohr decomposition and one
     Gamma table over every (t, w); each slice equals the generator at that
     horizon alone up to rounding.
 
-    Over the blocks B_(w,l) = A_l(w), with c[(w,l),(w',k)] = Gamma^t_kl(w),
-    the dissipator is sum (c + c^dag)_ab B_a rho B_b^dag - Q rho - rho Q^dag
-    with Q = sum c_ab B_b^dag B_a.
+    With Gamma^t(w) = sum_j s_j(w) R_j R_j^dag over the channel blocks D_j(w)
+    of :func:`_channels`, the dissipator is
+    sum_j sum_ww' (s_j(w) + conj s_j(w')) D_j(w) rho D_j(w')^dag - Q rho
+    - rho Q^dag with Q = sum_j sum_w s_j(w) D_j^dag D_j(w), D_j = sum_w D_j(w).
     """
     t = _horizons(t)
     ts = np.atleast_1d(t)
-    K = len(system.couplings)
-    freqs, fi, ki, B, _ = _bohr_stack(system.H, system.couplings, bin_tol)
-    gam = _gamma_stack(bath, freqs, ts, system.coupling_pattern, n_couplings=K)
-    c = gam[:, fi[:, None], ki[None, :], ki[:, None]]
-    Q = np.einsum("tab,bji,ajk->tik", c, B.conj(), B)
-    alpha2 = float(alpha) ** 2
-    L = _lindblad_superop(system.H, alpha2 * Q, B, alpha2 * (c + c.conj().transpose(0, 2, 1)))
+    alpha2 = _check_alpha(alpha)
+    freqs, E, D, _ = _channels(system, bin_tol)
+    s = np.einsum("pj,ptf->tjf", E, _gamma_sums(bath, freqs, ts))
+    Q = _pair_sums(s, D.sum(axis=1, keepdims=True).conj().swapaxes(-1, -2) @ D)
+    c = _channel_diag(s[..., :, None] + s[..., None, :].conj())
+    L = _lindblad_superop(system.H, alpha2 * Q, D.reshape(-1, *system.H.shape), alpha2 * c)
     return L if t.ndim else L[0]
 
 
@@ -434,9 +469,11 @@ def coarse_grain_generator(system, bath, tau, alpha=1.0, picture="schrodinger",
     positive and finite (ValueError otherwise).  A bath whose J nbar is not
     integrable at 0+ (a flat density at T > 0) raises QuadratureError.
 
-    Over the blocks B_a = A_k(w), B_b = A_l(w'), each part is a pair sum
-    sum_ab c_ab X_a Y_b whose coefficients weight the triangle integrals of
-    the pair (w, w') with the coupling weights of (k, l).
+    Each part is a pair sum sum_j sum_ww' c_j(w, w') D~_j(w) D_j(w') (or
+    D_j(w) rho D~_j(w')) over the channel blocks of :func:`_channels`, whose
+    coefficients are the triangle integrals of the pair (w, w') in the
+    channel's parts.  ``alpha`` must be a real number with a finite square
+    (ValueError otherwise).
     ``picture="schrodinger"`` (default) adds the free part -i[H_A, .];
     ``picture="interaction"`` returns L^tau/tau alone.
     """
@@ -445,8 +482,9 @@ def coarse_grain_generator(system, bath, tau, alpha=1.0, picture="schrodinger",
         raise ValueError("coarse-graining time tau must be positive")
     if picture not in ("schrodinger", "interaction"):
         raise ValueError("picture must be 'schrodinger' or 'interaction'")
+    alpha2 = _check_alpha(alpha)
     taus = np.atleast_1d(tau)
-    freqs, fi, ki, B, _ = _bohr_stack(system.H, system.couplings, bin_tol)
+    freqs, E, D, Dt = _channels(system, bin_tol)
     if len(freqs):
         _require_integrable(bath, "coarse-grained generator")
     nodes = _node_counts(bath, max((abs(w) for w in freqs), default=0.0), taus)
@@ -455,26 +493,23 @@ def coarse_grain_generator(system, bath, tau, alpha=1.0, picture="schrodinger",
         rows = np.flatnonzero(nodes == n)
         tri[rows] = _cg_pair_integrals(bath.correlation_table(n), taus[rows], freqs)
     square = tri + tri[:, [2, 3, 0, 1]].transpose(0, 1, 3, 2)     # both time orderings
-    Wp, Wm = (W[np.ix_(ki, ki)] for W in
-              _pattern_weights(system.coupling_pattern, len(system.couplings)))
-    pair = (slice(None), fi[:, None], fi[None, :])
-    c_tri = Wp * tri[:, 0][pair] + Wm * tri[:, 1][pair]
-    c_trin = Wp.T * tri[:, 2][pair] + Wm.T * tri[:, 3][pair]
-    c_sq = Wp * square[:, 0][pair] + Wm * square[:, 1][pair]
-    c_sqn = Wp.T * square[:, 2][pair] + Wm.T * square[:, 3][pair]
 
-    H_raw = (np.einsum("tab,aij,bjk->tik", c_tri, B, B)
-             - np.einsum("tab,bij,ajk->tik", c_trin, B, B))
-    Q = np.einsum("tab,aij,bjk->tik", c_sq, B, B)
-    alpha2 = float(alpha) ** 2
+    def channel(X):                              # [t, j, w, w'] of the parts [t, +-, w, w']
+        return np.einsum("pj,tpab->tjab", E, X)
+
+    P = Dt[:, :, None] @ D[:, None, :]           # D~_j(w) D_j(w')
+    H_raw = _pair_sums(channel(tri[:, :2]) - channel(tri[:, 2:]).swapaxes(-1, -2), P)
+    Q = _pair_sums(channel(square[:, :2]), P)
     H_cg = (alpha2 / 2.0j) * H_raw
     H_cg = (H_cg + H_cg.conj().transpose(0, 2, 1)) / 2.0
     Q = alpha2 / 4.0 * (Q + Q.conj().transpose(0, 2, 1))
     # -i[H_cg, .] - Q rho - rho Q^dag is -K rho - rho K^dag with K = Q + i H_cg
     per_tau = 1.0 / taus[:, None, None]
     H = system.H if picture == "schrodinger" else np.zeros_like(system.H)
-    L = _lindblad_superop(H, (Q + 1j * H_cg) * per_tau, B, alpha2 * c_sqn * per_tau,
-                          B.conj().transpose(0, 2, 1))
+    shape = (-1,) + system.H.shape
+    L = _lindblad_superop(H, (Q + 1j * H_cg) * per_tau, D.reshape(shape),
+                          alpha2 * _channel_diag(channel(square[:, 2:])) * per_tau,
+                          Dt.reshape(shape).conj().transpose(0, 2, 1))
     return L if tau.ndim else L[0]
 
 

@@ -35,22 +35,31 @@ from .errors import (
     ZeroFrequencyRateError,
 )
 from .gksl import GKSLGenerator, superop_of_generator
-from .liouville import _as_square, apply_superop, is_hermitian, trace_norm
+from .liouville import _as_square, _check_alpha, apply_superop, is_hermitian, trace_norm
 from .operators import destroy, number, sigma_minus, sigma_plus, sigma_x, sigma_z
 
-_PAIR_PLUS = np.array([[1.0, 1.0j], [-1.0j, 1.0]])   # quadrature pattern at +omega
-_PAIR_MINUS = _PAIR_PLUS.conj()                      # conjugate pattern at -omega
+_R_PLUS = np.array([1.0, -1.0j]) / 2.0         # quadrature pair: W_plus = R_plus R_plus^dag
+
+
+def _pattern_factors(pattern, n_couplings=None):
+    """Factors (R, E) of the coupling pattern, W_plus = R diag(E[0]) R^dag and
+    W_minus = R diag(E[1]) R^dag: the channels (columns of R) R_plus = (1, -i)/2
+    of emission and R_minus = conj(R_plus) of absorption for the quadrature
+    pair, R = I with both parts on every channel for ``single``."""
+    if pattern == "position_xy":
+        return np.column_stack([_R_PLUS, _R_PLUS.conj()]), np.eye(2)
+    if pattern == "single":
+        K = 1 if n_couplings is None else n_couplings
+        return np.eye(K, dtype=complex), np.ones((2, K))
+    raise ValueError(f"unknown coupling pattern {pattern!r}")
 
 
 def _pattern_weights(pattern, n_couplings=None):
     """Coupling-space weights (W_plus, W_minus) of the emission (J (nbar+1))
-    and absorption (J nbar) parts of every rate and shift matrix."""
-    if pattern == "position_xy":
-        return 0.25 * _PAIR_PLUS, 0.25 * _PAIR_MINUS
-    if pattern == "single":
-        eye = np.eye(1 if n_couplings is None else n_couplings, dtype=complex)
-        return eye, eye
-    raise ValueError(f"unknown coupling pattern {pattern!r}")
+    and absorption (J nbar) parts of every rate and shift matrix, from
+    :func:`_pattern_factors`: (1/4) [[1, +-i], [-+i, 1]] or the identity."""
+    R, E = _pattern_factors(pattern, n_couplings)
+    return tuple((R * e) @ R.conj().T for e in E)
 
 
 def bose_occupation(omega, temperature):
@@ -487,8 +496,8 @@ def _triangle_kernel(a, s, t):
 #: finite-horizon rules; bounds their temporaries for any number of horizons
 _GAMMA_BLOCK = 2 ** 16
 
-#: |(w -+ nu) t| below which, at the least horizon of a block, a node of the
-#: Gamma sums of _gamma_stack takes _halfline_kernel instead of the phase table
+#: |(w -+ nu) t| below which, at the least horizon of a block, a node of
+#: _gamma_sums takes _halfline_kernel instead of the phase table
 _NEAR_POLE = 1e-2
 
 
@@ -519,7 +528,17 @@ def _row_blocks(rows, n):
 
 def _gamma_stack(bath, omegas, t, coupling_pattern, n_couplings=None):
     """Gamma^t(w) of :func:`finite_time_gamma` for every horizon of the 1-D
-    array ``t`` and every frequency w of ``omegas``: the (m, F, K, K) stack.
+    array ``t`` and every frequency w of ``omegas``: the (m, F, K, K) stack
+    I_plus W_plus + I_minus W_minus over the sums of :func:`_gamma_sums`."""
+    w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
+    sums = _gamma_sums(bath, omegas, t)
+    return sums[0, ..., None, None] * w_plus + sums[1, ..., None, None] * w_minus
+
+
+def _gamma_sums(bath, omegas, t):
+    """The emission and absorption sums (I_plus, I_minus) of Gamma^t(w) for
+    every horizon of the 1-D array ``t`` and every frequency w of
+    ``omegas``: the (2, m, F) array, without the coupling weights.
 
     Since e^{i(w -+ nu)t} = e^{iwt} e^{-+i nu t}, the rule's sum of
     f E_t(w -+ nu) is e^{iwt} sum g e^{-+i nu t} - sum g with
@@ -537,7 +556,6 @@ def _gamma_stack(bath, omegas, t, coupling_pattern, n_couplings=None):
     gives exactly 0; a positive one raises :class:`QuadratureError` for a
     bath whose J nbar is not integrable at 0+ (:func:`_require_integrable`).
     """
-    w_plus, w_minus = _pattern_weights(coupling_pattern, n_couplings)
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size and np.any(t > 0):
         _require_integrable(bath, "finite-horizon Gamma")
@@ -560,7 +578,7 @@ def _gamma_stack(bath, omegas, t, coupling_pattern, n_couplings=None):
                     if near.any():
                         s += np.sum(f[near] * _halfline_kernel(y[near], tr), axis=-1)
                     sums[k, r[own], i] = s
-    return sums[0, ..., None, None] * w_plus + sums[1, ..., None, None] * w_minus
+    return sums
 
 
 def finite_time_gamma(bath, omega, t, coupling_pattern="position_xy", n_couplings=None):
@@ -758,12 +776,13 @@ def davies_generator(system, bath, alpha=1.0, bin_tol=None, n_nodes=2048,
     diagonalized form.  Every rate comes before any shift, so a
     zero-frequency rate error comes first.  Near-colliding Bohr bins trigger
     a degeneracy warning (the secular approximation is the caller's
-    responsibility there).
+    responsibility there).  ``alpha`` must be a real number with a finite
+    square (ValueError otherwise).
     """
+    alpha2 = _check_alpha(alpha)
     n, K, pattern = system.dim, len(system.couplings), system.coupling_pattern
     freqs, fi, ki, B, bin_tol = _bohr_stack(system.H, system.couplings, bin_tol)
     _warn_near_degenerate(freqs, bin_tol)
-    alpha2 = float(alpha) ** 2
     A = np.zeros((len(freqs), K, n, n), dtype=complex)
     A[fi, ki] = B
     present = A.any(axis=(2, 3))                 # a block that exists is nonzero

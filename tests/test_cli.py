@@ -183,6 +183,22 @@ def test_dephasing_flat_bath_exits_numerical(tmp_path, capsys):
     assert "zero-frequency" in err or "ohmic" in err
 
 
+@pytest.mark.parametrize("verb,scheme", [
+    ("derive", "markov"), ("evolve", "markov"), ("nonmarkov", "tcl2"),
+    ("nonmarkov", "coarse_grain")])
+def test_nan_coupling_strength_exits_numerical(tmp_path, capsys, verb, scheme):
+    """A NaN coupling strength used to give a non-finite generator; every
+    generator builder now rejects it by name."""
+    out = str(tmp_path / "out.csv")
+    text = QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=1.0, steps=2, out=out)
+    text = text.replace("omega0 = 1.0", "omega0 = 1.0\ncoupling_strength = nan")
+    cfg = write_cfg(tmp_path, text.replace("scheme = markov", f"scheme = {scheme}"))
+    assert run_cli([verb, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: coupling strength alpha must be a real number")
+    assert not os.path.exists(out)
+
+
 def test_check_all_pass_and_exit_codes(tmp_path):
     out = str(tmp_path / "check.csv")
     text = QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=5.0, steps=5, out=out)

@@ -450,7 +450,7 @@ def test_propagate_steps_must_be_a_positive_integer():
     """A float step count is rejected, not truncated; numpy integers count."""
     rng = np.random.default_rng(11)
     L = rand_hermitian(3, rng) * 1j * 0.5
-    for steps in (2.5, 2.0, 0, -1):
+    for steps in (2.5, 2.0, 0, -1, True):
         with pytest.raises(ValueError, match="steps must be a positive integer"):
             lv.propagate_time_dependent(lambda t: L, 0.0, 2.0, steps)
     P = lv.propagate_time_dependent(lambda t: L, 0.0, 2.0, np.int32(3))
@@ -751,7 +751,7 @@ def test_induced_trace_norm_of_no_samples_is_the_estimate_over_extra():
     assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("samples", [-5, -1, 3.0, 2.5, "3", None])
+@pytest.mark.parametrize("samples", [-5, -1, 3.0, 2.5, "3", None, True, False])
 def test_induced_trace_norm_rejects_a_bad_sample_count(samples):
     """A negative count used to give 0.0, an estimate that reads as a
     contraction."""

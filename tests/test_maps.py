@@ -483,7 +483,7 @@ def test_map_checks_reject_bad_tolerance(check, tol):
         check(np.eye(4), tol=tol)
 
 
-@pytest.mark.parametrize("samples", [0, -5, 3.0, 2.5, "3", None])
+@pytest.mark.parametrize("samples", [0, -5, 3.0, 2.5, "3", None, True, False])
 def test_contraction_check_rejects_a_bad_sample_count(samples):
     with pytest.raises(ValueError, match="samples must be a positive integer"):
         maps.contraction_check(np.eye(4), samples=samples)

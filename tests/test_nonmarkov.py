@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import openqdyn as oq
 
@@ -843,6 +845,137 @@ def test_generators_without_bohr_blocks_are_free(couplings):
     assert np.array_equal(nm.coarse_grain_generator(system, bath, 0.5), free)
 
 
+# ---------------------------------------------------------------------------
+# the factored coupling pattern: channel blocks instead of W-weighted pairs
+# ---------------------------------------------------------------------------
+
+def _weighted_tcl2_generator(system, bath, ts, alpha):
+    """The TCL2 stack with every pair of Bohr blocks weighted by Gamma^t_kl(w)
+    and summed, as assembled before the pattern was factored."""
+    from openqdyn.liouville import _lindblad_superop
+
+    freqs, fi, ki, B, _ = wc._bohr_stack(system.H, system.couplings)
+    gam = wc._gamma_stack(bath, freqs, ts, system.coupling_pattern, len(system.couplings))
+    c = gam[:, fi[:, None], ki[None, :], ki[:, None]]
+    Q = np.einsum("tab,bji,ajk->tik", c, B.conj(), B)
+    return _lindblad_superop(system.H, alpha ** 2 * Q, B,
+                             alpha ** 2 * (c + c.conj().transpose(0, 2, 1)))
+
+
+def _weighted_coarse_grain_generator(system, bath, taus, alpha):
+    """The interaction-picture coarse-grained stack with every pair of Bohr
+    blocks weighted by the pattern weights of its couplings and summed, as
+    assembled before the pattern was factored."""
+    from openqdyn.liouville import _lindblad_superop
+
+    freqs, fi, ki, B, _ = wc._bohr_stack(system.H, system.couplings)
+    tri = np.empty((len(taus), 4, len(freqs), len(freqs)), dtype=complex)
+    for k, tau in enumerate(taus):
+        n = wc._node_counts(bath, max((abs(w) for w in freqs), default=0.0), tau)
+        tri[k] = nm._cg_pair_integrals(bath.correlation_table(int(n)), [tau], freqs)[0]
+    square = tri + tri[:, [2, 3, 0, 1]].transpose(0, 1, 3, 2)
+    Wp, Wm = (W[np.ix_(ki, ki)] for W in
+              wc._pattern_weights(system.coupling_pattern, len(system.couplings)))
+    pair = (slice(None), fi[:, None], fi[None, :])
+    c_tri = Wp * tri[:, 0][pair] + Wm * tri[:, 1][pair]
+    c_trin = Wp.T * tri[:, 2][pair] + Wm.T * tri[:, 3][pair]
+    c_sq = Wp * square[:, 0][pair] + Wm * square[:, 1][pair]
+    c_sqn = Wp.T * square[:, 2][pair] + Wm.T * square[:, 3][pair]
+    H_raw = (np.einsum("tab,aij,bjk->tik", c_tri, B, B)
+             - np.einsum("tab,bij,ajk->tik", c_trin, B, B))
+    Q = np.einsum("tab,aij,bjk->tik", c_sq, B, B)
+    H_cg = (alpha ** 2 / 2.0j) * H_raw
+    H_cg = (H_cg + H_cg.conj().transpose(0, 2, 1)) / 2.0
+    Q = alpha ** 2 / 4.0 * (Q + Q.conj().transpose(0, 2, 1))
+    per_tau = 1.0 / np.asarray(taus)[:, None, None]
+    return _lindblad_superop(np.zeros_like(system.H), (Q + 1j * H_cg) * per_tau, B,
+                             alpha ** 2 * c_sqn * per_tau, B.conj().transpose(0, 2, 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(dim=st.integers(min_value=2, max_value=3), seed=st.integers(0, 2 ** 32 - 1),
+       pattern=st.sampled_from(["position_xy", "single"]), temperature=st.sampled_from([0.0, 1.0]))
+def test_factored_pattern_matches_the_weighted_assembly(dim, seed, pattern, temperature):
+    """Random Hermitian H and couplings (two for the quadrature pair, one or
+    two independent baths for ``single``): both generators agree with the
+    W-weighted pair sums to 1e-13 of their largest entry."""
+    rng = np.random.default_rng(seed)
+    n_couplings = 2 if pattern == "position_xy" else int(rng.integers(1, 3))
+    system = wc.SystemModel(oq.operators.rand_hermitian(dim, rng),
+                            [oq.operators.rand_hermitian(dim, rng) for _ in range(n_couplings)],
+                            pattern)
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
+    ts = np.array([0.0, 0.4, 3.0])
+    _assert_rel_close(nm.tcl2_generator(system, bath, ts, alpha=0.8),
+                      _weighted_tcl2_generator(system, bath, ts, 0.8))
+    _assert_rel_close(nm.coarse_grain_generator(system, bath, ts[1:], alpha=0.8,
+                                                picture="interaction"),
+                      _weighted_coarse_grain_generator(system, bath, ts[1:], 0.8))
+
+
+def _sector_blocks(n):
+    """The blocks of the Bohr sectors of an n-level ladder on the Liouville
+    space: the vectorized rho[i, j] at row j n + i lies in sector i - j, and
+    the 1 x 1 sectors are gathered into one block, as _blocks does."""
+    from openqdyn.liouville import _blocks
+
+    r = np.arange(n * n)
+    sector = r % n - r // n
+    return _blocks(sector[:, None] == sector[None, :])
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+@pytest.mark.parametrize("model", ["osc10", "qubit"])
+def test_finite_horizon_stacks_keep_the_bohr_sectors(model, temperature):
+    """The exact nonzero pattern of a TCL2 and a coarse-grained stack splits
+    into the Bohr sectors at every temperature: 19 sectors for osc10 (the
+    two 1 x 1 sectors +-9 gathered into one block), 3 for the qubit.  The
+    quadrature pair folds into the channels a and a^dag, so the counter-
+    rotating terms that cancel at T > 0 are never formed."""
+    from openqdyn.liouville import _blocks
+
+    system = wc.damped_oscillator(10, OMEGA0) if model == "osc10" else wc.damped_qubit(OMEGA0)
+    bath = wc.BathModel.ohmic(coupling=0.05, omega_c=3.0, temperature=temperature)
+    sectors = _sector_blocks(system.dim)
+    assert len(sectors) == {"osc10": 18, "qubit": 2}[model]
+    for stack in (nm.tcl2_generator(system, bath, np.linspace(0.0, 10.0, 41)),
+                  nm.coarse_grain_generator(system, bath, np.linspace(0.2, 10.0, 8))):
+        got = _blocks((stack != 0).any(axis=0))
+        assert len(got) == len(sectors)
+        assert all(np.array_equal(a, b) for a, b in zip(got, sectors))
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, 1e200, "2", True, False, 1j, None],
+                         ids=repr)
+def test_builders_reject_a_bad_coupling_strength(alpha):
+    """A NaN or infinite alpha gave a non-finite generator without a word,
+    1e200 an OverflowError, and a string or bool passed as a number."""
+    system = wc.damped_qubit(OMEGA0)
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    for build in (lambda: wc.davies_generator(system, bath, alpha=alpha),
+                  lambda: nm.tcl2_generator(system, bath, 0.5, alpha=alpha),
+                  lambda: nm.coarse_grain_generator(system, bath, 0.5, alpha=alpha),
+                  lambda: nm.tcl2_evolve(system, bath, rho0, [0.0, 0.5], alpha=alpha),
+                  lambda: nm.coarse_grain_evolve(system, bath, alpha, rho0, [0.0, 0.5])):
+        with pytest.raises(ValueError, match="coupling strength alpha"):
+            build()
+
+
+def test_builders_accept_any_real_coupling_strength():
+    """numpy scalars count as their value, and alpha enters as alpha^2."""
+    system = wc.damped_qubit(OMEGA0)
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
+    for build in (lambda a: wc.davies_generator(system, bath, alpha=a).superoperator(),
+                  lambda a: nm.tcl2_generator(system, bath, 0.5, alpha=a),
+                  lambda a: nm.coarse_grain_generator(system, bath, 0.5, alpha=a)):
+        ref = build(0.5)
+        for alpha in (np.float64(0.5), -0.5, np.float32(0.5)):
+            assert np.array_equal(build(alpha), ref)
+        assert np.array_equal(build(np.int64(1)), build(1.0))
+        assert np.array_equal(build(0), build(0.0))
+
+
 
 # ---------------------------------------------------------------------------
 # TCL2 trajectories from generator stacks
@@ -905,7 +1038,7 @@ def test_tcl2_evolve_substeps_must_be_a_positive_integer():
     bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
     rho0 = np.diag([0.3, 0.7]).astype(complex)
     t_grid = [0.0, 0.5, 1.0]
-    for substeps in (2.0, 2.5, 0, -2):
+    for substeps in (2.0, 2.5, 0, -2, True):
         with pytest.raises(ValueError, match="substeps must be a positive integer"):
             nm.tcl2_evolve(system, bath, rho0, t_grid, substeps=substeps)
     got = nm.tcl2_evolve(system, bath, rho0, t_grid, substeps=np.int64(2))
@@ -921,7 +1054,7 @@ def test_kernel_schemes_steps_must_be_a_positive_integer(evolve):
     kernel = nm.TabulatedKernel(np.linspace(0.0, 2.0, 21), np.exp(-np.linspace(0.0, 2.0, 21)))
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     t_grid = np.array([0.0, 0.5])
-    for steps in (0, 2.5, 100.0):
+    for steps in (0, 2.5, 100.0, True):
         with pytest.raises(ValueError, match="steps must be a positive integer"):
             evolve(L, kernel, rho0, t_grid, steps=steps)
     got = evolve(L, kernel, rho0, t_grid, steps=np.int64(100))

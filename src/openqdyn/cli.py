@@ -85,14 +85,22 @@ def _floats(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _positive(cast):
-    """``cast`` that also rejects a value that is not finite and positive."""
+def _checked(cast, ok, what):
+    """``cast`` that also rejects a value that is not finite or fails ``ok``."""
     def parse(text):
         value = cast(text)
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"must be finite and positive, got {text}")
+        if not (np.isfinite(value) and ok(value)):
+            raise ValueError(f"must be {what}, got {text}")
         return value
     return parse
+
+
+def _positive(cast):
+    return _checked(cast, lambda v: v > 0, "finite and positive")
+
+
+_finite = _checked(float, lambda v: True, "finite")
+_nonnegative = _checked(float, lambda v: v >= 0, "finite and nonnegative")
 
 
 def _read_lines(path, what):
@@ -200,23 +208,24 @@ def build_bath(cfg):
     from .weakcoupling import BathModel
 
     kind = _get(cfg, "bath", "type", default="ohmic").lower()
+    if {"T", "temperature"} <= cfg.get("bath", {}).keys():
+        raise ConfigError("[bath] sets both 'T' and 'temperature'; give one")
     key = "temperature" if "temperature" in cfg.get("bath", {}) else "T"
     T = _get(cfg, "bath", key, default=0.0, cast=float)
     if not (np.isfinite(T) and T >= 0):
         raise ConfigError(f"key {key!r} in [bath]: must be finite and nonnegative, got {T}")
     if kind == "ohmic":
         return BathModel.ohmic(
-            coupling=_get(cfg, "bath", "alpha", default=0.1, cast=float),
-            omega_c=_get(cfg, "bath", "omega_c", default=3.0, cast=float),
+            coupling=_get(cfg, "bath", "alpha", default=0.1, cast=_nonnegative),
+            omega_c=_get(cfg, "bath", "omega_c", default=3.0, cast=_positive(float)),
             temperature=T,
-            s=_get(cfg, "bath", "s", default=1.0, cast=float),
-            omega_max=_get(cfg, "bath", "omega_max", default=None,
-                           cast=lambda v: float(v)),
+            s=_get(cfg, "bath", "s", default=1.0, cast=_finite),
+            omega_max=_get(cfg, "bath", "omega_max", default=None, cast=_positive(float)),
         )
     if kind == "flat":
         return BathModel.flat(
-            j0=_get(cfg, "bath", "alpha", default=0.1, cast=float),
-            omega_max=_get(cfg, "bath", "omega_max", required=True, cast=float),
+            j0=_get(cfg, "bath", "alpha", default=0.1, cast=_nonnegative),
+            omega_max=_get(cfg, "bath", "omega_max", required=True, cast=_positive(float)),
             temperature=T,
         )
     if kind == "table":
@@ -228,7 +237,7 @@ def build_bath(cfg):
                                   f"got {len(vals)}")
             rows.append(vals)
         data = np.array(rows).reshape(-1, 2)
-        omega_max = _get(cfg, "bath", "omega_max", default=None, cast=lambda v: float(v))
+        omega_max = _get(cfg, "bath", "omega_max", default=None, cast=_positive(float))
         try:
             return BathModel.tabulated(data[:, 0], data[:, 1], temperature=T,
                                        omega_max=omega_max)
@@ -241,12 +250,12 @@ def build_system(cfg):
     from .weakcoupling import SystemModel, damped_oscillator, damped_qubit, pure_dephasing
 
     preset = _get(cfg, "model", "preset", default="damped_qubit").lower()
-    omega0 = _get(cfg, "model", "omega0", default=1.0, cast=float)
+    omega0 = _get(cfg, "model", "omega0", default=1.0, cast=_finite)
     if preset == "damped_qubit":
         return damped_qubit(omega0)
     if preset == "damped_oscillator":
         return damped_oscillator(
-            n_levels=_get(cfg, "model", "n_levels", default=10, cast=int),
+            n_levels=_get(cfg, "model", "n_levels", default=10, cast=_positive(int)),
             omega0=omega0)
     if preset == "pure_dephasing":
         return pure_dephasing(omega0)

@@ -64,11 +64,11 @@ def _as_square(M, name="matrix"):
     return M
 
 
-def _check_tol(tol):
+def _check_tol(tol, name="tol"):
     """Raise ValueError unless the tolerance is finite and nonnegative: a
     negative, NaN or infinite tolerance would flip a verdict silently."""
     if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
 
 
 def _check_alpha(alpha):

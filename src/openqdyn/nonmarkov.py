@@ -256,11 +256,9 @@ def _channels(system, bin_tol):
     sum_kl W_kl X_k^dag Y_l is sum_j e_j X_j^dag Y_j on the channel blocks;
     for the quadrature pair of a damped oscillator they are a and a^dag at
     one frequency each, and exactly 0 at the other."""
-    freqs, fi, ki, B, _ = _bohr_stack(system.H, system.couplings, bin_tol)
+    freqs, A, _ = _bohr_stack(system.H, system.couplings, bin_tol)
     R, E = _pattern_factors(system.coupling_pattern, len(system.couplings))
-    A = np.zeros((len(R), len(freqs)) + system.H.shape, dtype=complex)
-    A[ki, fi] = B
-    return freqs, E, np.einsum("kj,kfab->jfab", R.conj(), A), np.einsum("kj,kfab->jfab", R, A)
+    return freqs, E, np.einsum("kj,fkab->jfab", R.conj(), A), np.einsum("kj,fkab->jfab", R, A)
 
 
 def _channel_diag(c):

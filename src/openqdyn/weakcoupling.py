@@ -35,7 +35,7 @@ from .errors import (
     ZeroFrequencyRateError,
 )
 from .gksl import GKSLGenerator, superop_of_generator
-from .liouville import _as_square, _check_alpha, apply_superop, is_hermitian, trace_norm
+from .liouville import _as_square, _check_alpha, _check_tol, apply_superop, is_hermitian, trace_norm
 from .operators import destroy, number, sigma_minus, sigma_plus, sigma_x, sigma_z
 
 _R_PLUS = np.array([1.0, -1.0j]) / 2.0         # quadrature pair: W_plus = R_plus R_plus^dag
@@ -634,8 +634,9 @@ class SystemModel:
 class BohrDecomposition:
     """Eigenoperator blocks of one coupling operator.
 
-    frequencies are the signed Bohr frequencies present (binned within
-    bin_tol); blocks[w] satisfies [H, A(w)] = -w A(w), A(-w) = A(w)^dag and
+    frequencies are the signed Bohr frequencies present (one per run of
+    level differences, :func:`_bohr_stack`); blocks[w] satisfies
+    [H, A(w)] = -w A(w) within its bin's spread, A(-w) = A(w)^dag and
     sum_w A(w) = A.
     """
 
@@ -644,42 +645,45 @@ class BohrDecomposition:
     bin_tol: float
 
 
-def _bin_frequencies(diffs, bin_tol):
-    """Cluster nonnegative energy differences into bins of width bin_tol: the
-    mean of each run of sorted differences with steps of at most bin_tol."""
-    diffs = np.sort(diffs)
-    runs = np.split(diffs, np.flatnonzero(np.diff(diffs) > bin_tol) + 1)
-    return [float(np.mean(run)) for run in runs]
-
-
 def _bohr_stack(H, couplings, bin_tol=None):
-    """Bohr decomposition of every coupling from one eigensolve of H, binned
-    as in :func:`bohr_decompose`: in the eigenbasis, A_k(w) is A_k masked to
-    the level pairs with e_j - e_i within max(bin_tol, 1e-12 ||H||) of the
-    bin center w; it exists where an entry exceeds 1e-12 max |A_k|.  Returns
-    the sorted frequencies with a block, the frequency index, coupling index
-    and operator of every block (frequency-major), and bin_tol.  The
-    invariants of the blocks are checked for all at once (ValueError).
+    """Bohr decomposition of every coupling from one eigensolve of H.  Each
+    run of sorted |e_j - e_i| with steps of at most bin_tol is one bin at its
+    mean (the run of 0 at 0), signed by the pair, so the bins partition the
+    level pairs.  In the eigenbasis A_k(w) is A_k masked to the pairs of bin
+    w; it exists where an entry exceeds 1e-12 max |A_k|.  Returns the sorted
+    frequencies with a block, the (F, K, N, N) stack of blocks (zero where a
+    coupling has none) and bin_tol; the invariants are checked for all blocks
+    at once (ValueError).
     """
     eps, V = np.linalg.eigh(H)
     scale = max(np.abs(eps).max(), 1e-300)                         # ||H||_2
     bin_tol = 1e-9 * scale if bin_tol is None else float(bin_tol)
+    _check_tol(bin_tol, "bin_tol")
     A = np.array(couplings, dtype=complex).reshape(len(couplings), *H.shape)
     At = V.conj().T @ A @ V
     levels = eps[None, :] - eps[:, None]
-    pos = [c for c in _bin_frequencies(np.abs(levels).ravel(), bin_tol) if c > bin_tol]
-    centers = np.array(sorted({0.0} | set(pos) | {-c for c in pos}))   # mirror: C - 1 - c
-    mask = np.abs(levels - centers[:, None, None]) <= max(bin_tol, 1e-12 * scale)
+    diffs = np.sort(np.abs(levels), axis=None)
+    cut = np.flatnonzero(np.diff(diffs) > bin_tol) + 1
+    first, last = np.append(0, cut), np.append(cut, diffs.size) - 1   # run 0 holds 0
+    run = np.searchsorted(diffs[first], np.abs(levels), side="right") - 1
+    pos = [float(np.add.reduce(r)) / r.size for r in np.split(diffs, cut)[1:]]   # np.mean's bits
+    centers = np.array([-c for c in pos[::-1]] + [0.0] + pos)      # mirror: C - 1 - c
+    bins = len(pos) + np.where(levels < 0, -run, run)               # pair -> center
+    mask = bins == np.arange(len(centers))[:, None, None]
     a_scale = np.maximum(np.abs(A).max(axis=(1, 2), initial=0.0), 1e-300)
     present = (mask[:, None] & (np.abs(At) > 1e-12 * a_scale[:, None, None])).any(axis=(2, 3))
     ci, ki = np.nonzero(present)                                   # (center, coupling)
     B = V @ np.where(mask[ci], At[ki], 0.0) @ V.conj().T
-    total = (np.eye(len(A))[ki].T @ B.reshape(len(ki), H.size)).reshape(A.shape)
-    if np.any(np.abs(total - A).max(axis=(1, 2), initial=0.0) > 1e-10 * a_scale):
+    keep = present.any(axis=1)
+    stack = np.zeros((keep.sum(), len(A)) + H.shape, dtype=complex)
+    stack[(np.cumsum(keep) - 1)[ci], ki] = B
+    if np.any(np.abs(stack.sum(axis=0) - A).max(axis=(1, 2), initial=0.0) > 1e-10 * a_scale):
         raise ValueError("eigenoperator blocks do not sum back to the coupling")
     w, peak = centers[ci], np.abs(B).max(axis=(1, 2), initial=0.0)
+    spread = (diffs[last] - diffs[first])[np.abs(ci - len(pos))]
     comm = np.abs(H @ B - B @ H + w[:, None, None] * B).max(axis=(1, 2), initial=0.0)
-    bad = comm > 1e-10 * max(scale, 1.0) * np.maximum(peak, 1e-300) * 10
+    # each pair of a bin is within its spread of w: comm <= spread |B|_F <= N spread peak
+    bad = comm > (1e-9 * max(scale, 1.0) + spread * len(H)) * peak
     if bad.any():
         raise ValueError(f"block at {w[bad][0]} is not an eigenoperator")
     index = np.full(present.shape, -1)
@@ -689,24 +693,24 @@ def _bohr_stack(H, couplings, bin_tol=None):
     bad = (mirror >= 0) & (dev > 1e-10 * a_scale[ki])
     if bad.any():
         raise ValueError(f"blocks at +-{w[bad][0]} are not adjoints")
-    keep = present.any(axis=1)
-    return centers[keep].tolist(), (np.cumsum(keep) - 1)[ci], ki, B, bin_tol
+    return centers[keep].tolist(), stack, bin_tol
 
 
 def bohr_decompose(H, A, bin_tol=None):
     """Decompose a coupling operator into Bohr-frequency eigenoperators.
 
-    Eigendecomposes H, groups level differences into bins of width
-    ``bin_tol`` (default 1e-9 ||H||) and emits one block per signed bin
-    center.  The invariants are checked on construction.  The generators
-    decompose all couplings at once (:func:`_bohr_stack`).
+    Eigendecomposes H, bins the level differences by runs with steps of at
+    most ``bin_tol`` (default 1e-9 ||H||; finite and nonnegative, ValueError
+    otherwise) and emits one block per signed bin.  The invariants are checked
+    on construction.  The generators decompose all couplings at once
+    (:func:`_bohr_stack`).
     """
     H = _as_square(H, "Hamiltonian")
     A = _as_square(A, "coupling")
     if not is_hermitian(H, 1e-10):
         raise ValueError("Hamiltonian must be Hermitian")
-    freqs, _, _, B, bin_tol = _bohr_stack(H, [A], bin_tol)
-    return BohrDecomposition(freqs, dict(zip(freqs, B)), bin_tol)
+    freqs, B, bin_tol = _bohr_stack(H, [A], bin_tol)
+    return BohrDecomposition(freqs, dict(zip(freqs, B[:, 0])), bin_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -780,11 +784,9 @@ def davies_generator(system, bath, alpha=1.0, bin_tol=None, n_nodes=2048,
     square (ValueError otherwise).
     """
     alpha2 = _check_alpha(alpha)
-    n, K, pattern = system.dim, len(system.couplings), system.coupling_pattern
-    freqs, fi, ki, B, bin_tol = _bohr_stack(system.H, system.couplings, bin_tol)
+    K, pattern = len(system.couplings), system.coupling_pattern
+    freqs, A, bin_tol = _bohr_stack(system.H, system.couplings, bin_tol)
     _warn_near_degenerate(freqs, bin_tol)
-    A = np.zeros((len(freqs), K, n, n), dtype=complex)
-    A[fi, ki] = B
     present = A.any(axis=(2, 3))                 # a block that exists is nonzero
     # a coupling without a block at w leaves the canonical jumps at w
     gamma = bath_rates(bath, freqs, pattern, K) * (present[:, :, None] & present[:, None, :])
@@ -811,7 +813,7 @@ def _warn_near_degenerate(freqs, bin_tol):
     gaps = np.diff(freqs)
     for i in np.flatnonzero((gaps > 0) & (gaps < 1e3 * max(bin_tol, 1e-300))):
         warnings.warn(
-            f"Bohr frequencies {freqs[i]:.6g} and {freqs[i + 1]:.6g} nearly collide "
+            f"Bohr frequencies {freqs[i]!r} and {freqs[i + 1]!r} nearly collide "
             f"(gap {gaps[i]:.3e}); secular approximation may be invalid",
             stacklevel=3)
 

@@ -328,6 +328,24 @@ def test_spectrum_and_steady_commands(tmp_path):
     assert content[0] == "# kernel_dimension,1"
 
 
+@pytest.mark.parametrize("verb,scheme", [("derive", "markov"), ("spectrum", "markov"),
+                                         ("steady", "markov"), ("nonmarkov", "tcl2"),
+                                         ("nonmarkov", "coarse_grain")])
+def test_near_degenerate_chain_runs_on_every_generator_verb(tmp_path, verb, scheme):
+    """Levels 1, 1 + d, 1 + 2d, 1 + 3d with d = 0.6 default bin widths: the
+    chain is one merged Bohr bin, so every verb that builds a generator exits
+    0 (the merged bin makes the zero eigenvalue degenerate: 10 steady states)."""
+    inputs = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
+    out = str(tmp_path / "out.csv")
+    text = QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=1.0, steps=2, out=out)
+    text = text.replace("preset = damped_qubit", (
+        f"preset = custom\nh_file = {inputs}/h6chain.csv\ncoupling_files = {inputs}/a6chain.csv"))
+    text = text.replace("scheme = markov", f"scheme = {scheme}").replace("sigma_z", "energy")
+    assert run_cli([verb, "--config", write_cfg(tmp_path, text)]) == 0
+    if verb == "steady":
+        assert open(out).readline() == "# kernel_dimension,10\n"
+
+
 def test_nonmarkov_command_reports_witness(tmp_path):
     out = str(tmp_path / "nm.csv")
     text = QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=2.0, steps=4, out=out)

@@ -98,6 +98,14 @@ def _cases():
     cases["check_seed_tol"] = (["check", "--seed", "7", "--tol", "1e-8"], _config(
         "custom4", checks="requested = kossakowski,relaxing,spohn"))
     cases["default_check_cp"] = (["check"], _config(checks=""))
+    # levels 1, 1 + d, 1 + 2d, 1 + 3d with d = 1.8e-9, under the default bin width 3e-9
+    chain = ("preset = custom\nh_file = {inputs}/h6chain.csv\n"
+             "coupling_files = {inputs}/a6chain.csv\ncoupling_pattern = single")
+    for verb in ("derive", "spectrum"):
+        cases[f"{verb}_chain6"] = ([verb], _config(chain))
+    cases["nonmarkov_tcl2_chain6"] = (["nonmarkov"], _config(
+        chain, solver="scheme = tcl2\nt_final = 2.0\nsteps = 4"))
+    cases["check_chain6"] = (["check"], _config(chain, checks="requested = cp,markov,kossakowski"))
     for verb in ("derive", "steady", "spectrum"):
         cases[f"{verb}_tol"] = ([verb, "--tol", "1e-6"], _config("osc6"))
     cases["out_flag_overrides_config"] = (["spectrum", "--out", "{tmp}/out.csv"], _config(
@@ -168,6 +176,20 @@ def _cases():
         "err_temperature_table": (["derive"], _config(
             bath="type = table\nj_file = {inputs}/jtable.csv\ntemperature = -0.5")),
     }
+    bad_keys = {"alpha_negative": ("ohmic", "alpha = -0.1"), "alpha_nan": ("ohmic", "alpha = nan"),
+                "alpha_inf": ("flat", "alpha = inf\nomega_max = 8.0"),
+                "omega_c_zero": ("ohmic", "omega_c = 0"), "omega_c_nan": ("ohmic", "omega_c = nan"),
+                "omega_max_negative": ("ohmic", "omega_max = -5"),
+                "omega_max_flat_nan": ("flat", "omega_max = nan"), "s_nan": ("ohmic", "s = nan"),
+                "omega_max_table_zero": ("table", "j_file = {inputs}/jtable.csv\nomega_max = 0")}
+    for name, (kind, keys) in bad_keys.items():
+        errors[f"err_bath_{name}"] = (["derive"], _config(bath=f"type = {kind}\n{keys}\nT = 1"))
+    errors["err_bath_both_temperatures"] = (["derive"], _config(
+        bath="type = ohmic\nT = 1.0\ntemperature = 1.0"))
+    errors["err_omega0_nan"] = (["derive"], _config("preset = damped_qubit\nomega0 = nan"))
+    errors["err_n_levels_negative"] = (["evolve"], _config(
+        "preset = damped_oscillator\nn_levels = -2"))
+    errors["err_n_levels_zero"] = (["spectrum"], _config("preset = damped_oscillator\nn_levels = 0"))
     for table in ("one_column", "one_row", "unsorted", "negative", "nan"):
         errors[f"err_j_file_{table}"] = (["derive"], _config(
             bath=f"type = table\nj_file = {{inputs}}/bad_j_{table}.csv\ntemperature = 0.7"))

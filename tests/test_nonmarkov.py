@@ -661,7 +661,9 @@ def test_tcl2_generator_stack_is_assembled_from_finite_time_gamma(model):
     bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
     ts = np.array([0.0, 0.05, 0.3, 2.0, 40.0])
     K = len(system.couplings)
-    freqs, fi, ki, B, _ = wc._bohr_stack(system.H, system.couplings)
+    freqs, A, _ = wc._bohr_stack(system.H, system.couplings)
+    fi, ki = np.nonzero(A.any(axis=(2, 3)))
+    B = A[fi, ki]
     gam = np.stack([wc.finite_time_gamma(bath, w, ts, system.coupling_pattern, n_couplings=K)
                     for w in freqs], axis=1)
     c = gam[:, fi[:, None], ki[None, :], ki[:, None]]
@@ -854,7 +856,9 @@ def _weighted_tcl2_generator(system, bath, ts, alpha):
     and summed, as assembled before the pattern was factored."""
     from openqdyn.liouville import _lindblad_superop
 
-    freqs, fi, ki, B, _ = wc._bohr_stack(system.H, system.couplings)
+    freqs, A, _ = wc._bohr_stack(system.H, system.couplings)
+    fi, ki = np.nonzero(A.any(axis=(2, 3)))
+    B = A[fi, ki]
     gam = wc._gamma_stack(bath, freqs, ts, system.coupling_pattern, len(system.couplings))
     c = gam[:, fi[:, None], ki[None, :], ki[:, None]]
     Q = np.einsum("tab,bji,ajk->tik", c, B.conj(), B)
@@ -868,7 +872,9 @@ def _weighted_coarse_grain_generator(system, bath, taus, alpha):
     assembled before the pattern was factored."""
     from openqdyn.liouville import _lindblad_superop
 
-    freqs, fi, ki, B, _ = wc._bohr_stack(system.H, system.couplings)
+    freqs, A, _ = wc._bohr_stack(system.H, system.couplings)
+    fi, ki = np.nonzero(A.any(axis=(2, 3)))
+    B = A[fi, ki]
     tri = np.empty((len(taus), 4, len(freqs), len(freqs)), dtype=complex)
     for k, tau in enumerate(taus):
         n = wc._node_counts(bath, max((abs(w) for w in freqs), default=0.0), tau)

@@ -937,7 +937,9 @@ def _bohr_by_frequency_loop(H, A, bin_tol):
     eps, V = np.linalg.eigh(H)
     At = V.conj().T @ A @ V
     levels = eps[None, :] - eps[:, None]
-    pos = [c for c in wc._bin_frequencies(np.abs(levels).ravel(), bin_tol) if c > bin_tol]
+    diffs = np.sort(np.abs(levels).ravel())
+    runs = np.split(diffs, np.flatnonzero(np.diff(diffs) > bin_tol) + 1)
+    pos = [c for c in (float(np.mean(run)) for run in runs) if c > bin_tol]
     blocks = {}
     for w in sorted({0.0} | set(pos) | {-c for c in pos}):
         B = np.where(np.abs(levels - w) <= bin_tol, At, 0.0)
@@ -960,7 +962,9 @@ def test_bohr_stack_matches_per_frequency_masks(seed):
     H = (H + H.conj().T) / 2.0
     couplings = [rand_hermitian(6, rng), rand_hermitian(6, rng),
                  U @ np.diag(rng.standard_normal(6)) @ U.conj().T]
-    freqs, fi, ki, B, bin_tol = wc._bohr_stack(H, couplings)
+    freqs, A, bin_tol = wc._bohr_stack(H, couplings)
+    fi, ki = np.nonzero(A.any(axis=(2, 3)))
+    B = A[fi, ki]
     assert abs(bin_tol - 2.7e-9) <= 1e-23
     assert freqs == sorted(freqs) and len(freqs) == 7
     assert list(np.lexsort((ki, fi))) == list(range(len(fi)))       # frequency-major
@@ -975,6 +979,108 @@ def test_bohr_stack_matches_per_frequency_masks(seed):
     assert [freqs[f] for f, k in zip(fi, ki) if k == 2] == [0.0]
     dec = wc.bohr_decompose(H, couplings[0])
     assert dec.frequencies == [freqs[f] for f, k in zip(fi, ki) if k == 0]
+
+
+def _chain_model(spacing, length, n_couplings, seed):
+    """Levels 0, E, E + d, ..., E + (length - 1) d and 3 with d = spacing *
+    3e-9 (``spacing`` default bin widths), in a random eigenbasis, with
+    random couplings."""
+    from openqdyn.operators import rand_hermitian, rand_unitary
+
+    rng = np.random.default_rng(seed)
+    e = np.concatenate([[0.0], rng.uniform(0.5, 2.0) + spacing * 3e-9 * np.arange(length),
+                        [3.0]])
+    U = rand_unitary(len(e), rng)
+    H = U @ np.diag(e) @ U.conj().T
+    return (H + H.conj().T) / 2.0, [rand_hermitian(len(e), rng) for _ in range(n_couplings)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.floats(min_value=0.0, max_value=3.0, exclude_min=True), st.integers(2, 4),
+       st.integers(1, 2), st.sampled_from([0.0, 1.0]), st.integers(0, 2**32 - 1))
+def test_near_degenerate_chains_bin_into_a_partition(spacing, length, n_couplings, T, seed):
+    """A chain of levels closer than a few bin widths: each run of sorted
+    level differences is one bin, so the Bohr stack never raises, its blocks
+    sum back to every coupling and each is an eigenoperator within its run's
+    spread; the Davies generator is trace preserving with a PSD Kossakowski
+    matrix and satisfies detailed balance at T > 0."""
+    from openqdyn.gksl import kossakowski_matrix
+    from openqdyn.liouville import vectorize
+
+    H, couplings = _chain_model(spacing, length, n_couplings, seed)
+    freqs, A, bin_tol = wc._bohr_stack(H, couplings)
+    scale = np.abs(couplings).max()
+    assert np.abs(A.sum(axis=0) - couplings).max() <= 1e-10 * scale
+    eps = np.linalg.eigh(H)[0]
+    diffs = np.sort(np.abs(np.subtract.outer(eps, eps)), axis=None)
+    runs = np.split(diffs, np.flatnonzero(np.diff(diffs) > bin_tol) + 1)
+    for w, blocks in zip(freqs, A):
+        spread = runs[0][-1] if w == 0 else next(r[-1] - r[0] for r in runs[1:]
+                                                 if r[0] <= abs(w) <= r[-1])
+        for B in blocks[blocks.any(axis=(1, 2))]:
+            comm = np.abs(H @ B - B @ H + w * B).max()
+            assert comm <= 3e-9 * np.abs(B).max() + spread * np.linalg.norm(B)
+    system = wc.SystemModel(H=H, couplings=couplings, coupling_pattern="single")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")                  # the chain's bins nearly collide
+        gen = wc.davies_generator(system, ohmic(T=T))
+    L = gen.superoperator()
+    assert np.abs(vectorize(np.eye(len(H))).conj() @ L).max() <= 1e-12 * np.abs(L).max()
+    a = np.linalg.eigvalsh(kossakowski_matrix(gen.base).a)
+    assert a.min() >= -1e-12 * max(a.max(), 1e-300)
+    if T > 0:
+        assert wc.kms_check(gen).passed
+
+
+def test_chain_bins_merge_each_run_at_its_mean():
+    """Levels 1, 1 + d, 1 + 2d, 1 + 3d with d = 0.6 bin widths: the pairs of
+    the chain are one run with the differences 0 .. 3d, which is the bin at
+    0, and 1 - 0 .. 1 + 3d is one bin at the run's mean; two bins of the old
+    rule met no level pair there."""
+    H = np.diag([0.0, 1.0, 1.0 + 1.8e-9, 1.0 + 3.6e-9, 1.0 + 5.4e-9, 3.0])
+    A = np.ones((6, 6)) - np.eye(6)
+    dec = wc.bohr_decompose(H, A)
+    assert dec.bin_tol == 1e-9 * 3.0
+    pos = [w for w in dec.frequencies if w > 0]
+    assert len(dec.frequencies) == 2 * len(pos) + 1 and len(pos) == 3
+    assert pos[0] == float(np.mean(np.repeat(np.diag(H)[1:5], 2)))     # both signs of a pair
+    assert np.array_equal(dec.blocks[0.0], np.where(np.abs(np.subtract.outer(
+        np.diag(H), np.diag(H))) < 1e-8, A, 0.0))
+    assert np.abs(sum(dec.blocks.values()) - A).max() <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+@pytest.mark.parametrize("build", ["bohr_decompose", "davies", "tcl2", "coarse_grain",
+                                   "tcl2_evolve", "coarse_grain_evolve"])
+def test_bin_tol_must_be_finite_and_nonnegative(build, bad):
+    from openqdyn import nonmarkov as nm
+
+    system, rho0, grid = wc.damped_oscillator(3), np.diag([0.0, 0.0, 1.0]), [0.0, 0.5]
+    run = {"bohr_decompose": lambda t: wc.bohr_decompose(system.H, system.couplings[0], t),
+           "davies": lambda t: wc.davies_generator(system, ohmic(), bin_tol=t),
+           "tcl2": lambda t: nm.tcl2_generator(system, ohmic(), 0.5, bin_tol=t),
+           "coarse_grain": lambda t: nm.coarse_grain_generator(system, ohmic(), 0.5, bin_tol=t),
+           "tcl2_evolve": lambda t: nm.tcl2_evolve(system, ohmic(), rho0, grid, bin_tol=t),
+           "coarse_grain_evolve": lambda t: nm.coarse_grain_evolve(
+               system, ohmic(), 1.0, rho0, grid, bin_tol=t)}[build]
+    with pytest.raises(ValueError, match="bin_tol must be finite and nonnegative"):
+        run(bad)
+    run(0.0)                      # a zero bin width is valid: exact differences only
+
+
+def test_collision_warning_prints_distinct_frequencies_and_the_gap():
+    """A gap of 4.5e-9 between the bins at -2 and -2 - 4.5e-9: the warning
+    shows two numbers that differ, and the gap."""
+    H = np.diag([0.0, 1.0, 1.0 + 4.5e-9, 3.0])
+    A = np.ones((4, 4)) - np.eye(4)
+    system = wc.SystemModel(H=H, couplings=[A], coupling_pattern="single")
+    with pytest.warns(UserWarning, match="nearly collide") as caught:
+        wc.davies_generator(system, ohmic())
+    text = str(caught[0].message)
+    first, second = text.split("frequencies ")[1].split(" nearly")[0].split(" and ")
+    assert float(first) != float(second)
+    assert abs(float(second) - float(first) - 4.5e-9) < 1e-15
+    assert "gap 4.500e-09" in text
 
 
 @pytest.mark.parametrize("pattern", ["single", "position_xy"])

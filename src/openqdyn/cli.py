@@ -69,6 +69,25 @@ def parse_config(path):
     return sections
 
 
+# the keys that each section may hold, over every verb
+_KEYS = {"model": "preset omega0 n_levels h_file coupling_files coupling_pattern coupling_strength",
+        "bath": "type T temperature alpha omega_c s omega_max j_file",
+        "solver": "scheme output_times t_final steps kernel_g substeps",
+        "initial": "state rho_file", "observables": "names",
+        "checks": "requested family_file report_file", "output": "path"}
+
+
+def _check_keys(cfg):
+    """Raise ConfigError naming the first unknown section or key of a parsed
+    config: a misspelled one would otherwise be dropped for its default."""
+    for section, values in cfg.items():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = [key for key in values if key not in _KEYS[section].split()]
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]")
+
+
 def _get(cfg, section, key, default=None, cast=str, required=False):
     sec = cfg.get(section, {})
     if key not in sec:
@@ -583,6 +602,7 @@ def main(argv=None):
         if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
             raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
         cfg = parse_config(args.config)
+        _check_keys(cfg)
         out_path = args.out or _get(cfg, "output", "path", default=None)
         if out_path is None:
             raise ConfigError("no output path: set [output] path or pass --out")

@@ -43,6 +43,7 @@ from .liouville import (
     _check_alpha,
     _check_cond_threshold,
     _check_count,
+    _check_tol,
     _dense,
     _lindblad_superop,
     _one_blas_thread,
@@ -322,6 +323,9 @@ def tcl2_evolve(system, bath, rho0, t_grid, alpha=1.0, substeps=8, bin_tol=None)
     time: finite-order TCL propagation can break complete positivity, and the
     witness is reported rather than suppressed.
     """
+    _check_alpha(alpha)                  # before a grid of t = 0 alone skips the generators
+    if bin_tol is not None:
+        _check_tol(bin_tol, "bin_tol")
     t = _check_grid(t_grid)
     rho0 = _as_square(rho0, "initial state")
     _check_count(substeps, "substeps")
@@ -521,6 +525,9 @@ def coarse_grain_evolve(system, bath, alpha, rho0, t_grid, bin_tol=None):
     of its union pattern, one Taylor call per block size.  Every state is
     validated as a density matrix through the shared trajectory monitor.
     """
+    _check_alpha(alpha)                  # before a grid of t = 0 alone skips the generators
+    if bin_tol is not None:
+        _check_tol(bin_tol, "bin_tol")
     t = _check_grid(t_grid)
     rho0 = _as_square(rho0, "initial state")
     states = [rho0.astype(complex)] if t[0] == 0.0 else []

@@ -29,9 +29,7 @@ from .liouville import (
     _dense,
     _size_groups,
     _take,
-    apply_superop,
     devectorize,
-    trace_norm,
     vectorize,
 )
 
@@ -119,13 +117,14 @@ class SteadyStateResult:
 
 
 def _hermitian_kernel_basis(L, tol):
-    """``(basis, kernel_dim, ||L||_2)``: an orthonormal Hermitian basis of
-    ker L (closed under dagger for Hermiticity-preserving generators), its
-    dimension, and the largest singular value of L.  ker L is the direct sum
-    of the kernels of the exact-zero blocks of L: one full SVD call per block
-    size, and each block's right singular vectors with singular value at most
-    ``tol * ||L||_2``, embedded into vectors of L's side and taken in the
-    order of the blocks (:func:`liouville._blocks`), not of their sizes."""
+    """``(basis, kernel_dim)``: an orthonormal Hermitian basis of ker L
+    (closed under dagger for Hermiticity-preserving generators) and its
+    dimension.  ker L is the direct sum of the kernels of the exact-zero
+    blocks of L: one full SVD call per block size, and each block's right
+    singular vectors with singular value at most ``tol * ||L||_2``, with
+    ||L||_2 the largest singular value over the blocks, embedded into vectors
+    of L's side and taken in the order of the blocks
+    (:func:`liouville._blocks`), not of their sizes."""
     groups = _size_groups(_blocks(L))
     svds = [np.linalg.svd(S[0]) for S in _take(groups, [L])]
     scale = max(max(float(s.max()) for _, s, _ in svds), 1e-300)
@@ -149,60 +148,83 @@ def _hermitian_kernel_basis(L, tol):
         norm = np.sqrt(np.trace(X.conj().T @ X).real)
         if norm > 1e-10:
             basis.append(X / norm)
-    return basis[:len(null)], len(null), scale
+    return basis[:len(null)], len(null)
+
+
+def _density(X):
+    """(X + X^dag) / (2 tr X), or None when tr X vanishes (1e-10) or the
+    result has an eigenvalue below -1e-8."""
+    tr = np.trace(X).real
+    if abs(tr) < 1e-10:
+        return None
+    rho = (X + X.conj().T) / (2.0 * tr)
+    return rho if np.linalg.eigvalsh(rho).min() >= -1e-8 else None
+
+
+def _block_states(mean, basis, rng):
+    """One state P mean P / tr per block P of the steady Hermitian operators,
+    ``mean`` the steady state of maximal support.  The eigenspaces of
+    mean^-1/2 X mean^-1/2 on supp mean (its eigenvalues above 1e-8 of the
+    largest), X a random combination of ``basis`` (eigenvalues within
+    1e-8 max(1, |mu|) of the next are one eigenspace), are the minimal
+    blocks; two eigenvectors that the basis couples (sum of squared moduli
+    above 1e-12) join one block.  The states are sorted by their diagonals,
+    then their entries, each rounded to 1e-8, so the order does not depend on
+    ``rng``."""
+    X = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
+    w, U = np.linalg.eigh(mean)
+    supp = w > 1e-8 * w.max()
+    U, r = U[:, supp], w[supp] ** -0.5
+    mu, V = np.linalg.eigh(r[:, None] * (U.conj().T @ X @ U) * r)
+    Y = U @ V
+    cluster = np.cumsum(np.append(0, np.diff(mu) >= 1e-8 * max(1.0, np.abs(mu).max())))
+    coupling = (np.abs(Y.conj().T @ np.array(basis) @ Y) ** 2).sum(axis=0)
+    reach = (coupling > 1e-12) | (cluster[:, None] == cluster)
+    for _ in range(len(mu).bit_length()):          # paths of up to 2^k steps
+        reach = (reach.astype(float) @ reach) > 0
+    states = []
+    for b in np.unique(reach, axis=0):
+        P = Y[:, b] @ Y[:, b].conj().T
+        S = P @ mean @ P
+        states.append((S + S.conj().T) / (2.0 * np.trace(S).real))
+    return sorted(states, key=lambda S: tuple(np.round(np.concatenate(
+        [-S.diagonal().real, -S.real.ravel(), -S.imag.ravel()]), 8)))
 
 
 def steady_states(L, tol=DEFAULT_ZERO_TOL, rng=None):
     """Steady states from the kernel of a trace-preserving Liouvillian.
 
     The kernel comes from one full SVD call per block size of L: the null
-    vectors of the exact-zero blocks at ``tol * ||L||_2``.  Returns normalized PSD
-    kernel elements; for degenerate kernels a generic Hermitian kernel
-    combination is eigendecomposed and its spectral projectors kept when they
-    are themselves steady, which recovers the extreme points in the commuting
-    case.  At least one state is always returned (the ergodic average of the
-    maximally mixed state as fallback).
+    vectors of the exact-zero blocks at ``tol * ||L||_2``.  A one-dimensional
+    kernel gives its normalised Hermitian basis element.  A larger kernel
+    gives one state per block of the steady states (Baumgartner & Narnhofer,
+    Rev. Math. Phys. 24, 1250001, 2012; Albert & Jiang, PRA 89, 022118,
+    2014): with rho* the ergodic average of the maximally mixed state, the
+    steady state of maximal support, and X a random combination of the kernel
+    basis drawn from ``rng``, the eigenspaces of rho*^-1/2 X rho*^-1/2 on
+    supp rho*, merged where a kernel element couples two of them, are the
+    blocks P, and each state is P rho* P / tr.  The list, and its order (by
+    diagonal), do not depend on ``rng`` or on the kernel basis.  A block that
+    is not classical, with coherences or a noiseless subsystem, is listed
+    once, by its block of rho*, so ``kernel_dimension > len(states)`` says
+    that such a block is present.  A kernel element that is not a state, or
+    an empty kernel, falls back to the ergodic average of the maximally mixed
+    state.  A defective zero eigenspace raises
+    :class:`DegenerateSpectrumError`, as in :func:`ergodic_average`.
     ``tol`` must be finite and nonnegative (ValueError otherwise).
     """
     _check_tol(tol)
     L = _as_square(L, "Liouvillian")
     n = int(round(np.sqrt(L.shape[0])))
     rng = np.random.default_rng(7) if rng is None else rng
-    basis, kernel_dim, scale = _hermitian_kernel_basis(L, tol)
-    states = []
-
-    def try_add(X):
-        tr = np.trace(X).real
-        if abs(tr) < 1e-10:
-            return
-        rho = (X + X.conj().T) / (2.0 * tr)
-        w = np.linalg.eigvalsh(rho)
-        if w.min() < -1e-8:
-            return
-        for other in states:
-            if trace_norm(rho - other) < 1e-8:
-                return
-        states.append(rho)
-
-    for X in basis:
-        try_add(X)
-    if kernel_dim > 1 and basis:
-        coeffs = rng.standard_normal(len(basis))
-        Z = sum(c * B for c, B in zip(coeffs, basis))
-        w, V = np.linalg.eigh(Z)
-        groups = []
-        for val, k in zip(w, range(len(w))):
-            if groups and abs(val - groups[-1][0]) < 1e-8 * max(1.0, abs(w).max()):
-                groups[-1][1].append(k)
-            else:
-                groups.append((val, [k]))
-        for _, idxs in groups:
-            P = sum(np.outer(V[:, k], V[:, k].conj()) for k in idxs)
-            if trace_norm(apply_superop(L, P)) <= 1e-7 * scale * max(trace_norm(P), 1.0):
-                try_add(P)
-    if not states:
-        try_add(ergodic_average(L, np.eye(n, dtype=complex) / n))
-    return SteadyStateResult(states=states, kernel_dimension=kernel_dim, kernel_basis=basis)
+    basis, kernel_dim = _hermitian_kernel_basis(L, tol)
+    rho = _density(basis[0]) if kernel_dim == 1 else None
+    if rho is not None:
+        return SteadyStateResult(states=[rho], kernel_dimension=1, kernel_basis=basis)
+    mean = ergodic_average(L, np.eye(n, dtype=complex) / n, tol)
+    states = _block_states(mean, basis, rng) if kernel_dim > 1 else [_density(mean)]
+    return SteadyStateResult(states=[s for s in states if s is not None],
+                             kernel_dimension=kernel_dim, kernel_basis=basis)
 
 
 def zero_eigenprojector(L, tol=DEFAULT_ZERO_TOL):

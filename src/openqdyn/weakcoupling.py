@@ -674,11 +674,6 @@ def _bohr_stack(H, couplings, bin_tol=None):
     present = (mask[:, None] & (np.abs(At) > 1e-12 * a_scale[:, None, None])).any(axis=(2, 3))
     ci, ki = np.nonzero(present)                                   # (center, coupling)
     B = V @ np.where(mask[ci], At[ki], 0.0) @ V.conj().T
-    keep = present.any(axis=1)
-    stack = np.zeros((keep.sum(), len(A)) + H.shape, dtype=complex)
-    stack[(np.cumsum(keep) - 1)[ci], ki] = B
-    if np.any(np.abs(stack.sum(axis=0) - A).max(axis=(1, 2), initial=0.0) > 1e-10 * a_scale):
-        raise ValueError("eigenoperator blocks do not sum back to the coupling")
     w, peak = centers[ci], np.abs(B).max(axis=(1, 2), initial=0.0)
     spread = (diffs[last] - diffs[first])[np.abs(ci - len(pos))]
     comm = np.abs(H @ B - B @ H + w[:, None, None] * B).max(axis=(1, 2), initial=0.0)
@@ -693,6 +688,11 @@ def _bohr_stack(H, couplings, bin_tol=None):
     bad = (mirror >= 0) & (dev > 1e-10 * a_scale[ki])
     if bad.any():
         raise ValueError(f"blocks at +-{w[bad][0]} are not adjoints")
+    keep = present.any(axis=1)         # after the checks: their temporaries are freed
+    stack = np.zeros((keep.sum(), len(A)) + H.shape, dtype=complex)
+    stack[(np.cumsum(keep) - 1)[ci], ki] = B
+    if np.any(np.abs(stack.sum(axis=0) - A).max(axis=(1, 2), initial=0.0) > 1e-10 * a_scale):
+        raise ValueError("eigenoperator blocks do not sum back to the coupling")
     return centers[keep].tolist(), stack, bin_tol
 
 

@@ -4,9 +4,11 @@
     python tests/bitwise_generators.py compare OLD.npz NEW.npz
 
 ``dump`` imports ``openqdyn`` from the source directory SRC and builds, for
-every model and bath of the set, the Davies superoperator and the TCL2 and
-coarse-grained generator stacks at the horizons 0.5 and 2; a call that raises
-is recorded by its exception.  The models are the golden presets (qubit,
+every model and bath of the set, the Davies superoperator, its steady states
+(``steady_states``, recorded as ``steady_k<kernel dimension>``, so that the
+one-dimensional kernels read ``steady_k1``) and the TCL2 and coarse-grained
+generator stacks at the horizons 0.5 and 2; a call that raises is recorded by
+its exception.  The models are the golden presets (qubit,
 oscillator of 6 levels, dephasing, the 4-level custom model), a 20-level
 oscillator, a seeded 8-level custom model, and N seeded near-degenerate
 chains: levels 0, E, E + d, ..., E + m d and 3 with d in (0, 3] bin widths,
@@ -79,26 +81,36 @@ def _models(n_chains):
     return models
 
 
+def _steady(L):
+    """``(key suffix, states)``: the kernel dimension of L, as
+    ``steady_k<dim>``, and its steady states stacked."""
+    from openqdyn import spectra
+
+    result = spectra.steady_states(L)
+    return f"steady_k{result.kernel_dimension}", np.array(result.states)
+
+
 def dump(out, n_chains):
     from openqdyn import nonmarkov as nm
     from openqdyn import weakcoupling as wc
 
     baths = {"T1": wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0),
              "T0": wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=0.0)}
-    kinds = {"davies": lambda s, b: wc.davies_generator(s, b).superoperator(),
-             "tcl2": lambda s, b: nm.tcl2_generator(s, b, HORIZONS),
-             "cg": lambda s, b: nm.coarse_grain_generator(s, b, HORIZONS)}
+    kinds = {"davies": lambda s, b: ("davies", wc.davies_generator(s, b).superoperator()),
+             "tcl2": lambda s, b: ("tcl2", nm.tcl2_generator(s, b, HORIZONS)),
+             "cg": lambda s, b: ("cg", nm.coarse_grain_generator(s, b, HORIZONS)),
+             "steady": lambda s, b: _steady(wc.davies_generator(s, b).superoperator())}
     record = {}
     for name, system in _models(n_chains).items():
         for bname, bath in baths.items():
             for kind, build in kinds.items():
-                key = f"{name}/{bname}/{kind}"
                 try:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
-                        record[key] = build(system, bath)
+                        suffix, value = build(system, bath)
+                    record[f"{name}/{bname}/{suffix}"] = value
                 except Exception as exc:                  # recorded, not raised
-                    record[key + "!"] = np.array(f"{type(exc).__name__}: {exc}")
+                    record[f"{name}/{bname}/{kind}!"] = np.array(f"{type(exc).__name__}: {exc}")
     np.savez_compressed(out, **record)
     print(f"{len(record)} entries, {sum(k.endswith('!') for k in record)} raised")
 

@@ -13,6 +13,7 @@ import itertools
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -450,10 +451,20 @@ def _kernel_projector(basis):
     return Q @ Q.conj().T
 
 
+def _one_block():
+    """``spectra`` with every matrix taken as one block: the dense calls."""
+    return mock.patch.object(spectra, "_blocks", lambda M: [np.arange(len(M))])
+
+
+def _assert_same_states(got, ref):
+    assert len(got) == len(ref)
+    assert all(lv.trace_norm(a - b) <= 1e-8 for a, b in zip(got, ref))
+
+
 def _assert_steady_states_match(L):
-    """The same kernel dimension and span.  A degenerate kernel has no
-    preferred basis, so its states are checked as steady density matrices;
-    a unique one must be the dense kernel element."""
+    """The same kernel dimension and span, and the same states, in the same
+    order, as the dense calls give; each is a steady density matrix, and a
+    unique one is the dense kernel element."""
     got, ref = spectra.steady_states(L), dense_kernel_basis(L)
     assert got.kernel_dimension == len(ref)
     if ref:
@@ -462,6 +473,8 @@ def _assert_steady_states_match(L):
     for rho in got.states:
         lv.assert_density_matrix(rho, tol_trace=1e-10, tol_psd=1e-8)
         assert lv.trace_norm(lv.apply_superop(L, rho)) <= 1e-8 * np.linalg.norm(L, 2)
+    with _one_block():
+        _assert_same_states(spectra.steady_states(L).states, got.states)
     if len(ref) == 1:
         assert len(got.states) == 1
         assert lv.trace_norm(got.states[0] - ref[0] / np.trace(ref[0])) <= 1e-10
@@ -484,6 +497,53 @@ def test_blocked_spectra_match_dense_on_davies_generators(seed, temperature):
     _assert_spectrum_matches(L)
     _assert_zero_projector_matches(L)
     _assert_steady_states_match(L)
+
+
+def _degenerate_davies(n, sparse, temperature, seed):
+    """Davies superoperator of a ``single`` model with H = diag of levels
+    drawn from {0, 1, 2} and one or two Hermitian couplings, dense or with
+    about half of their entries zero."""
+    rng = np.random.default_rng(seed)
+    H = np.diag(rng.integers(0, 3, n).astype(float))
+    couplings = []
+    for _ in range(int(rng.integers(1, 3))):
+        keep = np.triu(rng.random((n, n)) < 0.5) if sparse else np.ones((n, n), dtype=bool)
+        couplings.append(np.where(keep | keep.T, rand_hermitian(n, rng), 0.0))
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # near-colliding Bohr bins only warn
+        return wc.davies_generator(wc.SystemModel(H, couplings, "single"), bath).superoperator()
+
+
+@settings(PROPERTY, max_examples=80)
+@given(st.integers(3, 5), st.booleans(), st.sampled_from([0.0, 1.0]), SEEDS)
+def test_steady_states_are_one_per_block_in_any_kernel_basis(n, sparse, temperature, seed):
+    """Exactly degenerate levels, so the kernel is often degenerate: the list
+    is the same for every ``rng``, with one block, and in a rotated kernel
+    basis.  The kernel elements commute exactly when every block is
+    classical (no coherence, no noiseless subsystem), and then there is one
+    state per kernel dimension."""
+    L = _degenerate_davies(n, sparse, temperature, seed)
+    got = spectra.steady_states(L)
+    for s in (1, 2):
+        _assert_same_states(spectra.steady_states(L, rng=np.random.default_rng(s)).states,
+                            got.states)
+    with _one_block():
+        _assert_same_states(spectra.steady_states(L).states, got.states)
+    O, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((got.kernel_dimension,) * 2))
+    kernel_basis = spectra._hermitian_kernel_basis
+    rotated = lambda L, tol: ([sum(o * B for o, B in zip(row, kernel_basis(L, tol)[0]))
+                               for row in O], len(O))
+    with mock.patch.object(spectra, "_hermitian_kernel_basis", rotated):
+        _assert_same_states(spectra.steady_states(L).states, got.states)
+    for rho in got.states:
+        lv.assert_density_matrix(rho, tol_trace=1e-10, tol_psd=1e-8)
+        assert lv.trace_norm(lv.apply_superop(L, rho)) <= 1e-8 * np.linalg.norm(L, 2)
+    for a, b in itertools.combinations(got.states, 2):
+        assert abs(np.trace(a @ b)) <= 1e-8                        # disjoint blocks
+    commute = all(np.abs(A @ B - B @ A).max() <= 1e-8
+                  for A, B in itertools.combinations(got.kernel_basis, 2))
+    assert (len(got.states) == got.kernel_dimension) == commute
 
 
 @pytest.mark.parametrize("temperature", [0.0, 1.0], ids=["T0", "T1"])
@@ -524,10 +584,13 @@ def test_one_block_spectra_are_bitwise_dense():
     assert np.array_equal(got.eigenvalues, ref.eigenvalues)
     assert (got.zero_multiplicity, got.spectral_gap, got.diagonalizable, got.zero_tolerance) == \
         (ref.zero_multiplicity, ref.spectral_gap, ref.diagonalizable, ref.zero_tolerance)
-    basis = spectra.steady_states(L).kernel_basis
+    result = spectra.steady_states(L)
+    basis = result.kernel_basis
     ref_basis = dense_kernel_basis(L)
     assert len(basis) == len(ref_basis) == 1
     assert all(np.array_equal(B, R) for B, R in zip(basis, ref_basis))
+    B = ref_basis[0]                     # a one-dimensional kernel: its element, normalised
+    assert np.array_equal(result.states[0], (B + B.conj().T) / (2.0 * np.trace(B).real))
     assert np.array_equal(spectra.zero_eigenprojector(L), dense_zero_eigenprojector(L))
     assert spectra.spohn_check(jumps).commutant_dim == dense_commutant_dim(jumps)
 

@@ -190,6 +190,10 @@ def _cases():
     errors["err_n_levels_negative"] = (["evolve"], _config(
         "preset = damped_oscillator\nn_levels = -2"))
     errors["err_n_levels_zero"] = (["spectrum"], _config("preset = damped_oscillator\nn_levels = 0"))
+    # a misspelled key ran at T = 0, and a misspelled section ran the default cp check
+    errors["err_unknown_key"] = (["evolve"], _config(
+        bath="type = ohmic\nalpha = 0.1\nomega_c = 3.0\ntemprature = 1.0"))
+    errors["err_unknown_section"] = (["check"], _config(checks="") + "[chekcs]\nrequested = markov\n")
     for table in ("one_column", "one_row", "unsorted", "negative", "nan"):
         errors[f"err_j_file_{table}"] = (["derive"], _config(
             bath=f"type = table\nj_file = {{inputs}}/bad_j_{table}.csv\ntemperature = 0.7"))

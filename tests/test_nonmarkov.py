@@ -963,7 +963,9 @@ def test_builders_reject_a_bad_coupling_strength(alpha):
                   lambda: nm.tcl2_generator(system, bath, 0.5, alpha=alpha),
                   lambda: nm.coarse_grain_generator(system, bath, 0.5, alpha=alpha),
                   lambda: nm.tcl2_evolve(system, bath, rho0, [0.0, 0.5], alpha=alpha),
-                  lambda: nm.coarse_grain_evolve(system, bath, alpha, rho0, [0.0, 0.5])):
+                  lambda: nm.coarse_grain_evolve(system, bath, alpha, rho0, [0.0, 0.5]),
+                  lambda: nm.tcl2_evolve(system, bath, rho0, [0.0], alpha=alpha),
+                  lambda: nm.coarse_grain_evolve(system, bath, alpha, rho0, [0.0])):
         with pytest.raises(ValueError, match="coupling strength alpha"):
             build()
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from openqdyn import spectra
+from openqdyn import weakcoupling as wc
 from openqdyn.errors import DegenerateSpectrumError
 from openqdyn.gksl import GKSLGenerator, hamiltonian_superop, superop_of_generator
 from openqdyn.liouville import apply_superop, expm, trace_norm
@@ -112,6 +113,52 @@ def test_steady_states_unitary_kernel_dimension():
     assert result.kernel_dimension == 3
     for rho in result.states:
         assert np.abs(rho - np.diag(np.diag(rho))).max() < 1e-8
+
+
+def test_steady_state_of_the_zero_generator_is_maximally_mixed():
+    """L = 0: every state is steady, and the one block is the whole space."""
+    result = spectra.steady_states(np.zeros((4, 4), dtype=complex))
+    assert result.kernel_dimension == 4
+    assert len(result.states) == 1
+    assert np.abs(result.states[0] - np.eye(2) / 2).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_steady_states_of_a_degenerate_hamiltonian_are_its_blocks(seed):
+    """H = diag(0, 1, 1): a kernel of dimension 1 + 4, and one state per
+    eigenspace, the pair's with its coherences merged, whatever the rng."""
+    result = spectra.steady_states(hamiltonian_superop(np.diag([0.0, 1.0, 1.0])),
+                                   rng=np.random.default_rng(seed))
+    assert result.kernel_dimension == 5
+    assert len(result.states) == 2
+    assert np.abs(result.states[0] - np.diag([1.0, 0.0, 0.0])).max() < 1e-10
+    assert np.abs(result.states[1] - np.diag([0.0, 0.5, 0.5])).max() < 1e-10
+
+
+def test_steady_states_of_a_direct_sum_are_the_block_gibbs_states():
+    """Two damped two-level blocks (levels 0, 1 and 5, 6.5) that the
+    coupling does not connect, at T = 1: one Gibbs state per block."""
+    H = np.diag([0.0, 1.0, 5.0, 6.5])
+    A = np.zeros((4, 4))
+    A[0, 1] = A[1, 0] = A[2, 3] = A[3, 2] = 1.0
+    gen = wc.davies_generator(wc.SystemModel(H, [A], "single"),
+                              wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0))
+    result = spectra.steady_states(gen.superoperator())
+    assert result.kernel_dimension == 2
+    gibbs = [np.diag([1.0, np.exp(-1.0), 0.0, 0.0]) / (1.0 + np.exp(-1.0)),
+             np.diag([0.0, 0.0, 1.0, np.exp(-1.5)]) / (1.0 + np.exp(-1.5))]
+    assert len(result.states) == 2
+    assert all(np.abs(rho - g).max() < 1e-8 for rho, g in zip(result.states, gibbs))
+
+
+def test_steady_states_take_the_kernel_and_the_ergodic_average_at_one_tol():
+    """A decay rate of 1e-7 is zero at tol = 1e-3: the kernel holds both
+    populations, and so does the ergodic average that gives the blocks."""
+    result = spectra.steady_states(damped_qubit_L(gamma=1e-7), tol=1e-3)
+    assert result.kernel_dimension == 2
+    assert len(result.states) == 2
+    assert np.abs(result.states[0] - np.diag([1.0, 0.0])).max() < 1e-10
+    assert np.abs(result.states[1] - np.diag([0.0, 1.0])).max() < 1e-10
 
 
 def test_ergodic_average_relaxing_reaches_unique_steady():

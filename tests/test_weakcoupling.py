@@ -1051,7 +1051,8 @@ def test_chain_bins_merge_each_run_at_its_mean():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
 @pytest.mark.parametrize("build", ["bohr_decompose", "davies", "tcl2", "coarse_grain",
-                                   "tcl2_evolve", "coarse_grain_evolve"])
+                                   "tcl2_evolve", "coarse_grain_evolve", "tcl2_evolve_t0",
+                                   "coarse_grain_evolve_t0"])
 def test_bin_tol_must_be_finite_and_nonnegative(build, bad):
     from openqdyn import nonmarkov as nm
 
@@ -1062,7 +1063,11 @@ def test_bin_tol_must_be_finite_and_nonnegative(build, bad):
            "coarse_grain": lambda t: nm.coarse_grain_generator(system, ohmic(), 0.5, bin_tol=t),
            "tcl2_evolve": lambda t: nm.tcl2_evolve(system, ohmic(), rho0, grid, bin_tol=t),
            "coarse_grain_evolve": lambda t: nm.coarse_grain_evolve(
-               system, ohmic(), 1.0, rho0, grid, bin_tol=t)}[build]
+               system, ohmic(), 1.0, rho0, grid, bin_tol=t),
+           # a grid of t = 0 alone builds no generator
+           "tcl2_evolve_t0": lambda t: nm.tcl2_evolve(system, ohmic(), rho0, [0.0], bin_tol=t),
+           "coarse_grain_evolve_t0": lambda t: nm.coarse_grain_evolve(
+               system, ohmic(), 1.0, rho0, [0.0], bin_tol=t)}[build]
     with pytest.raises(ValueError, match="bin_tol must be finite and nonnegative"):
         run(bad)
     run(0.0)                      # a zero bin width is valid: exact differences only

@@ -14,10 +14,11 @@ coefficients as one-sided Fourier transforms of the bath correlation: a
 closed-form kernel per bath frequency (the half-line integral for TCL2, the
 triangle integral for coarse graining) summed on the frequency rule of
 :meth:`BathModel.correlation_table`.  Each rule is built once per node count
-and shared by every Bohr frequency of a call: TCL2 sums one phase table
-e^{-i nu t} against every frequency, and coarse graining takes the two
-triangle kernels of a pair (w, w') once for the pair and its mirror
-(-w, -w').
+and shared by every Bohr frequency of a call, and both sum it through one
+panel-factored kernel, :func:`weakcoupling._phase_sums`: TCL2 takes the
+half-line sums of every frequency, and coarse graining the half-line sums
+at +-w, which every pair (w, w') combines, plus its own columns for the
+pairs with w + w' = 0 or close to it.
 
 Both sum their operators over the channels of the factored coupling
 pattern (:func:`_channels`), so the terms that the pattern weights cancel
@@ -60,10 +61,14 @@ from .liouville import (
 from .maps import (DEFAULT_CP_TOL, _block_family, _choi_blocks, _chunks, _cp_reports,
                    _guarded_inverse)
 from .weakcoupling import (
+    _NEAR_POLE,
+    _bands,
     _bohr_stack,
     _gamma_sums,
+    _halfline_sums,
     _horizons,
     _node_counts,
+    _phase_sums,
     _pattern_factors,
     _require_integrable,
     _row_blocks,
@@ -290,7 +295,7 @@ def tcl2_generator(system, bath, t, alpha=1.0, bin_tol=None):
     ``t`` is a horizon or a 1-D array of m horizons, which gives the
     (m, N^2, N^2) stack of generators from one Bohr decomposition and one
     Gamma table over every (t, w); each slice equals the generator at that
-    horizon alone up to rounding.
+    horizon alone.
 
     With Gamma^t(w) = sum_j s_j(w) R_j R_j^dag over the channel blocks D_j(w)
     of :func:`_channels`, the dissipator is
@@ -410,45 +415,66 @@ def tcl_from_family(samples, smoothing="central-difference", cond_threshold=1e10
 # dynamical coarse graining
 # ---------------------------------------------------------------------------
 
-def _cg_pair_integrals(table, taus, freqs):
+#: |s| tau below which, at the lower edge of a band of horizons, a pair
+#: (w, w') with s = w + w' != 0 takes _triangle_kernel on every node
+_NEAR_PAIR = 0.1
+
+
+def _cg_pair_integrals(bath, n_nodes, taus, freqs):
     """Triangle integrals of e^{-i w t1 - i w' t2} f(t1 - t2) over
     {0 <= t2 <= t1 <= tau}, as an array [tau, f, w, w'] over the horizons and
     the four correlation building blocks f = c_plus(u), c_minus(u),
-    c_plus(-u), c_minus(-u).
+    c_plus(-u), c_minus(-u), on the rule of
+    ``bath.correlation_table(n_nodes)``.
 
-    On the frequency rule ``table`` = (nu, g_plus, g_minus) of
-    :meth:`BathModel.correlation_table`, c_plus(u) = sum g_plus e^{-i nu u}
-    and c_minus(u) = sum g_minus e^{+i nu u}, so in difference coordinates
-    (u = t1 - t2, v = t2) every block is a nu-sum of the closed-form kernels
-    up = I(w + nu, w + w', tau) and down = I(w - nu, w + w', tau) of
-    :func:`_triangle_kernel`, taken in one call per pair on horizons whose
-    kernel has at most ``_GAMMA_BLOCK`` entries.  Since
-    I(a, s, tau) = conj I(-a, -s, tau), the mirror pair (-w, -w') has the
-    kernels conj(down) and conj(up), so its four sums are the conjugates of
-    the pair's own in the order [2, 3, 0, 1]; the kernels of a pair serve its
-    mirror too, when the mirror is among ``freqs``.
+    On that rule (nodes nu, weights g_plus and g_minus), c_plus(u) =
+    sum g_plus e^{-i nu u} and c_minus(u) = sum g_minus e^{+i nu u}, so in
+    difference coordinates (u = t1 - t2, v = t2) every block is a nu-sum of
+    the kernel I(a, s, tau) of :func:`_triangle_kernel` at s = w + w' and
+    a = w + nu (f = 0, 3) or a = w - nu (f = 1, 2).  With the half-line
+    kernel E_t(x) = (e^{ixt} - 1)/(ix),
+    I(a, s, t) = [E_t(-a) - e^{-ist} E_t(s - a)]/(is),
+    and E_t(-a) depends on w alone, E_t(s - a) = E_t(w' -+ nu) on w' alone:
+    every pair is the difference of two half-line sums of
+    :func:`_halfline_sums` at +-w, taken once for all pairs.  That difference
+    cancels where |s| tau is small, so a pair with 0 < |s| < _NEAR_PAIR over
+    the lower edge of the horizon's band (:func:`_bands`) takes
+    :func:`_triangle_kernel` on every node.  At s = 0,
+    I(a, 0, t) = -(e^{-iat} - 1 + iat)/a^2, which is e^{-iwt} times a
+    column g/a^2 of :func:`_phase_sums` plus constants; its double pole
+    keeps :func:`_triangle_kernel` on the nodes that a half-line sum at w
+    keeps on its closed form.
     """
-    nu, g_plus, g_minus = table
-    taus = np.asarray(taus, dtype=float)
-    index = {w: i for i, w in enumerate(freqs)}
-    pm = np.array([1.0, -1.0])[:, None, None]
-    tri = np.empty((len(taus), 4, len(freqs), len(freqs)), dtype=complex)
-    for r in _row_blocks(np.arange(len(taus)), nu.size):
-        tr = taus[r, None]
-        done = set()
-        for i, w in enumerate(freqs):
-            for j, wp in enumerate(freqs):
-                if (i, j) in done:
-                    continue
-                up, down = _triangle_kernel(w + pm * nu, w + wp, tr)    # e^{-+i nu u} terms
-                sums = np.stack([np.sum(g * I, axis=-1) for g, I in
-                                 [(g_plus, up), (g_minus, down), (g_plus, down), (g_minus, up)]],
-                                axis=-1)
-                tri[r, :, i, j] = sums
-                mirror = (index.get(-w), index.get(-wp))
-                if None not in mirror and mirror != (i, j):
-                    tri[r, :, mirror[0], mirror[1]] = sums[:, [2, 3, 0, 1]].conj()
-                    done.add(mirror)
+    nu, g_plus, g_minus = bath.correlation_table(n_nodes)
+    taus, freqs = np.asarray(taus, dtype=float), np.asarray(freqs, dtype=float)
+    F = freqs.size
+    s = freqs[:, None] + freqs
+    P, M = _halfline_sums(bath, n_nodes, taus, np.concatenate([freqs, -freqs]))
+    # [tau, f, x] over x = (w, -w): sum g_f E(x - sign_f nu), conj(E(y)) = E(-y)
+    half = np.stack([P, M, np.roll(P, F, axis=1).conj(), np.roll(M, F, axis=1).conj()], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tri = (half[..., F:, None] - np.exp(-1j * s * taus[:, None, None])[:, None]
+               * half[..., None, :F]) / (1j * s)
+    g = np.array([g_plus, g_minus, g_plus, g_minus])
+    sign = np.array([1.0, -1.0, -1.0, 1.0])                    # a = w + sign nu
+    for lo, rows in _bands(taus, np.arange(len(taus))):
+        tr = taus[rows, None]
+        pi, pj = np.nonzero((s == 0.0) | (np.abs(s) * lo < _NEAR_PAIR))
+        sp = s[pi, pj]
+        for c in _row_blocks(np.arange(4 * pi.size), nu.size):
+            f, k = np.divmod(c, pi.size)
+            w = freqs[pi[k]]
+            a = w[:, None] + sign[f, None] * nu
+            near = (sp[k] != 0.0)[:, None] | (np.abs(a) < np.maximum(
+                _NEAR_POLE / lo, (np.abs(w[:, None]) + nu) / 8.0))
+            inv = np.divide(1.0, a, out=np.zeros_like(a), where=~near)   # 0 where s != 0
+            ga = g[f] * inv
+            far, near_sums = _phase_sums(                       # -g/a^2 is real: a flip
+                bath, n_nodes, tr[:, 0], -ga * inv, sign[f] < 0, near,      # conjugates
+                lambda e, q, tt: g[f[e], q] * _triangle_kernel(a[e, q], sp[k[e]], tt))
+            tri[rows[:, None], f, pi[k], pj[k]] = (np.exp(-1j * w * tr) * far + near_sums
+                                                   + (ga * inv).sum(axis=1)
+                                                   - 1j * tr * ga.sum(axis=1))
     return tri
 
 
@@ -493,7 +519,7 @@ def coarse_grain_generator(system, bath, tau, alpha=1.0, picture="schrodinger",
     tri = np.empty((len(taus), 4, len(freqs), len(freqs)), dtype=complex)
     for n in np.unique(nodes):
         rows = np.flatnonzero(nodes == n)
-        tri[rows] = _cg_pair_integrals(bath.correlation_table(n), taus[rows], freqs)
+        tri[rows] = _cg_pair_integrals(bath, n, taus[rows], freqs)
     square = tri + tri[:, [2, 3, 0, 1]].transpose(0, 1, 3, 2)     # both time orderings
 
     def channel(X):                              # [t, j, w, w'] of the parts [t, +-, w, w']

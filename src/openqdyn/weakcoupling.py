@@ -35,7 +35,8 @@ from .errors import (
     ZeroFrequencyRateError,
 )
 from .gksl import GKSLGenerator, superop_of_generator
-from .liouville import _as_square, _check_alpha, _check_tol, apply_superop, is_hermitian, trace_norm
+from .liouville import (_as_square, _check_alpha, _check_tol, _one_blas_thread,
+                        apply_superop, is_hermitian, trace_norm)
 from .operators import destroy, number, sigma_minus, sigma_plus, sigma_x, sigma_z
 
 _R_PLUS = np.array([1.0, -1.0j]) / 2.0         # quadrature pair: W_plus = R_plus R_plus^dag
@@ -255,20 +256,6 @@ def _panels(lo, hi, breakpoints, n_total, max_rule=1024):
         n_rule = -(-n_here // n_sub)
         n_rule = 64 * (-(-n_rule // 64))     # round up; keeps the rule cache small
         yield _leggauss(n_rule) + (np.linspace(a, b, n_sub + 1),)
-
-
-def _phase_table(bath, n_nodes, t):
-    """e^{-i nu t} on the nodes nu of ``bath.correlation_table(n_nodes)`` for
-    each horizon of the 1-D array t: the (len(t), nodes) table.  A node of a
-    sub-panel of centre c and half-width h is nu = c + h xi, so the phase is
-    e^{-i c t} e^{-i h xi t}: the phases are taken once per panel rule and
-    width, and each sub-panel costs one complex product."""
-    blocks = []
-    for x0, _, edges in _panels(0.0, bath.omega_max, bath._breakpoints(), n_nodes):
-        h, c = 0.5 * (edges[-1] - edges[0]) / (len(edges) - 1), 0.5 * (edges[:-1] + edges[1:])
-        rule, shift = np.exp(-1j * h * x0 * t[:, None]), np.exp(-1j * c * t[:, None])
-        blocks.append((shift[:, :, None] * rule[:, None, :]).reshape(len(t), -1))
-    return np.concatenate(blocks, axis=1)
 
 
 def pv_integral(f, lo, hi, pole, n_nodes=2048, breakpoints=()):
@@ -492,13 +479,15 @@ def _triangle_kernel(a, s, t):
     return out
 
 
-#: quadrature-kernel entries (horizons x nodes) evaluated at once by the
-#: finite-horizon rules; bounds their temporaries for any number of horizons
+#: entries (rows x nodes) that a frequency-rule sum takes at once: the pole
+#: blocks of _shift_stack, and the blocks of horizons, weight rows and
+#: near-node terms of _phase_sums; bounds their temporaries for any size
 _GAMMA_BLOCK = 2 ** 16
 
-#: |(w -+ nu) t| below which, at the least horizon of a block, a node of
-#: _gamma_sums takes _halfline_kernel instead of the phase table
-_NEAR_POLE = 1e-2
+#: |y| t below which, at the lower edge t of a band of horizons (:func:`_bands`),
+#: a node whose phase-sum form cancels at y = 0 (y = x -+ nu of a half-line
+#: sum, a = w +- nu at w + w' = 0 in coarse graining) takes its closed form
+_NEAR_POLE = 0.25
 
 
 def _horizons(t):
@@ -522,8 +511,70 @@ def _node_counts(bath, omega, t):
 
 
 def _row_blocks(rows, n):
-    """``rows`` split so that each block times ``n`` nodes fits _GAMMA_BLOCK."""
-    return np.array_split(rows, max(1, -(-rows.size * n // _GAMMA_BLOCK)))
+    """``rows`` split so that each block times ``n`` nodes fits _GAMMA_BLOCK;
+    a block holds one row at least, so a row of more than _GAMMA_BLOCK
+    nodes is a block of its own."""
+    return np.array_split(rows, max(1, min(rows.size, -(-rows.size * n // _GAMMA_BLOCK))))
+
+
+def _bands(t, rows):
+    """The horizons t[rows] > 0 by bands [2^b, 2^(b+1)): pairs (2^b, the rows
+    of the band).  A near-node rule that takes the band's lower edge for the
+    least horizon is the same for a horizon alone and in a stack."""
+    lo = np.ldexp(1.0, np.frexp(t[rows])[1] - 1)
+    return [(b, rows[lo == b]) for b in np.unique(lo)]
+
+
+def _phase_sums(bath, n_nodes, t, W, flip, near, kernel):
+    """The one kernel of the finite-horizon rules: for each horizon of the
+    1-D array ``t`` and each row k of the (K, nodes) weights ``W`` on the
+    rule of ``bath.correlation_table(n_nodes)``, the phase sum
+    sum_nu W[k, nu] e^{-i nu t}, or its conjugate where ``flip[k]`` (so a
+    row conj V gives sum_nu V e^{+i nu t} there).  Returns it with the
+    sums of the entries that the (K, nodes) mask ``near`` selects, whose
+    terms ``kernel(k, nu, t)`` gives as an (m, entries) array for the rows
+    k and node indices nu of the entries and the (m, 1) horizons: the two
+    (len(t), K) arrays (far, near).
+
+    A node of a sub-panel of centre c and half-width h is nu = c + h xi, so
+    e^{-i nu t} = e^{-i c t} e^{-i h xi t}: per panel one table
+    e^{-i h xi t} over its Gauss rule, whose nodes come in pairs +-xi,
+    multiplies the weights of all its sub-panels and rows, and the
+    sub-panel shifts e^{-i c t} combine the results.  A horizon thus costs
+    half a transcendental per rule node and one per sub-panel, not one per
+    node and row of W.  The products are taken horizon by horizon in one
+    batched call, so a horizon's sums do not depend on the others.
+    Horizons go in blocks whose horizons x rule nodes fit _GAMMA_BLOCK, and
+    the near entries in pieces of about ``nodes`` (set by their number
+    alone, so that a horizon's sums stay independent), each taken on blocks
+    of horizons that fit _GAMMA_BLOCK with it.  Both run on one BLAS
+    thread.
+    """
+    K, n = W.shape
+    far, near_sums = np.zeros((2, len(t), K), dtype=complex)
+    cols, nus = np.nonzero(near)
+    pieces = [e for e in _row_blocks(np.arange(cols.size), max(1, _GAMMA_BLOCK // n)) if e.size]
+    panels, start = [], 0
+    for x0, _, edges in _panels(0.0, bath.omega_max, bath._breakpoints(), n_nodes):
+        h, c = 0.5 * (edges[-1] - edges[0]) / (len(edges) - 1), 0.5 * (edges[:-1] + edges[1:])
+        block = W[:, start:start + x0.size * c.size].reshape(K, c.size, x0.size)
+        panels.append((h * x0[x0.size // 2:], c, block.transpose(2, 1, 0).reshape(x0.size, -1)))
+        start += x0.size * c.size
+    with _one_blas_thread():
+        for r in _row_blocks(np.arange(len(t)), max(block.shape[0] for *_, block in panels)):
+            tr = t[r, None]
+            for hx, c, block in panels:
+                half = np.exp(-1j * hx * tr)
+                rule = np.concatenate([half[:, ::-1].conj(), half], axis=1)
+                part = np.matmul(rule[:, None], block).reshape(len(r), c.size, K)
+                far[r] += np.matmul(np.exp(-1j * c * tr)[:, None], part)[:, 0]
+        for e in pieces:                        # cols ascend: one run per row of W
+            head = np.flatnonzero(np.diff(cols[e], prepend=-1))
+            for r in _row_blocks(np.arange(len(t)), e.size):
+                near_sums[np.ix_(r, cols[e][head])] += np.add.reduceat(
+                    kernel(cols[e], nus[e], t[r, None]), head, axis=1)
+    far[:, flip] = far[:, flip].conj()
+    return far, near_sums
 
 
 def _gamma_stack(bath, omegas, t, coupling_pattern, n_couplings=None):
@@ -538,47 +589,61 @@ def _gamma_stack(bath, omegas, t, coupling_pattern, n_couplings=None):
 def _gamma_sums(bath, omegas, t):
     """The emission and absorption sums (I_plus, I_minus) of Gamma^t(w) for
     every horizon of the 1-D array ``t`` and every frequency w of
-    ``omegas``: the (2, m, F) array, without the coupling weights.
-
-    Since e^{i(w -+ nu)t} = e^{iwt} e^{-+i nu t}, the rule's sum of
-    f E_t(w -+ nu) is e^{iwt} sum g e^{-+i nu t} - sum g with
-    g = f / (i (w -+ nu)), so one phase table e^{-i nu t} per node count and
-    block of horizons serves every frequency and both signs.  Each frequency
-    keeps its own node counts (:func:`_node_counts`).
-
-    Near the pole w -+ nu = 0 the table loses more to rounding than
-    :func:`_halfline_kernel` does: the difference cancels where
-    |(w -+ nu) t| is small, and the phase carries the rounding of
-    (|w| + nu) t instead of |w -+ nu| t.  The nodes with
-    |(w -+ nu) t| < _NEAR_POLE at the block's least horizon, or with
-    8 |w -+ nu| < |w| + nu, therefore take :func:`_halfline_kernel`, whose
-    closed form is accurate to rounding for every argument.  A horizon 0
-    gives exactly 0; a positive one raises :class:`QuadratureError` for a
-    bath whose J nbar is not integrable at 0+ (:func:`_require_integrable`).
+    ``omegas``: the (2, m, F) array, without the coupling weights.  Each
+    frequency keeps its own node counts (:func:`_node_counts`), and the
+    horizons of one node count share one call of :func:`_halfline_sums`.  A
+    horizon 0 gives exactly 0; a positive one raises
+    :class:`QuadratureError` for a bath whose J nbar is not integrable at 0+
+    (:func:`_require_integrable`).
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size and np.any(t > 0):
         _require_integrable(bath, "finite-horizon Gamma")
     nodes = _node_counts(bath, omegas[:, None], t)
-    sums = np.zeros((2, len(t), len(omegas)), dtype=complex)      # i_plus, i_minus
+    sums = np.zeros((2, len(t), omegas.size), dtype=complex)
     for n in np.unique(nodes[:, t > 0]):
-        x, f_plus, f_minus = bath.correlation_table(n)
-        for r in _row_blocks(np.flatnonzero((t > 0) & np.any(nodes == n, axis=0)), x.size):
-            table = _phase_table(bath, n, t[r])                     # e^{-i nu t}
-            for i, w in enumerate(omegas):
-                own = nodes[i, r] == n
-                if not own.any():
-                    continue
-                E, tr = (table, t[r, None]) if own.all() else (table[own], t[r[own], None])
-                for k, (y, f) in enumerate(((w - x, f_plus), (w + x, f_minus))):
-                    near = np.abs(y) < np.maximum(_NEAR_POLE / tr.min(), (abs(w) + x) / 8.0)
-                    g = np.divide(f, 1j * y, out=np.zeros(y.shape, dtype=complex), where=~near)
-                    s = np.sum(E * g, axis=-1) if k == 0 else np.sum(E * g.conj(), axis=-1).conj()
-                    s = np.exp(1j * w * tr[:, 0]) * s - np.sum(g)
-                    if near.any():
-                        s += np.sum(f[near] * _halfline_kernel(y[near], tr), axis=-1)
-                    sums[k, r[own], i] = s
+        rows = np.flatnonzero((t > 0) & np.any(nodes == n, axis=0))
+        sums[:, rows] = np.where((nodes[:, rows] == n).T, _halfline_sums(bath, n, t[rows], omegas),
+                                 sums[:, rows])
     return sums
+
+
+def _halfline_sums(bath, n_nodes, t, x):
+    """The rule's sums I_plus(x) = sum f_plus E_t(x - nu) and
+    I_minus(x) = sum f_minus E_t(x + nu) of the half-line kernel
+    E_t(y) = int_0^t e^{iyu} du, on the rule (nu, f_plus, f_minus) of
+    ``bath.correlation_table(n_nodes)``, for each horizon of the 1-D array
+    ``t`` and each x of ``x``: the (2, m, len(x)) array, 0 at t = 0.
+
+    Since e^{i(x -+ nu)t} = e^{ixt} e^{-+i nu t}, the sum of f E_t(x -+ nu)
+    is e^{ixt} sum g e^{-+i nu t} - sum g with g = f / (i (x -+ nu)): the
+    2 len(x) columns g of both signs are the weights of :func:`_phase_sums`.
+
+    Near the pole x -+ nu = 0 the phase sum loses more to rounding than
+    :func:`_halfline_kernel` does: the difference cancels where
+    |(x -+ nu) t| is small, and the phase carries the rounding of
+    (|x| + nu) t instead of |x -+ nu| t.  The nodes with
+    |(x -+ nu)| < _NEAR_POLE over the lower edge of the horizon's band
+    (:func:`_bands`), or with 8 |x -+ nu| < |x| + nu, therefore take
+    :func:`_halfline_kernel`, whose closed form is accurate to rounding for
+    every argument.
+    """
+    nu, f_plus, f_minus = bath.correlation_table(n_nodes)
+    w, sign = np.tile(x, 2), np.repeat([-1.0, 1.0], len(x))        # I_plus, I_minus
+    out = np.zeros((len(t), w.size), dtype=complex)
+    for lo, rows in _bands(t, np.flatnonzero(t > 0)):
+        tr = t[rows]
+        for k in _row_blocks(np.arange(w.size), nu.size):
+            y = w[k, None] + sign[k, None] * nu
+            f = np.where(sign[k, None] < 0, f_plus, f_minus)
+            near = np.abs(y) < np.maximum(_NEAR_POLE / lo, (np.abs(w[k, None]) + nu) / 8.0)
+            g = np.divide(f, y, out=np.zeros_like(y), where=~near)
+            far, near_sums = _phase_sums(       # f/(i y) = -i g, conjugated where flipped
+                bath, n_nodes, tr, 1j * sign[k, None] * g, sign[k] > 0, near,
+                lambda c, i, tt: f[c, i] * _halfline_kernel(y[c, i], tt))
+            out[np.ix_(rows, k)] = (np.exp(1j * w[k] * tr[:, None]) * far + near_sums
+                                    + 1j * g.sum(axis=1))
+    return out.reshape(len(t), 2, -1).transpose(1, 0, 2)
 
 
 def finite_time_gamma(bath, omega, t, coupling_pattern="position_xy", n_couplings=None):
@@ -587,11 +652,12 @@ def finite_time_gamma(bath, omega, t, coupling_pattern="position_xy", n_coupling
 
     Converges to gamma(omega)/2 + i S(omega) as t -> infinity.  ``t`` is a
     horizon or a 1-D array of m horizons, which gives the (m, K, K) stack of
-    matrices; each slice equals the call at that horizon alone up to rounding
-    (the horizons that share a node count share one rule of
-    :meth:`BathModel.correlation_table` and one phase table).  A negative or
+    matrices; each slice equals the call at that horizon alone (the horizons
+    that share a node count share one rule of
+    :meth:`BathModel.correlation_table`, and the phase sums of
+    :func:`_phase_sums` take each horizon on its own).  A negative or
     non-finite horizon raises ValueError.  :func:`tcl2_generator` takes the
-    same sums for all Bohr frequencies at once.
+    same sums for all Bohr frequencies at once (:func:`_gamma_sums`).
     """
     t = _horizons(t)
     gam = _gamma_stack(bath, [float(omega)], np.atleast_1d(t), coupling_pattern,

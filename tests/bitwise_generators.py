@@ -15,7 +15,10 @@ chains: levels 0, E, E + d, ..., E + m d and 3 with d in (0, 3] bin widths,
 in a random eigenbasis, with one or two random couplings.
 
 ``compare`` counts, for every entry, whether both records built it and the
-arrays are ``np.array_equal``, and lists what only one side built.
+arrays are ``np.array_equal``, lists what only one side built, and prints
+per entry kind (davies, tcl2, cg, steady) the largest relative difference
+max |new - old| / max |old| over the entries both built (inf where the
+shapes differ).
 """
 import argparse
 import os
@@ -122,6 +125,16 @@ def compare(old_path, new_path):
         built(new) - built(old)
     differ = sorted(k for k in both if not np.array_equal(old[k], new[k]))
     print(f"built by both: {len(both)}, array_equal: {len(both) - len(differ)}")
+    largest = {}
+    for k in both:
+        kind = k.rsplit("/", 1)[1].split("_")[0]        # steady_k<dim> -> steady
+        a, b = old[k], new[k]
+        scale = np.abs(a).max(initial=0.0)
+        rel = (0.0 if np.array_equal(a, b) else np.inf if a.shape != b.shape or not scale
+               else np.abs(b - a).max() / scale)
+        largest[kind] = max(largest.get(kind, 0.0), rel)
+    print("largest relative difference: "
+          + ", ".join(f"{kind} {rel:.2e}" for kind, rel in sorted(largest.items())))
     for label, keys in (("differ", differ), ("only old", only_old), ("only new", only_new)):
         print(f"{label}: {len(keys)}")
         for k in sorted(keys):

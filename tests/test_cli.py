@@ -357,6 +357,16 @@ def test_nonmarkov_command_reports_witness(tmp_path):
     assert len(lines) == 6
 
 
+def test_nonmarkov_tcl2_runs_past_one_row_block_of_nodes(tmp_path):
+    """t_final = 900 in two intervals: the horizon 450 needs 70785 nodes, more
+    than one row block of 2^16 entries holds, and 900 the cap of 2^17."""
+    out = str(tmp_path / "nm.csv")
+    text = QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=900.0, steps=2, out=out)
+    text = text.replace("scheme = markov", "scheme = tcl2\nsubsteps = 1")
+    assert run_cli(["nonmarkov", "--config", write_cfg(tmp_path, text)]) == 0
+    assert len(open(out).read().splitlines()) == 4
+
+
 def test_nonmarkov_memory_kernel_diagnostics(tmp_path):
     out = str(tmp_path / "nm.csv")
     text = QUBIT_CFG.format(alpha=0.1, T=1.0, t_final=2.0, steps=4, out=out)

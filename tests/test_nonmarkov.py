@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -583,7 +585,7 @@ def _loop_coarse_grain_parts(system, bath, tau, alpha):
 
     decs, freqs = _bohr_blocks(system)
     n = wc._node_counts(bath, max((abs(w) for w in freqs), default=0.0), tau)
-    tri_all = nm._cg_pair_integrals(bath.correlation_table(int(n)), [tau], freqs)[0]
+    tri_all = nm._cg_pair_integrals(bath, int(n), [tau], freqs)[0]
     tri = {(w, wp): tri_all[:, i, j]
            for i, w in enumerate(freqs) for j, wp in enumerate(freqs)}
     Wp, Wm = wc._pattern_weights(system.coupling_pattern, len(system.couplings))
@@ -650,6 +652,17 @@ def test_tcl2_generator_matches_term_loop(model, temperature, t):
         _assert_rel_close(L, _loop_tcl2_generator(system, bath, ti, alpha=0.7))
 
 
+@pytest.mark.parametrize("t", [420.0, 800.0])
+def test_tcl2_generator_past_one_row_block_of_nodes(t):
+    """Horizons whose rule has more nodes than _GAMMA_BLOCK entries: the
+    generator is the term loop's, as at short horizons."""
+    system = _oracle_model("qubit")
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
+    assert wc._node_counts(bath, OMEGA0, t) > wc._GAMMA_BLOCK
+    _assert_rel_close(nm.tcl2_generator(system, bath, t, alpha=0.7),
+                      _loop_tcl2_generator(system, bath, t, alpha=0.7))
+
+
 @pytest.mark.parametrize("model", ORACLE_MODELS)
 def test_tcl2_generator_stack_is_assembled_from_finite_time_gamma(model):
     """The one Gamma table of every Bohr frequency against one
@@ -699,6 +712,19 @@ def test_coarse_grain_generator_stack_is_single_calls():
     stack = nm.coarse_grain_generator(system, bath, taus)
     for tau, L in zip(taus, stack):
         assert np.array_equal(L, nm.coarse_grain_generator(system, bath, tau))
+
+
+def test_tcl2_generator_stack_is_single_calls():
+    """Horizons on three node counts, 0 and 1e-9 among them, give exactly
+    the generators of the single-horizon calls: the phase sums take each
+    horizon on its own, and the near-node rule is that of its band."""
+    system = _oracle_model("random4")
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
+    ts = np.array([0.3, 40.0, 0.0, 2.0, 1e-9, 7.7, 55.0])
+    assert len(set(wc._node_counts(bath, 0.0, ts))) == 3
+    stack = nm.tcl2_generator(system, bath, ts)
+    for t, L in zip(ts, stack):
+        assert np.array_equal(L, nm.tcl2_generator(system, bath, t))
 
 
 def _loop_coarse_grain_evolve(system, bath, alpha, rho0, t_grid):
@@ -762,12 +788,87 @@ def test_cg_pair_integrals_mirror_matches_per_pair_kernels(model):
         system = wc.damped_oscillator(10, OMEGA0) if model == "osc10" else _oracle_model(model)
         freqs = _bohr_blocks(system)[1]
     assert len(freqs) == {"osc10": 2, "random4": 13, "partial": 5}[model]
-    table = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0).correlation_table(4096)
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=1.0)
+    table = bath.correlation_table(4096)
     taus = np.array([0.3, 2.0, 20.0]) if model == "random4" else np.linspace(0.2, 20.0, 16)
     assert len(wc._row_blocks(np.arange(len(taus)), table[0].size)) == (model != "random4") + 1
-    got = nm._cg_pair_integrals(table, taus, freqs)
+    got = nm._cg_pair_integrals(bath, 4096, taus, freqs)
     ref = _cg_pair_integrals_per_pair(table, taus, freqs)
     assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _sinc_in_long_double(x):
+    """sin(x)/x in long double, by its series below |x| = 1e-3."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(x) < 1e-3, 1 - x * x / 6 + x ** 4 / 120, np.sin(x) / x)
+
+
+def _triangle_in_long_double(a, s, t):
+    """I(a, s, t) = t^2 f[0, -iat, -ist] for z -> e^z in extended precision,
+    from the sorted nodes -i th_0, -i th_1, -i th_2 (th = 0, at, st).  Where
+    th_2 - th_0 < 1: the series e^{-ic} sum_k h_k(y)/(k+2)! around the mean
+    c of the nodes, y = -i(th - c), in the complete homogeneous polynomials
+    h_k (40 terms); elsewhere the quotient of the first divided differences
+    f[p, q] = e^{-i(th_p + th_q)/2} sinc((th_p - th_q)/2) over the largest
+    distance, (f[1, 2] - f[0, 1])/(-i(th_2 - th_0))."""
+    a, s, t = np.broadcast_arrays(*(np.asarray(v, dtype=np.longdouble) for v in (a, s, t)))
+    th = np.sort(np.stack([np.zeros_like(a), a * t, s * t]), axis=0)
+    c = th.mean(axis=0)
+    y = -1j * (th - c).astype(np.clongdouble)
+    h2, h3, series = np.ones_like(y[0]), np.ones_like(y[0]), 0.5 * np.ones_like(y[0])
+    for k in range(1, 40):
+        h2 = y[1] * h2 + y[0] ** k                     # h_k(y_0, y_1)
+        h3 = y[2] * h3 + h2                            # h_k(y_0, y_1, y_2)
+        series = series + h3 / math.factorial(k + 2)
+    series = series * np.exp(-1j * c.astype(np.clongdouble))
+
+    def first(p, q):
+        return np.exp(-0.5j * (p + q).astype(np.clongdouble)) * _sinc_in_long_double(0.5 * (p - q))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = (first(th[1], th[2]) - first(th[0], th[1])) / (-1j * (th[2] - th[0]))
+    return t * t * np.where(th[2] - th[0] < 1, series, quotient)
+
+
+def test_triangle_reference_matches_quadrature():
+    """The extended-precision oracle below against Gauss-Legendre quadrature
+    of the double integral, on the cases of the kernel's own test."""
+    x, w = np.polynomial.legendre.leggauss(200)
+    for t in (0.3, 2.0, 20.0):
+        for st_ in (0.0, 1e-12, 1e-4, 2.0, 50.0):
+            for at in (0.0, 1e-12, 1e-3, 0.5, 3.0, -7.0, st_, st_ * (1 + 1e-9), 40.0):
+                ref = complex(_triangle_in_long_double(at / t, st_ / t, t))
+                u, wu = 0.5 * t * (x + 1.0), 0.5 * t * w
+                v, wv = 0.5 * (t - u)[:, None] * (x + 1.0), 0.5 * (t - u)[:, None] * w
+                quad = np.sum(wu * np.exp(-1j * at / t * u)
+                              * np.sum(wv * np.exp(-1j * st_ / t * v), axis=1))
+                assert abs(quad - ref) <= 1e-12 * abs(ref), (at, st_, t)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_cg_pair_integrals_match_a_long_double_reference(temperature):
+    """The pair sums against the rule's sums of the extended-precision
+    triangle kernel: within 32 eps sum |g I| (1 + (|w| + |w'| + nu) tau).
+    The factor (|w| + |w'| + nu) tau is the rounding of the phases; the 32
+    covers the cancellation of the half-line sums at +-w in a pair with
+    |s| tau down to _NEAR_PAIR.  The cases: s = 0 ((1, -1), (w, -w) and
+    (0, 0)), a and s - a within 5e-7 of 0 (w 5e-7 off a node), s tau =
+    1e-3 at tau = 2 ((1, -0.9995)), and the horizon 1e-9."""
+    if np.finfo(np.longdouble).eps >= 1e-18:
+        pytest.skip("long double is not extended precision on this platform")
+    bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
+    nu, g_plus, g_minus = bath.correlation_table(512)
+    near = nu[np.argmin(np.abs(nu - 1.3))] + 5e-7
+    freqs = np.array([-near, -1.0, -0.9995, 0.0, 1.0, near])
+    taus = np.array([1e-9, 0.3, 2.0, 20.0])
+    got = nm._cg_pair_integrals(bath, 512, taus, freqs)
+    w, wp = freqs[:, None, None, None], freqs[None, :, None, None]
+    for f, (g, sign) in enumerate([(g_plus, 1.0), (g_minus, -1.0), (g_plus, -1.0), (g_minus, 1.0)]):
+        terms = g * _triangle_in_long_double(w + sign * nu, w + wp, taus[:, None])
+        ref = np.sum(terms, axis=-1).astype(complex).transpose(2, 0, 1)
+        scale = np.sum(np.abs(terms).astype(float) * (1 + (np.abs(w) + np.abs(wp) + nu)
+                                                      * taus[:, None]), axis=-1).transpose(2, 0, 1)
+        assert np.all(np.abs(got[:, f] - ref) <= 32 * np.finfo(float).eps * scale)
 
 
 def _custom8():
@@ -800,6 +901,32 @@ def test_finite_horizon_rules_are_shared_across_frequencies(monkeypatch):
     assert len(kernels) <= -(-F * F // 2) + F
 
 
+def test_cg_pair_integrals_memory_is_bounded_on_a_generic_spectrum():
+    """A seeded 5-level model with 21 Bohr frequencies, two of its levels
+    0.0088 apart, at tau = 0.7: 67 of the 441 pairs have s = 0 or
+    |s| tau < 0.1 and take their own weight columns, 268 columns x 4416
+    nodes or 19 MB of complex numbers if formed at once (a weight column
+    for every pair would be 4 F^2 = 1764 columns, 125 MB).  The columns,
+    the horizons and the near-node terms go in blocks of _GAMMA_BLOCK
+    entries, so the peak stays below 16 MB (5 MB measured)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    freqs = wc._bohr_stack(np.diag(np.sort(rng.uniform(0.0, 3.0, 5))),
+                           [(g + g.conj().T) / 2.0])[0]
+    assert len(freqs) == 21
+    bath = wc.BathModel.ohmic(coupling=0.05, omega_c=3.0, temperature=1.0)
+    assert bath.correlation_table(4096)[0].size == 4416
+    tracemalloc.start()
+    try:
+        nm._cg_pair_integrals(bath, 4096, [0.7], freqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 @pytest.mark.parametrize("tau", [0.3, 2.0, 20.0])
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
 def test_cg_pair_integrals_converge_in_nu(temperature, tau):
@@ -807,7 +934,7 @@ def test_cg_pair_integrals_converge_in_nu(temperature, tau):
     triangle integrals by rounding only."""
     bath = wc.BathModel.ohmic(coupling=0.1, omega_c=3.0, temperature=temperature)
     n = int(wc._node_counts(bath, max(map(abs, TRI_FREQS)), tau))
-    tri, tri2 = (nm._cg_pair_integrals(bath.correlation_table(m), [tau], TRI_FREQS)
+    tri, tri2 = (nm._cg_pair_integrals(bath, m, [tau], TRI_FREQS)
                  for m in (n, 2 * n))
     assert np.abs(tri2 - tri).max() <= 1e-12 * np.abs(tri).max()
 
@@ -832,7 +959,7 @@ def test_cg_pair_integrals_match_time_domain_route(temperature, tau):
     F = wu * np.array([c_plus, c_minus, np.conj(c_plus), np.conj(c_minus)])
     ref = np.array([[F @ (np.exp(-1j * w * u) * wc._halfline_kernel(-(w + wp), tau - u))
                      for wp in TRI_FREQS] for w in TRI_FREQS]).transpose(2, 0, 1)
-    tri = nm._cg_pair_integrals(table, [tau], TRI_FREQS)[0]
+    tri = nm._cg_pair_integrals(bath, 512, [tau], TRI_FREQS)[0]
     assert np.abs(tri - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -878,7 +1005,7 @@ def _weighted_coarse_grain_generator(system, bath, taus, alpha):
     tri = np.empty((len(taus), 4, len(freqs), len(freqs)), dtype=complex)
     for k, tau in enumerate(taus):
         n = wc._node_counts(bath, max((abs(w) for w in freqs), default=0.0), tau)
-        tri[k] = nm._cg_pair_integrals(bath.correlation_table(int(n)), [tau], freqs)[0]
+        tri[k] = nm._cg_pair_integrals(bath, int(n), [tau], freqs)[0]
     square = tri + tri[:, [2, 3, 0, 1]].transpose(0, 1, 3, 2)
     Wp, Wm = (W[np.ix_(ki, ki)] for W in
               wc._pattern_weights(system.coupling_pattern, len(system.couplings)))

@@ -140,6 +140,44 @@ def test_scoped_family_kernels_match_the_threaded_ones(start, monkeypatch):
     assert all(_close(G, R) for G, R in zip(tcl.generators, ref_tcl.generators))
 
 
+def test_phase_sums_run_on_one_thread(start):
+    """The near-node terms are taken inside the kernel's scope."""
+    from openqdyn import weakcoupling as wc
+
+    outside, inside = start
+    bath = wc.BathModel.ohmic(coupling=0.05, omega_c=3.0, temperature=1.0)
+    n = bath.correlation_table(4096)[0].size
+    seen = []
+
+    def kernel(k, nu, t):
+        seen.append(count())
+        return np.zeros((len(t), len(k)))
+
+    wc._phase_sums(bath, 4096, np.array([1.0]), np.ones((1, n)), np.array([False]),
+                   np.ones((1, n), dtype=bool), kernel)
+    assert seen == [inside]
+    assert count() == outside
+
+
+def test_scoped_finite_horizon_rules_match_the_threaded_ones(start, monkeypatch):
+    """The phase sums of the TCL2 and coarse-graining rules run on one BLAS
+    thread; unscoped, the generators agree to rounding, and the count is
+    restored after each call."""
+    from openqdyn import weakcoupling as wc
+
+    outside, _ = start
+    system = wc.damped_oscillator(4)
+    bath = wc.BathModel.ohmic(coupling=0.05, omega_c=3.0, temperature=1.0)
+    taus = np.linspace(0.2, 10.0, 12)
+    tcl, cg = (build(system, bath, taus) for build in
+               (nonmarkov.tcl2_generator, nonmarkov.coarse_grain_generator))
+    assert count() == outside
+    monkeypatch.setattr(lv, "_openblas_threads", lambda: None)     # unscoped
+    ref_tcl, ref_cg = (build(system, bath, taus) for build in
+                       (nonmarkov.tcl2_generator, nonmarkov.coarse_grain_generator))
+    assert _close(tcl, ref_tcl) and _close(cg, ref_cg)
+
+
 def test_kraus_of_restores_the_count(start):
     outside, _ = start
     E = _gksl_family(3, samples=3)[-1][1]

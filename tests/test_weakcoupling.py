@@ -643,6 +643,18 @@ def test_gamma_stack_matches_node_by_node_sums(T, pattern):
             assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max(), (w, t)
 
 
+@pytest.mark.parametrize("t", [420.0, 800.0])
+def test_finite_time_gamma_past_one_row_block_of_nodes(t):
+    """A rule with more nodes than _GAMMA_BLOCK entries is a block of one
+    horizon (it was split into an empty block, which raised ValueError);
+    the sums are those of the half-line kernel node by node."""
+    bath = ohmic(coupling=0.1, T=1.0)
+    assert wc._node_counts(bath, OMEGA0, t) > wc._GAMMA_BLOCK
+    got = wc.finite_time_gamma(bath, OMEGA0, t, "position_xy")
+    ref = _gamma_by_node_sums(bath, OMEGA0, t, "position_xy")
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_finite_time_gamma_rejects_negative_or_2d_horizons():
     bath = ohmic()
     for t in (-1.0, np.array([0.0, 1.0, -0.5]), np.ones((2, 2)), np.nan):
@@ -677,6 +689,33 @@ def test_halfline_kernel_matches_a_long_double_reference():
         err = np.abs(got.astype(np.clongdouble) - ref).astype(float)
         bound = 2 * np.finfo(float).eps * (1 + np.abs(x * t)) * np.abs(t)
         assert np.all(err <= bound)
+
+
+@pytest.mark.parametrize("T", [0.0, 1.0])
+def test_gamma_sums_match_a_long_double_reference(T):
+    """The phase sums of _gamma_sums, with their closed-form near nodes,
+    against the rule's sums of the extended-precision half-line kernel:
+    within 4 eps sum |f E_t(w -+ nu)| (1 + (|w| + nu) t), the rounding of
+    the phases (|w| + nu) t that a product e^{iwt} e^{-+i nu t} carries.
+    The frequencies include 0 and +-w 5e-7 off a node of the 4096-node
+    rule (the pole w -+ nu = 0 next to a node), the horizons 1e-9 (every
+    node on the closed form) and 40 (a larger rule)."""
+    if np.finfo(np.longdouble).eps >= 1e-18:
+        pytest.skip("long double is not extended precision on this platform")
+    bath = ohmic(coupling=0.1, T=T)
+    x = bath.correlation_table(4096)[0]
+    near = x[np.argmin(np.abs(x - 1.3))] + 5e-7
+    omegas = np.array([-2.3, -near, -OMEGA0, 0.0, OMEGA0, near, 2.5])
+    ts = np.array([1e-9, 0.025, 0.3, 2.0, 40.0])
+    got = wc._gamma_sums(bath, omegas, ts)
+    for ti, t in enumerate(ts):
+        for i, w in enumerate(omegas):
+            nu, f_plus, f_minus = bath.correlation_table(int(wc._node_counts(bath, w, t)))
+            for k, (f, y) in enumerate(((f_plus, w - nu), (f_minus, w + nu))):
+                terms = f * _halfline_in_long_double(y, t)
+                scale = np.sum(np.abs(terms).astype(float) * (1 + (abs(w) + nu) * t))
+                err = abs(complex(got[k, ti, i]) - complex(np.sum(terms)))
+                assert err <= 4 * np.finfo(float).eps * scale, (w, t, k)
 
 
 def _triangle_by_quadrature(a, s, t, n=64):
